@@ -499,9 +499,6 @@ def drop_trivial(qi: QuasiInequality, k: int) -> QuasiInequality:
 # ---------------------------------------------------------------------------
 # splitting (distribution of meets and joins over goals)
 
-_SPLIT_DESCEND = {fm.NEG: None, fm.AND: None, fm.OR: None}
-
-
 def _find_split_in(phi: Formula, sign: int, path: tuple[int, ...]):
     """First preorder position of a join at inequality-sign - or a meet at
     inequality-sign +, descending only through negation, meet, join, fusion

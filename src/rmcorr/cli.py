@@ -166,7 +166,10 @@ def _run_corpus(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verify and args.verify > 3:
+    if args.verify < 0:
+        sys.stderr.write("error: --verify needs N >= 0\n")
+        return EXIT_INPUT
+    if args.verify > 3:
         sys.stderr.write("error: --verify is capped at 3 worlds\n")
         return EXIT_INPUT
     if args.corpus is not None:

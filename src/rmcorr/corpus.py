@@ -36,8 +36,16 @@ def _parse_lines(text: str, source: str) -> list[CorpusEntry]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{source}:{lineno}: bad JSON: {exc}") from exc
-        entries.append(CorpusEntry(obj["name"], obj["formula"],
-                                   obj.get("expected_fo")))
+        if not isinstance(obj, dict):
+            raise ValueError(f"{source}:{lineno}: expected a JSON object")
+        for key in ("name", "formula"):
+            if not isinstance(obj.get(key), str):
+                raise ValueError(f"{source}:{lineno}: '{key}' must be a string")
+        expected = obj.get("expected_fo")
+        if expected is not None and not isinstance(expected, str):
+            raise ValueError(f"{source}:{lineno}: 'expected_fo' must be a "
+                             "string or null")
+        entries.append(CorpusEntry(obj["name"], obj["formula"], expected))
     return entries
 
 

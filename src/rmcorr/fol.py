@@ -162,10 +162,6 @@ def walk(f: FONode) -> Iterator[FONode]:
         yield from walk(child)
 
 
-def _term_vars(t: Term) -> Iterator[WVar]:
-    yield term_var(t)
-
-
 def free_vars(f: FONode) -> set[WVar]:
     if isinstance(f, RAtom):
         return {term_var(f.a), term_var(f.b), term_var(f.c)}
@@ -183,10 +179,6 @@ def free_vars(f: FONode) -> set[WVar]:
     for child in children(f):
         out |= free_vars(child)
     return out
-
-
-def is_closed(f: FONode) -> bool:
-    return not free_vars(f)
 
 
 def alpha_equal(f: FONode, g: FONode) -> bool:

@@ -38,7 +38,6 @@ RRES = "rres"     # residual of fusion in its 2nd coordinate
 
 UNARY_OPS = (NEG, NEG_FLAT, NEG_SHARP)
 BINARY_OPS = (AND, OR, FUS, IMP, COIMP, HIMP, RRES)
-CONSTANTS = (T, TOP, BOT)
 
 # Polarity type of each connective: +1 where the coordinate is
 # order-preserving, -1 where it is order-reversing.

@@ -3,15 +3,20 @@ worlds, and a star map; model-theoretic evaluation of object formulas and
 first-order formulas; and the brute-force correspondence checker.
 
 Worlds are 0..n-1 and sets of worlds are bitmasks, so the complex-algebra
-operations are a handful of integer operations per application.
+operations are a handful of integer operations per application.  A frame
+tabulates each operation over all masks on first use, and formulas of both
+languages are compiled once into closures, so checking a formula on many
+frames and valuations repeats no tree walk and no operation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
 from . import fol
 from . import formula as fm
@@ -48,6 +53,9 @@ class RMFrame:
     The order u <= v is derived: some normal world o has R o u v.
     """
 
+    __slots__ = ("n", "O", "R", "star", "full", "o_mask", "up", "down",
+                 "_results", "_upsets", "_tables")
+
     def __init__(self, n: int, O: frozenset[int], R: frozenset[tuple[int, int, int]],
                  star: tuple[int, ...]):
         self.n = n
@@ -56,23 +64,20 @@ class RMFrame:
         self.star = tuple(star)
         self.full = (1 << n) - 1
         self.o_mask = _mask(self.O)
-        # derived order
-        leq = [[False] * n for _ in range(n)]
+        # derived order: up[w] = mask of {v : w <= v}, down[v] = mask of
+        # {u : u <= v}
+        self.up = [0] * n
+        self.down = [0] * n
         for (o, u, v) in self.R:
             if o in self.O:
-                leq[u][v] = True
-        self._leq = leq
-        # up[w] = mask of {v : w <= v}; down[v] = mask of {u : u <= v}
-        self.up = [_mask({v for v in range(n) if leq[w][v]}) for w in range(n)]
-        self.down = [_mask({u for u in range(n) if leq[u][v]}) for v in range(n)]
-        self._by_first: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._by_mid: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+                self.up[u] |= 1 << v
+                self.down[v] |= 1 << u
+        # _results[a][b] = mask of {c : R a b c}
         self._results: list[list[int]] = [[0] * n for _ in range(n)]
         for (a, b, c) in self.R:
-            self._by_first[a].append((b, c))
-            self._by_mid[b].append((a, c))
             self._results[a][b] |= 1 << c
         self._upsets: Optional[list[int]] = None
+        self._tables: dict[str, tuple[int, ...]] = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RMFrame)
@@ -87,7 +92,7 @@ class RMFrame:
                 f"R={sorted(self.R)}, star={self.star})")
 
     def leq(self, u: int, v: int) -> bool:
-        return self._leq[u][v]
+        return bool(self.up[u] >> v & 1)
 
     def upsets(self) -> list[int]:
         """All order-up-closed masks, ascending."""
@@ -95,6 +100,22 @@ class RMFrame:
             self._upsets = [S for S in range(self.full + 1)
                             if self.is_upset(S)]
         return self._upsets
+
+    def table(self, op: str) -> tuple[int, ...]:
+        """The complex-algebra operation of connective `op` over all masks,
+        built on first use: indexed by Y for a negation and by
+        Y * 2**n + Z for a binary operation.  Equal tables are shared
+        between frames."""
+        t = self._tables.get(op)
+        if t is None:
+            fn = _OPERATIONS[op]
+            masks = range(self.full + 1)
+            if op in fm.UNARY_OPS:
+                t = tuple(fn(self, Y) for Y in masks)
+            else:
+                t = tuple(fn(self, Y, Z) for Y in masks for Z in masks)
+            t = self._tables[op] = _TABLES.setdefault(t, t)
+        return t
 
     def is_upset(self, S: int) -> bool:
         for w in range(self.n):
@@ -139,18 +160,20 @@ class RMFrame:
         return out
 
     def op_imp(self, Y: int, Z: int) -> int:
+        # x qualifies when every R x y z with y in Y has z in Z
         out = 0
         for x in range(self.n):
-            if all(not (Y & (1 << y)) or (Z & (1 << z))
-                   for (y, z) in self._by_first[x]):
+            row = self._results[x]
+            if not any(Y & (1 << y) and row[y] & ~Z for y in range(self.n)):
                 out |= 1 << x
         return out
 
     def op_rres(self, Y: int, Z: int) -> int:
+        # w qualifies when every R v w u with v in Y has u in Z
         out = 0
         for w in range(self.n):
-            if all(not (Y & (1 << v)) or (Z & (1 << u))
-                   for (v, u) in self._by_mid[w]):
+            if not any(Y & (1 << v) and self._results[v][w] & ~Z
+                       for v in range(self.n)):
                 out |= 1 << w
         return out
 
@@ -179,6 +202,16 @@ class RMFrame:
                    frozenset(tuple(t) for t in obj["R"]), tuple(obj["star"]))
 
 
+_OPERATIONS = {
+    fm.NEG: RMFrame.op_neg, fm.NEG_FLAT: RMFrame.op_negflat,
+    fm.NEG_SHARP: RMFrame.op_negsharp, fm.FUS: RMFrame.op_fus,
+    fm.IMP: RMFrame.op_imp, fm.RRES: RMFrame.op_rres,
+    fm.COIMP: RMFrame.op_coimp, fm.HIMP: RMFrame.op_himp,
+}
+# operation tables by content, shared by every frame that has them
+_TABLES: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def _mask(s) -> int:
     out = 0
     for w in s:
@@ -196,9 +229,9 @@ def check_frame(f: RMFrame) -> bool:
         for y in range(n):
             if not f.leq(x, y):
                 continue
-            for (u, v) in f._by_first[y]:
-                if (x, u, v) not in f.R:
-                    return False
+            # R y u v implies R x u v
+            if any(f._results[y][u] & ~f._results[x][u] for u in range(n)):
+                return False
             if not f.leq(f.star[y], f.star[x]):
                 return False
     for (u, y, v) in f.R:
@@ -278,6 +311,13 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
                 yield f
 
 
+@functools.lru_cache(maxsize=None)
+def _frame_family(n: int, mode: str) -> tuple[RMFrame, ...]:
+    """The frames of `enumerate_frames(n, mode)`, in its order, enumerated
+    once per process on first use."""
+    return tuple(enumerate_frames(n, mode))
+
+
 def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
     """A pseudo-random valid frame: sprinkle R and O, close under the frame
     conditions, and reject if the star map refuses to be antitone."""
@@ -291,40 +331,21 @@ def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
                 O.add(w)
         R = {t for t in itertools.product(range(n), repeat=3)
              if rng.random() < density}
-        # grow O and R until conditions 1-4 and 6 hold
-        for _ in range(2 * n * n * n + 4):
-            f = RMFrame(n, frozenset(O), frozenset(R), star)
-            changed = False
-            for x in range(n):
-                if not f.leq(x, x):
-                    R.add((min(O), x, x))
-                    changed = True
-            for x in range(n):
-                for y in range(n):
-                    if not f.leq(x, y):
-                        continue
-                    for (u, v) in f._by_first[y]:
-                        if (x, u, v) not in R:
-                            R.add((x, u, v))
-                            changed = True
-            for (u, y, v) in list(R):
-                for x in range(n):
-                    if f.leq(x, y) and (u, x, v) not in R:
-                        R.add((u, x, v))
-                        changed = True
-            for (u, v, x) in list(R):
-                for y in range(n):
-                    if f.leq(x, y) and (u, v, y) not in R:
-                        R.add((u, v, y))
-                        changed = True
-            for o in list(O):
-                for o2 in range(n):
-                    if f.leq(o, o2) and o2 not in O:
-                        O.add(o2)
-                        changed = True
-            if not changed:
-                break
+        # make the order reflexive, then grow R and O until conditions 2-4
+        # and 6 hold
         f = RMFrame(n, frozenset(O), frozenset(R), star)
+        R |= {(min(O), x, x) for x in range(n) if not f.leq(x, x)}
+        while True:
+            f = RMFrame(n, frozenset(O), frozenset(R), star)
+            order = [(x, y) for x in range(n) for y in range(n) if f.leq(x, y)]
+            grown = {(x, b, c) for (x, y) in order for (a, b, c) in R if a == y}
+            grown |= {(a, x, c) for (x, y) in order for (a, b, c) in R if b == y}
+            grown |= {(a, b, y) for (x, y) in order for (a, b, c) in R if c == x}
+            up = {y for (x, y) in order if x in O}
+            if grown <= R and up <= O:
+                break
+            R |= grown
+            O |= up
         if check_frame(f):
             return f
     # dense fallback is always valid
@@ -336,43 +357,100 @@ def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
-    """Mask of worlds where phi holds."""
+# Object formulas compile to bind(frame) -> ev(values) -> mask, where
+# values holds the mask of each atom of the formula, in order of first
+# occurrence.
+
+def _constant(mask: int) -> Callable[[tuple[int, ...]], int]:
+    return lambda v: mask
+
+
+def _compile(phi: Formula, slots: dict[Atom, int]):
     op = phi.op
     if op == fm.ATOM:
-        try:
-            return valuation[phi.atom]
-        except KeyError:
-            raise ValueError(f"unassigned atom {phi.atom!r}") from None
+        get = itemgetter(slots[phi.atom])
+        return lambda f: get
     if op == fm.T:
-        return f.o_mask
+        return lambda f: _constant(f.o_mask)
     if op == fm.TOP:
-        return f.full
+        return lambda f: _constant(f.full)
     if op == fm.BOT:
-        return 0
-    if op == fm.NEG:
-        return f.op_neg(extension(f, valuation, phi.args[0]))
-    if op == fm.NEG_FLAT:
-        return f.op_negflat(extension(f, valuation, phi.args[0]))
-    if op == fm.NEG_SHARP:
-        return f.op_negsharp(extension(f, valuation, phi.args[0]))
-    a = extension(f, valuation, phi.args[0])
-    b = extension(f, valuation, phi.args[1])
+        return lambda f: _constant(0)
+    if op in fm.UNARY_OPS:
+        arg = _compile(phi.args[0], slots)
+
+        def bind_unary(f):
+            table, a = f.table(op), arg(f)
+            return lambda v: table[a(v)]
+        return bind_unary
+    if op not in fm.BINARY_OPS:
+        raise ValueError(f"unknown connective {op!r}")
+    left = _compile(phi.args[0], slots)
+    right = _compile(phi.args[1], slots)
     if op == fm.AND:
-        return a & b
+        def bind_and(f):
+            a, b = left(f), right(f)
+            return lambda v: a(v) & b(v)
+        return bind_and
     if op == fm.OR:
-        return a | b
-    if op == fm.FUS:
-        return f.op_fus(a, b)
-    if op == fm.IMP:
-        return f.op_imp(a, b)
-    if op == fm.COIMP:
-        return f.op_coimp(a, b)
-    if op == fm.HIMP:
-        return f.op_himp(a, b)
-    if op == fm.RRES:
-        return f.op_rres(a, b)
-    raise ValueError(f"unknown connective {op!r}")
+        def bind_or(f):
+            a, b = left(f), right(f)
+            return lambda v: a(v) | b(v)
+        return bind_or
+
+    def bind_binary(f):
+        table, n, a, b = f.table(op), f.n, left(f), right(f)
+        return lambda v: table[a(v) << n | b(v)]
+    return bind_binary
+
+
+class _ProgramCache:
+    """Compiled programs keyed by the identity of their formula (plus any
+    further key), the oldest dropped beyond `size`.  Each entry holds its
+    formula, so an id stays that formula's while the entry lives; equal but
+    distinct formulas compile separately, and no formula is hashed.  An
+    entry also keeps its program bound to the last frame it ran on, since
+    callers evaluate one formula on one frame under many assignments in a
+    row."""
+
+    def __init__(self, compile_fn, size: int = 4096):
+        self.compile_fn = compile_fn
+        self.size = size
+        self.entries: dict[tuple, list] = {}
+
+    def __call__(self, f: RMFrame, formula, *key):
+        """(the program bound to f, the compiler's side result)."""
+        k = (id(formula), *key)
+        entry = self.entries.get(k)
+        if entry is None:
+            if len(self.entries) >= self.size:
+                del self.entries[next(iter(self.entries))]
+            bind, info = self.compile_fn(formula, *key)
+            # formula, bind, side result, last frame, bind(last frame)
+            entry = self.entries[k] = [formula, bind, info, None, None]
+        if entry[3] is not f:
+            entry[3], entry[4] = f, entry[1](f)
+        return entry[4], entry[2]
+
+
+def _compile_program(phi: Formula):
+    """(bind, the atoms of phi in order of first occurrence, whose masks
+    make up the values tuple)."""
+    atoms = tuple(fm.atoms(phi))
+    return _compile(phi, {a: i for i, a in enumerate(atoms)}), atoms
+
+
+_program = _ProgramCache(_compile_program)
+
+
+def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
+    """Mask of worlds where phi holds."""
+    ev, atoms = _program(f, phi)
+    try:
+        values = tuple([valuation[a] for a in atoms])
+    except KeyError as exc:
+        raise ValueError(f"unassigned atom {exc.args[0]!r}") from None
+    return ev(values)
 
 
 def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
@@ -397,28 +475,181 @@ def _check_valuation(f: RMFrame, valuation: dict[Atom, int]) -> None:
             raise ValueError(f"valuation of {a!r} is out of range")
 
 
-def frame_valid(f: RMFrame, phi: Formula) -> bool:
-    """Frame validity: truth at every normal world under every assignment of
-    up-sets to the propositional variables."""
-    bad = [a for a in fm.atoms(phi) if a.kind != fm.PROP]
+def _check_variables_only(atoms: tuple[Atom, ...]) -> None:
+    bad = [a for a in atoms if a.kind != fm.PROP]
     if bad:
         raise ValueError(f"frame validity is defined for variable-only "
                          f"formulas; found {bad[0]!r}")
-    pvars = fm.atoms(phi)
-    for combo in itertools.product(f.upsets(), repeat=len(pvars)):
-        valuation = dict(zip(pvars, combo))
-        if extension(f, valuation, phi) & f.o_mask != f.o_mask:
+
+
+def _valid(f: RMFrame, ev, k: int) -> bool:
+    o = f.o_mask
+    for combo in itertools.product(f.upsets(), repeat=k):
+        if ev(combo) & o != o:
             return False
     return True
 
 
-def _eval_term(f: RMFrame, t: fol.Term, env: dict[fol.WVar, int]) -> int:
-    if isinstance(t, fol.Star):
-        return f.star[_eval_term(f, t.arg, env)]
-    try:
-        return env[t]
-    except KeyError:
-        raise ValueError(f"unbound variable {t!r}") from None
+def frame_valid(f: RMFrame, phi: Formula) -> bool:
+    """Frame validity: truth at every normal world under every assignment of
+    up-sets to the propositional variables."""
+    ev, atoms = _program(f, phi)
+    _check_variables_only(atoms)
+    return _valid(f, ev, len(atoms))
+
+
+# First-order formulas compile to bind(frame) -> ev(env) -> truth, where env
+# is a list holding each world variable and each predicate's mask at its
+# slot.  A quantifier writes its variable's slot in place and restores it on
+# exit.  Errors are raised when the offending node is reached, as a direct
+# evaluation would.
+
+def _raiser(message: str):
+    def fail(e):
+        raise ValueError(message)
+    return lambda f: fail
+
+
+def _compile_fo(g: fol.FONode, free: tuple[fol.WVar, ...],
+                preds: Optional[tuple[int, ...]]):
+    """Compile g for an env that holds the variables `free`, then the masks
+    of the predicates `preds` (None: no valuation); returns (bind, env
+    width)."""
+    slots = {v: i for i, v in enumerate(free)}
+    pred_slots = None
+    if preds is not None:
+        pred_slots = {p: len(free) + i for i, p in enumerate(preds)}
+    width = len(free) + len(preds or ())
+
+    def term(t: fol.Term):
+        if isinstance(t, fol.Star):
+            arg = term(t.arg)
+
+            def bind_star(f):
+                star, a = f.star, arg(f)
+                return lambda e: star[a(e)]
+            return bind_star
+        if t not in slots:
+            return _raiser(f"unbound variable {t!r}")
+        get = itemgetter(slots[t])
+        return lambda f: get
+
+    def node(g: fol.FONode):
+        nonlocal width
+        if isinstance(g, fol.TrueF):
+            return lambda f: _constant(True)
+        if isinstance(g, fol.FalseF):
+            return lambda f: _constant(False)
+        if isinstance(g, fol.RAtom):
+            ta, tb, tc = term(g.a), term(g.b), term(g.c)
+
+            def bind_r(f):
+                res, a, b, c = f._results, ta(f), tb(f), tc(f)
+                return lambda e: res[a(e)][b(e)] >> c(e) & 1
+            return bind_r
+        if isinstance(g, fol.OAtom):
+            ta = term(g.a)
+
+            def bind_o(f):
+                o, a = f.o_mask, ta(f)
+                return lambda e: o >> a(e) & 1
+            return bind_o
+        if isinstance(g, fol.LeqAtom):
+            ta, tb = term(g.a), term(g.b)
+
+            def bind_leq(f):
+                up, a, b = f.up, ta(f), tb(f)
+                return lambda e: up[a(e)] >> b(e) & 1
+            return bind_leq
+        if isinstance(g, fol.EqAtom):
+            ta, tb = term(g.a), term(g.b)
+
+            def bind_eq(f):
+                a, b = ta(f), tb(f)
+                return lambda e: a(e) == b(e)
+            return bind_eq
+        if isinstance(g, fol.PVarAtom):
+            if pred_slots is None:
+                return _raiser("predicate atom needs a valuation")
+            if g.index not in pred_slots:
+                return _raiser(f"no valuation for variable index {g.index}")
+            mask, ta = itemgetter(pred_slots[g.index]), term(g.a)
+
+            def bind_p(f):
+                a = ta(f)
+                return lambda e: mask(e) >> a(e) & 1
+            return bind_p
+        if isinstance(g, fol.Not):
+            body = node(g.body)
+
+            def bind_not(f):
+                b = body(f)
+                return lambda e: not b(e)
+            return bind_not
+        if isinstance(g, (fol.And, fol.Or, fol.Implies)):
+            left, right = node(g.left), node(g.right)
+            if isinstance(g, fol.And):
+                def bind_and(f):
+                    a, b = left(f), right(f)
+                    return lambda e: a(e) and b(e)
+                return bind_and
+            if isinstance(g, fol.Or):
+                def bind_or(f):
+                    a, b = left(f), right(f)
+                    return lambda e: a(e) or b(e)
+                return bind_or
+
+            def bind_implies(f):
+                a, b = left(f), right(f)
+                return lambda e: not a(e) or b(e)
+            return bind_implies
+        if isinstance(g, (fol.Forall, fol.Exists)):
+            outer = slots.get(g.var)
+            if outer is None:
+                s = slots[g.var] = width
+                width += 1
+            else:
+                s = outer
+            body = node(g.body)
+            if outer is None:
+                del slots[g.var]
+            if isinstance(g, fol.Forall):
+                def bind_forall(f):
+                    b, worlds = body(f), range(f.n)
+
+                    def forall(e):
+                        old = e[s]
+                        for w in worlds:
+                            e[s] = w
+                            if not b(e):
+                                e[s] = old
+                                return False
+                        e[s] = old
+                        return True
+                    return forall
+                return bind_forall
+
+            def bind_exists(f):
+                b, worlds = body(f), range(f.n)
+
+                def exists(e):
+                    old = e[s]
+                    for w in worlds:
+                        e[s] = w
+                        if b(e):
+                            e[s] = old
+                            return True
+                    e[s] = old
+                    return False
+                return exists
+            return bind_exists
+        raise ValueError(f"unknown first-order node {g!r}")
+
+    bind = node(g)
+    return bind, width
+
+
+_fo_program = _ProgramCache(_compile_fo)
 
 
 def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None,
@@ -426,43 +657,18 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
     """Classical satisfaction over the frame signature.  The optional
     valuation interprets the unary predicates of standard translations."""
     env = env or {}
-
-    def go(node: fol.FONode, e: dict[fol.WVar, int]) -> bool:
-        if isinstance(node, fol.TrueF):
-            return True
-        if isinstance(node, fol.FalseF):
-            return False
-        if isinstance(node, fol.RAtom):
-            return (_eval_term(f, node.a, e), _eval_term(f, node.b, e),
-                    _eval_term(f, node.c, e)) in f.R
-        if isinstance(node, fol.OAtom):
-            return _eval_term(f, node.a, e) in f.O
-        if isinstance(node, fol.LeqAtom):
-            return f.leq(_eval_term(f, node.a, e), _eval_term(f, node.b, e))
-        if isinstance(node, fol.EqAtom):
-            return _eval_term(f, node.a, e) == _eval_term(f, node.b, e)
-        if isinstance(node, fol.PVarAtom):
-            if valuation is None:
-                raise ValueError("predicate atom needs a valuation")
-            for a, val in valuation.items():
-                if a.kind == fm.PROP and a.index == node.index:
-                    return bool(val & (1 << _eval_term(f, node.a, e)))
-            raise ValueError(f"no valuation for variable index {node.index}")
-        if isinstance(node, fol.Not):
-            return not go(node.body, e)
-        if isinstance(node, fol.And):
-            return go(node.left, e) and go(node.right, e)
-        if isinstance(node, fol.Or):
-            return go(node.left, e) or go(node.right, e)
-        if isinstance(node, fol.Implies):
-            return (not go(node.left, e)) or go(node.right, e)
-        if isinstance(node, fol.Forall):
-            return all(go(node.body, {**e, node.var: w}) for w in range(f.n))
-        if isinstance(node, fol.Exists):
-            return any(go(node.body, {**e, node.var: w}) for w in range(f.n))
-        raise ValueError(f"unknown first-order node {node!r}")
-
-    return go(g, env)
+    values = list(env.values())
+    preds = None
+    if valuation is not None:
+        masks: dict[int, int] = {}
+        for a, val in valuation.items():
+            if a.kind == fm.PROP:
+                masks.setdefault(a.index, val)
+        preds = tuple(masks)
+        values += masks.values()
+    ev, width = _fo_program(f, g, tuple(env), preds)
+    values += [None] * (width - len(values))
+    return bool(ev(values))
 
 
 def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
@@ -514,15 +720,27 @@ class CorrespondenceReport:
 def correspondence_check(phi: Formula, g: fol.FONode, n: int,
                          mode: str = "relevance") -> CorrespondenceReport:
     """Compare frame validity of phi with truth of its first-order candidate
-    on every valid frame of size 1..n."""
+    on every valid frame of size 1..n, in the order of `enumerate_frames`.
+
+    Both formulas are compiled once; each size and mode is enumerated once
+    per process."""
+    if n < 1:
+        raise ValueError("need at least one world")
     if n > MAX_WORLDS:
         raise BudgetError(f"correspondence checking is capped at {MAX_WORLDS} worlds")
     if fol.free_vars(g):
         raise ValueError("the first-order formula must be closed")
+    # compiled here rather than through the program caches: a check runs
+    # long enough to amortise compilation, and cached programs would only
+    # hold memory across the checks of a batch
+    bind, atoms = _compile_program(phi)
+    _check_variables_only(atoms)
+    k = len(atoms)
+    fo_bind, width = _compile_fo(g, (), None)
     checked = 0
     for size in range(1, n + 1):
-        for f in enumerate_frames(size, mode):
+        for f in _frame_family(size, mode):
             checked += 1
-            if frame_valid(f, phi) != eval_fo(f, g):
+            if _valid(f, bind(f), k) != bool(fo_bind(f)([None] * width)):
                 return CorrespondenceReport(False, f, checked)
     return CorrespondenceReport(True, None, checked)

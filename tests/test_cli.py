@@ -41,6 +41,27 @@ def test_verify_bound_guard(capsys):
     assert "capped" in err
 
 
+@pytest.mark.parametrize("bound", ["-1", "-5"])
+def test_verify_rejects_negative_bound(bound, capsys):
+    # a negative bound used to print "Verified: agreement on all 0 frames"
+    code, out, err = run_cli(["-i", r"p \to p", "--verify", bound], capsys)
+    assert code == 2
+    assert "N >= 0" in err
+    assert "Verified" not in out
+
+
+@pytest.mark.parametrize("line", ['{"name": "a"}', '{"formula": "p"}', "[1]",
+                                  '"p"', '{"name": "a", "formula": 3}'])
+def test_corpus_malformed_line_exits_2(line, tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"name": "ok", "formula": "p"}) + "\n"
+                    + line + "\n")
+    code, out, err = run_cli(["--corpus", str(path)], capsys)
+    assert code == 2
+    assert f"{path}:2:" in err
+    assert out == ""
+
+
 def test_corpus_run(capsys):
     code, out, _ = run_cli(["--corpus", "bundled-axioms"], capsys)
     assert code == 0

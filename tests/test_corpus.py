@@ -35,3 +35,17 @@ def test_corpus_loader_skips_comments_and_blanks(tmp_path):
     path.write_text("# comment\n\n" + json.dumps(
         {"name": "x", "formula": "p"}) + "\n")
     assert load_corpus(str(path)) == [CorpusEntry("x", "p")]
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"name": "a"}', "'formula' must be a string"),
+    ('{"formula": "p"}', "'name' must be a string"),
+    ("[1]", "expected a JSON object"),
+    ("null", "expected a JSON object"),
+    ('{"name": "a", "formula": "p", "expected_fo": 1}', "'expected_fo'"),
+])
+def test_corpus_loader_rejects_malformed_entries(line, message, tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text("# header\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"c.jsonl:2: {message}"):
+        load_corpus(str(path))

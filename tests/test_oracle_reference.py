@@ -1,0 +1,362 @@
+"""The compiled oracle against the brute-force path it replaced.
+
+`ref_extension` and `ref_eval_fo` below are the recursive evaluators that
+preceded the compiled ones in `rmcorr.frames`, kept verbatim as a reference
+interpreter.  Every frame with at most two worlds, in all three modes, must
+give the same extensions, validity verdicts and first-order truth values.
+"""
+
+import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from rmcorr import fol
+from rmcorr import formula as fm
+from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
+                        OAtom, Or, PVarAtom, RAtom, Star, WVar)
+from rmcorr.formula import Atom, Formula
+from rmcorr.frames import (RMFrame, correspondence_check, enumerate_frames,
+                           eval_fo, extension, frame_valid, random_frame)
+from rmcorr.syntax import parse
+
+from helpers import random_formula
+
+MODES = ("relevance", "bi", "ra")
+
+
+# -- reference interpreter ----------------------------------------------------
+
+def ref_extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
+    """Mask of worlds where phi holds."""
+    op = phi.op
+    if op == fm.ATOM:
+        try:
+            return valuation[phi.atom]
+        except KeyError:
+            raise ValueError(f"unassigned atom {phi.atom!r}") from None
+    if op == fm.T:
+        return f.o_mask
+    if op == fm.TOP:
+        return f.full
+    if op == fm.BOT:
+        return 0
+    if op == fm.NEG:
+        return f.op_neg(ref_extension(f, valuation, phi.args[0]))
+    if op == fm.NEG_FLAT:
+        return f.op_negflat(ref_extension(f, valuation, phi.args[0]))
+    if op == fm.NEG_SHARP:
+        return f.op_negsharp(ref_extension(f, valuation, phi.args[0]))
+    a = ref_extension(f, valuation, phi.args[0])
+    b = ref_extension(f, valuation, phi.args[1])
+    if op == fm.AND:
+        return a & b
+    if op == fm.OR:
+        return a | b
+    if op == fm.FUS:
+        return f.op_fus(a, b)
+    if op == fm.IMP:
+        return f.op_imp(a, b)
+    if op == fm.COIMP:
+        return f.op_coimp(a, b)
+    if op == fm.HIMP:
+        return f.op_himp(a, b)
+    if op == fm.RRES:
+        return f.op_rres(a, b)
+    raise ValueError(f"unknown connective {op!r}")
+
+
+def ref_frame_valid(f: RMFrame, phi: Formula) -> bool:
+    pvars = fm.atoms(phi)
+    for combo in itertools.product(f.upsets(), repeat=len(pvars)):
+        valuation = dict(zip(pvars, combo))
+        if ref_extension(f, valuation, phi) & f.o_mask != f.o_mask:
+            return False
+    return True
+
+
+def _ref_eval_term(f: RMFrame, t: fol.Term, env: dict[fol.WVar, int]) -> int:
+    if isinstance(t, fol.Star):
+        return f.star[_ref_eval_term(f, t.arg, env)]
+    try:
+        return env[t]
+    except KeyError:
+        raise ValueError(f"unbound variable {t!r}") from None
+
+
+def ref_eval_fo(f, g, env=None, valuation=None) -> bool:
+    """Classical satisfaction over the frame signature.  The optional
+    valuation interprets the unary predicates of standard translations."""
+    env = env or {}
+
+    def go(node: fol.FONode, e: dict[fol.WVar, int]) -> bool:
+        if isinstance(node, fol.TrueF):
+            return True
+        if isinstance(node, fol.FalseF):
+            return False
+        if isinstance(node, fol.RAtom):
+            return (_ref_eval_term(f, node.a, e), _ref_eval_term(f, node.b, e),
+                    _ref_eval_term(f, node.c, e)) in f.R
+        if isinstance(node, fol.OAtom):
+            return _ref_eval_term(f, node.a, e) in f.O
+        if isinstance(node, fol.LeqAtom):
+            return f.leq(_ref_eval_term(f, node.a, e), _ref_eval_term(f, node.b, e))
+        if isinstance(node, fol.EqAtom):
+            return _ref_eval_term(f, node.a, e) == _ref_eval_term(f, node.b, e)
+        if isinstance(node, fol.PVarAtom):
+            if valuation is None:
+                raise ValueError("predicate atom needs a valuation")
+            for a, val in valuation.items():
+                if a.kind == fm.PROP and a.index == node.index:
+                    return bool(val & (1 << _ref_eval_term(f, node.a, e)))
+            raise ValueError(f"no valuation for variable index {node.index}")
+        if isinstance(node, fol.Not):
+            return not go(node.body, e)
+        if isinstance(node, fol.And):
+            return go(node.left, e) and go(node.right, e)
+        if isinstance(node, fol.Or):
+            return go(node.left, e) or go(node.right, e)
+        if isinstance(node, fol.Implies):
+            return (not go(node.left, e)) or go(node.right, e)
+        if isinstance(node, fol.Forall):
+            return all(go(node.body, {**e, node.var: w}) for w in range(f.n))
+        if isinstance(node, fol.Exists):
+            return any(go(node.body, {**e, node.var: w}) for w in range(f.n))
+        raise ValueError(f"unknown first-order node {node!r}")
+
+    return go(g, env)
+
+
+# -- fixtures -----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def mode_frames():
+    """Every frame with at most two worlds, per mode, in enumeration order."""
+    return {mode: [f for n in (1, 2) for f in enumerate_frames(n, mode)]
+            for mode in MODES}
+
+
+def test_relevance_frames_include_the_other_modes(mode_frames):
+    # so checks over the relevance family cover every frame of every mode
+    family = set(mode_frames["relevance"])
+    assert all(f in family for mode in MODES for f in mode_frames[mode])
+
+
+def _assert_extensions_agree(frames, phi):
+    pvars = fm.atoms(phi)
+    for f in frames:
+        valid = True
+        for combo in itertools.product(f.upsets(), repeat=len(pvars)):
+            valuation = dict(zip(pvars, combo))
+            want = ref_extension(f, valuation, phi)
+            assert extension(f, valuation, phi) == want, (phi, f, combo)
+            valid = valid and want & f.o_mask == f.o_mask
+        assert frame_valid(f, phi) == valid, (phi, f)
+
+
+# -- object language ----------------------------------------------------------
+
+def test_operations_match_their_definitions(mode_frames):
+    # the operation tables are filled by the op_* methods, which the
+    # reference interpreter calls too; check them against the set-theoretic
+    # definitions, read straight off O, R and star
+    rng = random.Random(11)
+    frames = mode_frames["relevance"] + [random_frame(rng, 3) for _ in range(12)]
+    for f in frames:
+        W = range(f.n)
+
+        def leq(u, v):
+            return any(o in f.O and (o, u, v) in f.R for o in W)
+
+        def mask(ws):
+            return sum(1 << w for w in set(ws))
+
+        for Y in range(f.full + 1):
+            y = {w for w in W if Y >> w & 1}
+            assert f.op_neg(Y) == mask(x for x in W if f.star[x] not in y)
+            assert f.op_negflat(Y) == mask(
+                w for w in W if any(leq(f.star[v], w) for v in W if v not in y))
+            assert f.op_negsharp(Y) == mask(
+                w for w in W if not any(leq(w, f.star[v]) for v in y))
+            for Z in range(f.full + 1):
+                z = {w for w in W if Z >> w & 1}
+                assert f.op_fus(Y, Z) == mask(
+                    x for x in W for a in y for b in z if (a, b, x) in f.R)
+                assert f.op_imp(Y, Z) == mask(
+                    x for x in W if all(c in z for a in y for c in W
+                                        if (x, a, c) in f.R))
+                assert f.op_rres(Y, Z) == mask(
+                    w for w in W if all(u in z for v in y for u in W
+                                        if (v, w, u) in f.R))
+                assert f.op_coimp(Y, Z) == mask(
+                    w for w in W if any(leq(u, w) for u in y - z))
+                assert f.op_himp(Y, Z) == mask(
+                    w for w in W if all(u in z for u in y if leq(w, u)))
+
+
+def test_extension_matches_reference_on_corpus(corpus_entries, mode_frames):
+    frames = mode_frames["relevance"]
+    for entry in corpus_entries:
+        _assert_extensions_agree(frames, parse(entry.formula))
+
+
+def test_extension_matches_reference_on_extended_random_formulas(mode_frames):
+    frames = mode_frames["relevance"]
+    rng = random.Random(2024)
+    ops = set()
+    for _ in range(40):
+        phi = random_formula(rng, depth=4, n_vars=2, extended=True)
+        ops |= {node.op for _, node in fm.subformulas(phi)}
+        _assert_extensions_agree(frames, phi)
+    assert {fm.NEG_FLAT, fm.NEG_SHARP, fm.HIMP, fm.COIMP, fm.RRES} <= ops
+
+
+def test_extension_with_nominals_and_unused_atoms(mode_frames):
+    # nominals and co-nominals take principal sets; extra atoms in the
+    # valuation are ignored
+    phi = fm.imp(fm.fus(fm.nom(0), fm.var(0)), fm.disj(fm.cnom(0), fm.t()))
+    extra = Atom(fm.PROP, 7)
+    for f in mode_frames["relevance"]:
+        for i, m, p in itertools.product(range(f.n), repeat=3):
+            valuation = {extra: f.full, Atom(fm.NOM, 0): f.up[i],
+                         Atom(fm.CNOM, 0): f.full & ~f.down[m],
+                         Atom(fm.PROP, 0): f.up[p]}
+            assert (extension(f, valuation, phi)
+                    == ref_extension(f, valuation, phi))
+
+
+# -- first-order language -----------------------------------------------------
+
+X0, X1, Z0 = WVar("x", 0), WVar("x", 1), WVar("z", 0)
+VARS = (X0, X1, Z0)
+
+
+def _random_term(rng):
+    t = rng.choice(VARS)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        t = Star(t)
+    return t
+
+
+def _random_fo(rng, depth):
+    """Random formula over x0, x1, z0 with starred terms, predicates for
+    variables 0 and 1, and quantifiers that often rebind a bound name."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.randrange(6)
+        t = [_random_term(rng) for _ in range(3)]
+        return (RAtom(*t), OAtom(t[0]), LeqAtom(t[0], t[1]), EqAtom(t[0], t[1]),
+                PVarAtom(rng.randrange(2), t[0]),
+                rng.choice((fol.TRUE, fol.FALSE)))[kind]
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(_random_fo(rng, depth - 1))
+    if kind in (1, 2, 3):
+        return (And, Or, Implies)[kind - 1](_random_fo(rng, depth - 1),
+                                             _random_fo(rng, depth - 1))
+    return (Forall, Exists)[kind - 4](rng.choice(VARS), _random_fo(rng, depth - 1))
+
+
+def test_eval_fo_matches_reference_on_correspondents(corpus_runs, mode_frames):
+    for _, res in corpus_runs.values():
+        for f in mode_frames["relevance"]:
+            assert eval_fo(f, res.fo) == ref_eval_fo(f, res.fo), (res.fo, f)
+
+
+def test_eval_fo_matches_reference_on_open_formulas(mode_frames):
+    # free variables come from env, predicates from a valuation; bound names
+    # are rebound inside their own scope
+    frames = mode_frames["relevance"][::3]
+    rng = random.Random(7)
+    for _ in range(60):
+        g = _random_fo(rng, 4)
+        for f in frames:
+            for env_vals in itertools.product(range(f.n), repeat=len(VARS)):
+                env = dict(zip(VARS, env_vals))
+                valuation = {Atom(fm.PROP, 0, "p"): rng.choice(f.upsets()),
+                             Atom(fm.PROP, 1, "q"): rng.choice(f.upsets())}
+                assert (eval_fo(f, g, env, valuation)
+                        == ref_eval_fo(f, g, env, valuation)), (g, f, env)
+
+
+def test_eval_fo_shadowing_restores_the_outer_binding(mode_frames):
+    # forall x0 ((exists x0 O(x0)) and x0 = x0*) reads the outer x0 after
+    # the inner quantifier; env supplies a free x0 that is rebound inside
+    for body in (And(Exists(X0, OAtom(X0)), EqAtom(X0, Star(X0))),
+                 Or(Forall(X0, Not(OAtom(X0))), LeqAtom(Star(X0), X0))):
+        for g in (Forall(X0, body), body):
+            for f in mode_frames["relevance"]:
+                for w in range(f.n):
+                    assert (eval_fo(f, g, {X0: w})
+                            == ref_eval_fo(f, g, {X0: w})), (g, f, w)
+
+
+def test_error_messages_unchanged():
+    f = RMFrame(1, frozenset({0}), frozenset({(0, 0, 0)}), (0,))
+    p = Atom(fm.PROP, 0, "p")
+    for ev in (extension, ref_extension):
+        with pytest.raises(ValueError, match=r"unassigned atom Atom\(prop,1\)"):
+            ev(f, {p: 1}, parse(r"p \to q"))
+    cases = [((OAtom(X0), {}), "unbound variable x0"),
+             ((PVarAtom(0, X0), {X0: 0}), "predicate atom needs a valuation"),
+             ((PVarAtom(1, X0), {X0: 0}, {p: 1}),
+              "no valuation for variable index 1")]
+    for args, message in cases:
+        for ev in (eval_fo, ref_eval_fo):
+            with pytest.raises(ValueError, match=message):
+                ev(f, *args)
+    # an unbound variable on a branch that is never reached raises nothing
+    g = Or(fol.TRUE, OAtom(X1))
+    assert eval_fo(f, g) is True and ref_eval_fo(f, g) is True
+    with pytest.raises(ValueError, match="frame validity is defined"):
+        correspondence_check(parse(r"\mathbf i"), fol.TRUE, 1)
+
+
+# -- correspondence_check -----------------------------------------------------
+
+def test_importing_rmcorr_builds_no_frames():
+    code = ("import rmcorr, rmcorr.cli\n"
+            "from rmcorr import frames\n"
+            "assert frames._frame_family.cache_info().currsize == 0\n"
+            "assert not frames._TABLES\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={"PYTHONPATH": str(src)})
+
+
+def _reference_report(phi, g, frames):
+    checked = 0
+    for f in frames:
+        checked += 1
+        if ref_frame_valid(f, phi) != ref_eval_fo(f, g):
+            return False, f, checked
+    return True, None, checked
+
+
+def test_correspondence_check_count_and_first_counterexample(mode_frames):
+    phi = parse(r"p \to p")
+    rep = correspondence_check(phi, fol.TRUE, 2)
+    assert rep.agree and rep.frames_checked == 211
+    # "every world is normal" fails first on some frame past the first
+    g = Forall(X0, OAtom(X0))
+    for mode in MODES:
+        rep = correspondence_check(phi, g, 2, mode)
+        want = _reference_report(phi, g, mode_frames[mode])
+        assert (rep.agree, rep.counterexample, rep.frames_checked) == want
+    assert correspondence_check(phi, g, 2).frames_checked > 1
+
+
+def test_correspondence_check_matches_reference_in_bi_and_ra(corpus_runs,
+                                                            mode_frames):
+    for phi, res in corpus_runs.values():
+        for mode in ("bi", "ra"):
+            rep = correspondence_check(phi, res.fo, 2, mode)
+            assert ((rep.agree, rep.counterexample, rep.frames_checked)
+                    == _reference_report(phi, res.fo, mode_frames[mode]))
+
+
+def test_correspondence_check_needs_a_world():
+    with pytest.raises(ValueError, match="at least one world"):
+        correspondence_check(parse("p"), fol.TRUE, 0)
