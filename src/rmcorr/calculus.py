@@ -153,23 +153,22 @@ class TraceStep:
     result: Optional[QuasiInequality] = None
 
     def to_json(self) -> dict:
-        params = {}
-        for key, value in self.params.items():
-            if isinstance(value, Atom):
-                params[key] = {"kind": value.kind, "index": value.index,
-                               "name": value.name}
-            elif isinstance(value, tuple):
-                params[key] = list(value)
-            else:
-                params[key] = value
         return {
             "rule": self.rule,
             "premise": self.premise,
-            "params": params,
-            "fresh": [{"kind": a.kind, "index": a.index, "name": a.name}
-                      for a in self.fresh],
+            "params": {k: json_value(v) for k, v in self.params.items()},
+            "fresh": [json_value(a) for a in self.fresh],
             "result": None if self.result is None else self.result.to_json(),
         }
+
+
+def json_value(value):
+    """JSON form of a trace parameter: atoms become objects, tuples lists."""
+    if isinstance(value, Atom):
+        return {"kind": value.kind, "index": value.index, "name": value.name}
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 def _replace(qi: QuasiInequality, k: int, new: tuple[Inequality, ...]) -> QuasiInequality:

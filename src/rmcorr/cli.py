@@ -10,9 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import formula as fm
 from .corpus import BUNDLED, load_corpus
-from .frames import BudgetError, correspondence_check
+from .frames import MAX_WORLDS, BudgetError, correspondence_check
 from .pipeline import correspondent
 from .render import OutputFormat, render, render_report
 from .syntax import ParseError, SyntaxMode, parse
@@ -62,14 +61,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _verify(phi, fo, bound: int, syntax: str):
-    bad = [a for a in fm.atoms(phi) if a.kind != fm.PROP]
-    if bad:
-        raise ValueError("verification needs a formula over propositional "
-                         "variables only")
-    return correspondence_check(phi, fo, bound, mode=syntax)
-
-
 def _run_single(args) -> int:
     mode = _MODES[args.syntax]
     if args.input is not None:
@@ -95,7 +86,8 @@ def _run_single(args) -> int:
     code = EXIT_OK
     if args.verify:
         try:
-            rep = _verify(phi, result.fo, args.verify, args.syntax)
+            rep = correspondence_check(phi, result.fo, args.verify,
+                                       mode=args.syntax)
         except (BudgetError, ValueError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_INPUT
@@ -145,7 +137,8 @@ def _run_corpus(args) -> int:
                 any_disagree = True
         if args.verify:
             try:
-                rep = _verify(phi, result.fo, args.verify, args.syntax)
+                rep = correspondence_check(phi, result.fo, args.verify,
+                                           mode=args.syntax)
             except (BudgetError, ValueError) as exc:
                 sys.stderr.write(f"error: {entry.name}: {exc}\n")
                 return EXIT_INPUT
@@ -169,12 +162,17 @@ def main(argv=None) -> int:
     if args.verify < 0:
         sys.stderr.write("error: --verify needs N >= 0\n")
         return EXIT_INPUT
-    if args.verify > 3:
-        sys.stderr.write("error: --verify is capped at 3 worlds\n")
+    if args.verify > MAX_WORLDS:
+        sys.stderr.write(f"error: --verify is capped at {MAX_WORLDS} worlds\n")
         return EXIT_INPUT
-    if args.corpus is not None:
-        return _run_corpus(args)
-    return _run_single(args)
+    try:
+        if args.corpus is not None:
+            return _run_corpus(args)
+        return _run_single(args)
+    except RecursionError:
+        # the parser, rewriter and translator recurse on the formula tree
+        sys.stderr.write("error: input is nested too deeply\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

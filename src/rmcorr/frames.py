@@ -284,6 +284,10 @@ def _ra_identities_hold(f: RMFrame) -> bool:
     return True
 
 
+_MODE_IDENTITIES = {"relevance": lambda f: True, "bi": _bi_identities_hold,
+                    "ra": _ra_identities_hold}
+
+
 def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
     """All valid frames on n worlds, lexicographic in (O, R, star).
 
@@ -295,6 +299,9 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
         raise ValueError("need at least one world")
     if n > MAX_WORLDS:
         raise BudgetError(f"exhaustive enumeration is capped at {MAX_WORLDS} worlds")
+    if mode not in _MODE_IDENTITIES:
+        raise ValueError(f"unknown frame mode {mode!r}")
+    identities_hold = _MODE_IDENTITIES[mode]
     triples = list(itertools.product(range(n), repeat=3))
     for o_bits in range(1 << n):
         O = frozenset(w for w in range(n) if o_bits & (1 << w))
@@ -302,13 +309,8 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
             R = frozenset(t for i, t in enumerate(triples) if r_bits & (1 << i))
             for star in itertools.product(range(n), repeat=n):
                 f = RMFrame(n, O, R, star)
-                if not check_frame(f):
-                    continue
-                if mode == "bi" and not _bi_identities_hold(f):
-                    continue
-                if mode == "ra" and not _ra_identities_hold(f):
-                    continue
-                yield f
+                if check_frame(f) and identities_hold(f):
+                    yield f
 
 
 @functools.lru_cache(maxsize=None)
@@ -671,35 +673,62 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
     return bool(ev(values))
 
 
+def _compile_quasi(obj, given: tuple[Atom, ...]):
+    """Compile a (quasi-)inequality for the masks of the atoms `given`,
+    closed universally over its other atoms; returns (bind, those atoms)."""
+    if isinstance(obj, Inequality):
+        obj = QuasiInequality((), obj)
+    elif not isinstance(obj, QuasiInequality):
+        raise TypeError(f"cannot evaluate {obj!r}")
+    missing = tuple(a for a in obj.atoms() if a not in given)
+    slots = {a: i for i, a in enumerate(given + missing)}
+    # a counterexample makes each premise hold and the conclusion fail;
+    # the parts that mention no missing atom are tested once per call
+    parts = [(any(a in missing for a in ineq.atoms()), want,
+              _compile(ineq.lhs, slots), _compile(ineq.rhs, slots))
+             for ineq, want in [*((p, True) for p in obj.premises),
+                                (obj.conclusion, False)]]
+
+    def bind(f):
+        full, fixed, moving = f.full, [], []
+        for closes, want, lhs, rhs in parts:
+            a, b = lhs(f), rhs(f)
+            (moving if closes else fixed).append(
+                lambda v, a=a, b=b, want=want: (not a(v) & ~b(v) & full) == want)
+        ranges = [admissible_values(f, a) for a in missing]
+
+        def holds(values: tuple[int, ...]) -> bool:
+            if not all(part(values) for part in fixed):
+                return True
+            for combo in itertools.product(*ranges):
+                v = values + combo
+                if all(part(v) for part in moving):
+                    return False
+            return True
+        return holds
+    return bind, missing
+
+
+# each object meets many valuations in a row; many are built for one call
+_quasi_program = _ProgramCache(_compile_quasi, 256)
+
+
 def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
     """Truth of an inequality (containment of extensions) or quasi-inequality
     (premises imply conclusion) under one admissible valuation."""
     _check_valuation(f, valuation)
-    return _holds(f, valuation, obj)
-
-
-def _holds(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
-    if isinstance(obj, Inequality):
-        lhs = extension(f, valuation, obj.lhs)
-        rhs = extension(f, valuation, obj.rhs)
-        return lhs & ~rhs & f.full == 0
-    if isinstance(obj, QuasiInequality):
-        if all(_holds(f, valuation, p) for p in obj.premises):
-            return _holds(f, valuation, obj.conclusion)
-        return True
-    raise TypeError(f"cannot evaluate {obj!r}")
+    holds, missing = _quasi_program(f, obj, tuple(valuation))
+    if missing:
+        raise ValueError(f"unassigned atom {missing[0]!r}")
+    return holds(tuple(valuation.values()))
 
 
 def universal_truth(f: RMFrame, qi, partial: Optional[dict[Atom, int]] = None) -> bool:
     """Truth of a (quasi-)inequality under all admissible extensions of a
     partial valuation."""
-    partial = dict(partial or {})
-    missing = [a for a in qi.atoms() if a not in partial]
-    for combo in itertools.product(*(admissible_values(f, a) for a in missing)):
-        valuation = {**partial, **dict(zip(missing, combo))}
-        if not _holds(f, valuation, qi):
-            return False
-    return True
+    partial = partial or {}
+    holds, _ = _quasi_program(f, qi, tuple(partial))
+    return holds(tuple(partial.values()))
 
 
 @dataclass

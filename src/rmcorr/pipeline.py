@@ -53,21 +53,8 @@ class PreprocessEvent:
             "index": self.index,
             "before": self.before.to_json(),
             "after": [i.to_json() for i in self.after],
-            "params": _jsonable(self.params),
+            "params": {k: ca.json_value(v) for k, v in self.params.items()},
         }
-
-
-def _jsonable(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, Atom):
-            out[key] = {"kind": value.kind, "index": value.index,
-                        "name": value.name}
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
 
 
 def preprocess(phi: Formula) -> tuple[list[Inequality], list[PreprocessEvent]]:

@@ -46,16 +46,6 @@ def _yvar(phi: Formula) -> WVar:
     return WVar("y", phi.atom.index)
 
 
-class _TrState:
-    """Fresh-nominal bookkeeping for one translation run."""
-
-    def __init__(self, supply: FreshSupply):
-        self.supply = supply
-
-    def fresh_nom(self) -> Formula:
-        return fm.atom(self.supply.fresh(fm.NOM))
-
-
 def tr(ineq: Inequality, supply: Optional[FreshSupply] = None) -> FONode:
     """Translate a pure inequality to a first-order formula.
 
@@ -66,16 +56,14 @@ def tr(ineq: Inequality, supply: Optional[FreshSupply] = None) -> FONode:
     for side in (ineq.lhs, ineq.rhs):
         if any(a.kind == fm.PROP for a in fm.atoms(side)):
             raise PurityError(f"inequality is not pure: {ineq!r}")
-    if supply is None:
-        supply = FreshSupply(ineq.atoms())
-    return _tr(ineq, _TrState(supply))
+    return _tr(ineq, supply or FreshSupply(ineq.atoms()))
 
 
-def _tr(ineq: Inequality, state: _TrState) -> FONode:
+def _tr(ineq: Inequality, supply: FreshSupply) -> FONode:
     L, R = ineq.lhs, ineq.rhs
 
     def rec(lhs: Formula, rhs: Formula) -> FONode:
-        return _tr(Inequality(lhs, rhs), state)
+        return _tr(Inequality(lhs, rhs), supply)
 
     if L.op == fm.ATOM and L.atom.kind == fm.PROP or \
        R.op == fm.ATOM and R.atom.kind == fm.PROP:
@@ -99,7 +87,7 @@ def _tr(ineq: Inequality, state: _TrState) -> FONode:
                 return LeqAtom(Star(xi), _yvar(arg))
             if _is_nom(arg):
                 return Not(LeqAtom(_xvar(arg), Star(xi)))
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Forall(_xvar(j),
                           Implies(rec(j, arg), Not(LeqAtom(_xvar(j), Star(xi)))))
         if R.op == fm.FUS:
@@ -107,10 +95,10 @@ def _tr(ineq: Inequality, state: _TrState) -> FONode:
             if _is_nom(a) and _is_nom(b):
                 return RAtom(_xvar(a), _xvar(b), xi)
             if _is_nom(a):
-                k = state.fresh_nom()
+                k = fm.atom(supply.fresh(fm.NOM))
                 return Exists(_xvar(k),
                               And(rec(k, b), RAtom(_xvar(a), _xvar(k), xi)))
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Exists(_xvar(j), And(rec(j, a), rec(L, fm.fus(j, b))))
         if R.op == fm.IMP:
             return rec(fm.fus(L, R.args[0]), R.args[1])
@@ -125,20 +113,20 @@ def _tr(ineq: Inequality, state: _TrState) -> FONode:
         if R.op == fm.COIMP:
             logger.debug("no direct rule for nominal below %s; expanding via "
                          "standard translation", R.op)
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Exists(_xvar(j),
                           And(And(LeqAtom(_xvar(j), xi), rec(j, R.args[0])),
                               Not(rec(j, R.args[1]))))
         if R.op == fm.NEG_FLAT:
             logger.debug("no direct rule for nominal below %s; expanding via "
                          "standard translation", R.op)
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Exists(_xvar(j),
                           And(LeqAtom(Star(_xvar(j)), xi), Not(rec(j, R.args[0]))))
         if R.op == fm.NEG_SHARP:
             logger.debug("no direct rule for nominal below %s; expanding via "
                          "standard translation", R.op)
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Forall(_xvar(j),
                           Implies(rec(j, R.args[0]),
                                   Not(LeqAtom(xi, Star(_xvar(j))))))
@@ -159,7 +147,7 @@ def _tr(ineq: Inequality, state: _TrState) -> FONode:
                 return Not(LeqAtom(Star(ym), _yvar(arg)))
             if _is_nom(arg):
                 return LeqAtom(_xvar(arg), Star(ym))
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Exists(_xvar(j),
                           And(rec(j, arg), LeqAtom(_xvar(j), Star(ym))))
         if L.op == fm.FUS:
@@ -167,13 +155,13 @@ def _tr(ineq: Inequality, state: _TrState) -> FONode:
             if _is_nom(a) and _is_nom(b):
                 return Not(RAtom(_xvar(a), _xvar(b), ym))
             if _is_nom(a):
-                j = state.fresh_nom()
+                j = fm.atom(supply.fresh(fm.NOM))
                 return Forall(_xvar(j),
                               Implies(rec(j, b), Not(RAtom(_xvar(a), _xvar(j), ym))))
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Forall(_xvar(j), Implies(rec(j, a), rec(fm.fus(j, b), R)))
         if L.op == fm.HIMP:
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Forall(_xvar(j), Implies(rec(j, L), rec(j, R)))
         if L.op == fm.COIMP:
             return rec(L.args[0], fm.disj(L.args[1], R))
@@ -188,8 +176,8 @@ def _tr(ineq: Inequality, state: _TrState) -> FONode:
         if L.op in (fm.IMP, fm.RRES):
             logger.debug("no direct rule for %s below a co-nominal; expanding "
                          "via standard translation", L.op)
-            j = state.fresh_nom()
-            k = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
+            k = fm.atom(supply.fresh(fm.NOM))
             rel = RAtom(ym, _xvar(j), _xvar(k)) if L.op == fm.IMP \
                 else RAtom(_xvar(j), ym, _xvar(k))
             return Exists(_xvar(j), Exists(_xvar(k),
@@ -198,35 +186,33 @@ def _tr(ineq: Inequality, state: _TrState) -> FONode:
         if L.op == fm.NEG_FLAT:
             logger.debug("no direct rule for %s below a co-nominal; expanding "
                          "via standard translation", L.op)
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Forall(_xvar(j),
                           Implies(LeqAtom(Star(_xvar(j)), ym), rec(j, L.args[0])))
         if L.op == fm.NEG_SHARP:
             logger.debug("no direct rule for %s below a co-nominal; expanding "
                          "via standard translation", L.op)
-            j = state.fresh_nom()
+            j = fm.atom(supply.fresh(fm.NOM))
             return Exists(_xvar(j),
                           And(rec(j, L.args[0]), LeqAtom(ym, Star(_xvar(j)))))
 
     # generic fallback: A <= B  iff  every nominal below A is below B
-    j = state.fresh_nom()
-    return Forall(_xvar(j), Implies(_tr(Inequality(j, L), state),
-                                    _tr(Inequality(j, R), state)))
+    j = fm.atom(supply.fresh(fm.NOM))
+    return Forall(_xvar(j), Implies(_tr(Inequality(j, L), supply),
+                                    _tr(Inequality(j, R), supply)))
 
 
 def tr_quasi(qi: QuasiInequality, supply: Optional[FreshSupply] = None) -> FONode:
     """Closed first-order formula of a pure quasi-inequality: the conjunction
     of the translated premises implies the translated conclusion, universally
     closed over the world variables of its nominals and co-nominals."""
-    if supply is None:
-        supply = FreshSupply(qi.atoms())
-    state = _TrState(supply)
+    supply = supply or FreshSupply(qi.atoms())
     free = [WVar("x", a.index) for a in qi.atoms(fm.NOM)]
     free += [WVar("y", a.index) for a in qi.atoms(fm.CNOM)]
     free.sort(key=lambda v: (v.family, v.index))
     body: FONode
-    parts = [_tr(p, state) for p in qi.premises]
-    concl = _tr(qi.conclusion, state)
+    parts = [_tr(p, supply) for p in qi.premises]
+    concl = _tr(qi.conclusion, supply)
     body = Implies(fol.conjoin(parts), concl) if parts else concl
     return fol.universal_closure(body, free)
 

@@ -10,12 +10,13 @@ import random
 from rmcorr import calculus as ca
 from rmcorr import formula as fm
 from rmcorr.calculus import Inequality, QuasiInequality
-from rmcorr.frames import RMFrame, admissible_values, extension
+from rmcorr.frames import RMFrame, admissible_values, universal_truth
 from rmcorr.formula import Formula
 from rmcorr.pipeline import correspondent
 from rmcorr.syntax import SyntaxMode, parse
 
 MAX_SWEEP_VARS = 4
+NEVER = Inequality(fm.top(), fm.bot())
 
 
 def step_instances(result):
@@ -34,75 +35,6 @@ def step_instances(result):
             out.append((step.rule, state, (step.result,)))
             state = step.result
     return out
-
-
-_ATOMS_CACHE: dict[int, list] = {}
-
-
-def _atoms_of(ineq: Inequality) -> list:
-    atoms = _ATOMS_CACHE.get(id(ineq))
-    if atoms is None:
-        atoms = ineq.atoms()
-        _ATOMS_CACHE[id(ineq)] = atoms
-        _ATOMS_CACHE.setdefault(("pin", id(ineq)), ineq)  # keep object alive
-    return atoms
-
-
-def _ineq_truth(frame: RMFrame, ineq: Inequality, assign: dict, cache: dict) -> bool:
-    key = (id(ineq), tuple(assign[a] for a in _atoms_of(ineq)))
-    hit = cache.get(key)
-    if hit is None:
-        lhs = extension(frame, assign, ineq.lhs)
-        rhs = extension(frame, assign, ineq.rhs)
-        hit = (lhs & ~rhs & frame.full) == 0
-        cache[key] = hit
-    return hit
-
-
-def _plan(qi: QuasiInequality, shared: set):
-    """Split a quasi-inequality once per step: which atoms need closing and
-    which premises move under that closure."""
-    missing = [a for a in qi.atoms() if a not in shared]
-    missing_set = set(missing)
-    fixed = []
-    moving = []
-    for p in qi.premises:
-        (moving if missing_set.intersection(_atoms_of(p)) else fixed).append(p)
-    concl_fixed = not missing_set.intersection(_atoms_of(qi.conclusion))
-    return missing, fixed, moving, qi.conclusion, concl_fixed
-
-
-def _closed_truth_planned(frame: RMFrame, plan, assign: dict, cache: dict,
-                          values: dict) -> bool:
-    """Planned quasi-inequality truth, universally closed over the missing
-    atoms.  Mutates and restores `assign` in place."""
-    missing, fixed, moving, concl, concl_fixed = plan
-    # a failing closed premise makes every instance vacuously true
-    if not all(_ineq_truth(frame, p, assign, cache) for p in fixed):
-        return True
-    if concl_fixed:
-        if _ineq_truth(frame, concl, assign, cache):
-            return True
-        if not moving and not missing:
-            return False
-    out = True
-    for combo in itertools.product(*(values[a] for a in missing)):
-        for a, val in zip(missing, combo):
-            assign[a] = val
-        if all(_ineq_truth(frame, p, assign, cache) for p in moving):
-            if concl_fixed or not _ineq_truth(frame, concl, assign, cache):
-                out = False
-                break
-    for a in missing:
-        assign.pop(a, None)
-    return out
-
-
-def _closed_truth(frame: RMFrame, qi: QuasiInequality, assign: dict,
-                  cache: dict) -> bool:
-    values = {a: admissible_values(frame, a) for a in qi.atoms()}
-    return _closed_truth_planned(frame, _plan(qi, set(assign)), assign, cache,
-                                 values)
 
 
 def _local_rewrite(before: QuasiInequality, afters):
@@ -134,65 +66,28 @@ def step_equivalent(frame: RMFrame, before: QuasiInequality,
     the existential closure of the new ones over the fresh atoms, which
     implies the full quasi-inequality equivalence in any context.
     """
-    if sum(a.kind == fm.PROP for a in before.atoms()) > MAX_SWEEP_VARS:
+    atoms = before.atoms()
+    if sum(a.kind == fm.PROP for a in atoms) > MAX_SWEEP_VARS:
         raise ValueError("step exceeds the variable cap for the sweep")
-    cache: dict = {}
+    both = set(atoms)
+    for qi in afters:
+        both &= set(qi.atoms())
     local = _local_rewrite(before, afters)
     if local is not None:
-        old, new = local
-        after_all = set(afters[0].atoms())
-        before_all = set(before.atoms())
-        old_extra = [a for a in old.atoms() if a not in after_all]
-        new_atoms = list(dict.fromkeys(a for p in new for a in p.atoms()))
-        new_extra = [a for a in new_atoms if a not in before_all]
-        shared = [a for a in dict.fromkeys(old.atoms() + new_atoms)
-                  if a not in old_extra and a not in new_extra]
-        old_taus = list(itertools.product(*(admissible_values(frame, a)
-                                            for a in old_extra)))
-        new_taus = list(itertools.product(*(admissible_values(frame, a)
-                                            for a in new_extra)))
-        assign: dict = {}
-        for combo in itertools.product(*(admissible_values(frame, a)
-                                         for a in shared)):
-            assign.clear()
-            assign.update(zip(shared, combo))
-            lhs = False
-            for tau in old_taus:
-                assign.update(zip(old_extra, tau))
-                if _ineq_truth(frame, old, assign, cache):
-                    lhs = True
-                    break
-            for a in old_extra:
-                assign.pop(a, None)
-            rhs = False
-            for tau in new_taus:
-                assign.update(zip(new_extra, tau))
-                if all(_ineq_truth(frame, p, assign, cache) for p in new):
-                    rhs = True
-                    break
-            for a in new_extra:
-                assign.pop(a, None)
-            if lhs != rhs:
-                return False
-        return True
-    shared_set = set(before.atoms())
-    for qi in afters:
-        shared_set &= set(qi.atoms())
-    shared = [a for a in before.atoms() if a in shared_set]
-    all_atoms = set(before.atoms())
-    for qi in afters:
-        all_atoms |= set(qi.atoms())
-    values = {a: admissible_values(frame, a) for a in all_atoms}
-    before_plan = _plan(before, shared_set)
-    after_plans = [_plan(qi, shared_set) for qi in afters]
-    assign: dict = {}
-    for combo in itertools.product(*(values[a] for a in shared)):
-        assign.clear()
-        assign.update(zip(shared, combo))
-        lhs = _closed_truth_planned(frame, before_plan, assign, cache, values)
-        rhs = all(_closed_truth_planned(frame, plan, assign, cache, values)
-                  for plan in after_plans)
-        if lhs != rhs:
+        # the old premise holds for some value of its private atoms iff the
+        # new ones all hold for some value of theirs; "some tau makes all
+        # of ps true" is "not (ps => top <= bot) for every tau"
+        before = QuasiInequality((local[0],), NEVER)
+        afters = (QuasiInequality(local[1], NEVER),)
+        candidates = before.atoms() + afters[0].atoms()
+    else:
+        candidates = atoms
+    shared = [a for a in dict.fromkeys(candidates) if a in both]
+    for combo in itertools.product(*(admissible_values(frame, a)
+                                     for a in shared)):
+        sigma = dict(zip(shared, combo))
+        if (universal_truth(frame, before, sigma)
+                != all(universal_truth(frame, qi, sigma) for qi in afters)):
             return False
     return True
 

@@ -62,6 +62,38 @@ def test_corpus_malformed_line_exits_2(line, tmp_path, capsys):
     assert out == ""
 
 
+def test_verify_rejects_nominals(capsys):
+    # the oracle's own check stops a formula with a nominal, before any frame
+    code, out, err = run_cli(["-i", r"\mathbf i \to \mathbf i", "--verify",
+                              "1"], capsys)
+    assert code == 2
+    assert "variable-only" in err
+    assert out == ""
+
+
+# the shapes fail in formula.substitute, in the parser and in fo_simplify
+DEEP = {"negations": "\\sim " * 200 + "p",
+        "parentheses": "(" * 200 + "p" + ")" * 200,
+        "implications": " \\to ".join(["p"] * 100)}
+
+
+@pytest.mark.parametrize("source", DEEP.values(), ids=DEEP.keys())
+def test_deeply_nested_input_exits_2(source, tmp_path, capsys):
+    # these used to end in a RecursionError traceback and exit 1
+    code, out, err = run_cli(["-i", source], capsys)
+    assert (code, out, err) == (2, "", "error: input is nested too deeply\n")
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps({"name": "deep", "formula": source}) + "\n")
+    code, out, err = run_cli(["--corpus", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: input is nested too deeply\n")
+
+
+def test_nested_input_below_the_limit_succeeds(capsys):
+    code, out, _ = run_cli(["-i", "\\sim " * 150 + "p"], capsys)
+    assert code == 0
+    assert "Correspondent" in out
+
+
 def test_corpus_run(capsys):
     code, out, _ = run_cli(["--corpus", "bundled-axioms"], capsys)
     assert code == 0

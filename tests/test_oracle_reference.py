@@ -4,10 +4,14 @@
 preceded the compiled ones in `rmcorr.frames`, kept verbatim as a reference
 interpreter.  Every frame with at most two worlds, in all three modes, must
 give the same extensions, validity verdicts and first-order truth values.
+`ref_holds` and `ref_admissible` build the truth of a (quasi-)inequality on
+`ref_extension`, with the admissible values read off the order, for the
+brute-force check of `universal_truth` and `complex_algebra_eval`.
 """
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,14 +20,17 @@ import pytest
 
 from rmcorr import fol
 from rmcorr import formula as fm
+from rmcorr.calculus import Inequality, QuasiInequality
 from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
                         OAtom, Or, PVarAtom, RAtom, Star, WVar)
 from rmcorr.formula import Atom, Formula
-from rmcorr.frames import (RMFrame, correspondence_check, enumerate_frames,
-                           eval_fo, extension, frame_valid, random_frame)
+from rmcorr.frames import (RMFrame, _frame_family, complex_algebra_eval,
+                           correspondence_check, enumerate_frames, eval_fo,
+                           extension, frame_valid, random_frame,
+                           universal_truth)
 from rmcorr.syntax import parse
 
-from helpers import random_formula
+from helpers import NEVER, random_formula, step_instances
 
 MODES = ("relevance", "bi", "ra")
 
@@ -130,6 +137,28 @@ def ref_eval_fo(f, g, env=None, valuation=None) -> bool:
     return go(g, env)
 
 
+def ref_admissible(f: RMFrame, a: Atom) -> list[int]:
+    """Up-sets for a variable, principal up-sets for a nominal, complements
+    of principal down-sets for a co-nominal, read off the order."""
+    W = range(f.n)
+    if a.kind == fm.PROP:
+        return [S for S in range(f.full + 1)
+                if all(S >> v & 1 for u in W for v in W
+                       if S >> u & 1 and f.leq(u, v))]
+    if a.kind == fm.NOM:
+        return sorted({sum(1 << v for v in W if f.leq(w, v)) for w in W})
+    return sorted({sum(1 << u for u in W if not f.leq(u, w)) for w in W})
+
+
+def ref_holds(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
+    """Truth of a (quasi-)inequality under one valuation."""
+    if isinstance(obj, Inequality):
+        return (ref_extension(f, valuation, obj.lhs)
+                & ~ref_extension(f, valuation, obj.rhs) & f.full) == 0
+    return (not all(ref_holds(f, valuation, p) for p in obj.premises)
+            or ref_holds(f, valuation, obj.conclusion))
+
+
 # -- fixtures -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -226,6 +255,80 @@ def test_extension_with_nominals_and_unused_atoms(mode_frames):
                          Atom(fm.PROP, 0): f.up[p]}
             assert (extension(f, valuation, phi)
                     == ref_extension(f, valuation, phi))
+
+
+# -- inequalities and quasi-inequalities ---------------------------------------
+
+def _sample_states(corpus_runs):
+    """Distinct rewrite states of the corpus runs with two to four atoms,
+    nominals and co-nominals among them, every fifteenth in order of first
+    appearance; plus a premise, a conclusion and the never-true conclusion
+    that the step checker closes with."""
+    states = {}
+    for _, res in corpus_runs.values():
+        for _, before, afters in step_instances(res):
+            for qi in (before, *afters):
+                kinds = {a.kind for a in qi.atoms()}
+                if 2 <= len(qi.atoms()) <= 4 and {fm.NOM, fm.CNOM} <= kinds:
+                    states.setdefault(qi.text(), qi)
+    sample = list(states.values())[::15]
+    qi = next(q for q in sample if q.premises)
+    return sample + [qi.premises[0], qi.conclusion,
+                     QuasiInequality(qi.premises, NEVER)]
+
+
+def test_quasi_inequality_truth_matches_reference(corpus_runs, mode_frames):
+    states = _sample_states(corpus_runs)
+    kinds = {a.kind for qi in states for a in qi.atoms()}
+    assert kinds == {fm.PROP, fm.NOM, fm.CNOM}
+    assert any(isinstance(qi, Inequality) for qi in states)
+    extra = Atom(fm.PROP, 9)
+    for qi in states:
+        atoms = qi.atoms()
+        for f in mode_frames["relevance"]:
+            # reference truth under every full admissible valuation
+            ranges = [ref_admissible(f, a) for a in atoms]
+            truth = {combo: ref_holds(f, dict(zip(atoms, combo)), qi)
+                     for combo in itertools.product(*ranges)}
+            for combo, want in truth.items():
+                valuation = dict(zip(atoms, combo))
+                assert complex_algebra_eval(f, valuation, qi) == want
+                assert universal_truth(f, qi, valuation) == want
+            # empty and partial valuations: the first k atoms are given
+            for k in range(len(atoms)):
+                for given in itertools.product(*ranges[:k]):
+                    want = all(t for combo, t in truth.items()
+                               if combo[:k] == given)
+                    partial = dict(zip(atoms, given))
+                    assert universal_truth(f, qi, partial) == want, \
+                        (qi, f, partial)
+                    partial[extra] = f.full
+                    assert universal_truth(f, qi, partial) == want
+            assert universal_truth(f, qi) == all(truth.values())
+
+
+def test_quasi_inequality_errors():
+    f = RMFrame(2, frozenset({0, 1}),
+                frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)}),
+                (0, 1))
+    qi = QuasiInequality((Inequality(fm.nom(0), parse("p")),),
+                         Inequality(fm.nom(0), fm.cnom(0)))
+    i, p, m = Atom(fm.NOM, 0), Atom(fm.PROP, 0), Atom(fm.CNOM, 0)
+    full = {i: 0b01, p: 0b11, m: 0b10}
+    assert complex_algebra_eval(f, full, qi) is False
+    for missing in (p, m):
+        partial = {a: v for a, v in full.items() if a != missing}
+        with pytest.raises(ValueError,
+                           match=rf"unassigned atom {re.escape(repr(missing))}"):
+            complex_algebra_eval(f, partial, qi)
+    # 0b11 is no principal up-set here: the order is the identity
+    with pytest.raises(ValueError, match=r"valuation of Atom\(nom,0\) is out "
+                                         r"of range"):
+        complex_algebra_eval(f, {**full, i: 0b11}, qi)
+    for ev in (lambda obj: complex_algebra_eval(f, {}, obj),
+               lambda obj: universal_truth(f, obj)):
+        with pytest.raises(TypeError, match="cannot evaluate"):
+            ev(parse("p"))
 
 
 # -- first-order language -----------------------------------------------------
@@ -355,6 +458,17 @@ def test_correspondence_check_matches_reference_in_bi_and_ra(corpus_runs,
             rep = correspondence_check(phi, res.fo, 2, mode)
             assert ((rep.agree, rep.counterexample, rep.frames_checked)
                     == _reference_report(phi, res.fo, mode_frames[mode]))
+
+
+def test_unknown_mode_is_rejected():
+    # an unknown mode used to check the relevance family and agree
+    size = _frame_family.cache_info().currsize
+    for mode in ("RA", "relevant", ""):
+        with pytest.raises(ValueError, match="unknown frame mode"):
+            correspondence_check(parse(r"p \to p"), fol.TRUE, 1, mode)
+        with pytest.raises(ValueError, match="unknown frame mode"):
+            list(enumerate_frames(1, mode))
+    assert _frame_family.cache_info().currsize == size
 
 
 def test_correspondence_check_needs_a_world():
