@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="tex")
     ap.add_argument("--verify", type=int, default=0, metavar="N",
                     help="check the correspondent against frame validity on "
-                         "all frames with up to N worlds (0 = skip, max 3)")
+                         "all frames with up to N worlds "
+                         f"(0 = skip, max {MAX_WORLDS})")
     ap.add_argument("--trace", action="store_true",
                     help="include the rule-by-rule derivation")
     ap.add_argument("--expand-leq", action="store_true",

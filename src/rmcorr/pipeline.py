@@ -58,54 +58,46 @@ class PreprocessEvent:
 
 
 def preprocess(phi: Formula) -> tuple[list[Inequality], list[PreprocessEvent]]:
-    """Turn a formula into goal inequalities and run splitting and monotone
-    variable elimination to a fixed point."""
+    """Turn a formula into goal inequalities, split them, then run monotone
+    variable elimination on each goal.  Substituting bottom or top for a
+    variable creates no meet or join, so no goal splits after elimination."""
     if phi.op == fm.IMP:
         goals = [Inequality(phi.args[0], phi.args[1])]
     else:
         goals = [Inequality(fm.t(), phi)]
     events: list[PreprocessEvent] = []
-    changed = True
-    while changed:
-        changed = False
-        # splitting sweeps
-        split_again = True
-        while split_again:
-            split_again = False
-            for idx, ineq in enumerate(goals):
-                hit = ca.find_split(ineq)
-                if hit is None:
-                    continue
-                side, path = hit
-                a, b = ca.split_goal(ineq, side, path)
-                goals[idx:idx + 1] = [a, b]
-                events.append(PreprocessEvent("split", idx, ineq, (a, b),
-                                              {"side": side, "path": path}))
-                split_again = True
-                changed = True
-                break
-        # monotone elimination, per goal
-        for idx, ineq in enumerate(goals):
-            done = False
-            while not done:
-                done = True
-                for p in ineq.atoms(fm.PROP):
-                    for polarity in ("+", "-"):
-                        try:
-                            new = ca.monotone_elim(ca.goal(ineq), p, polarity)
-                        except NotApplicable:
-                            continue
-                        events.append(PreprocessEvent(
-                            "monotone", idx, ineq, (new.conclusion,),
-                            {"var": p, "polarity": polarity}))
-                        ineq = new.conclusion
-                        goals[idx] = ineq
-                        done = False
-                        changed = True
-                        break
-                    if not done:
-                        break
+    idx = 0
+    while idx < len(goals):
+        ineq = goals[idx]
+        hit = ca.find_split(ineq)
+        if hit is None:
+            idx += 1
+            continue
+        side, path = hit
+        a, b = ca.split_goal(ineq, side, path)
+        goals[idx:idx + 1] = [a, b]
+        events.append(PreprocessEvent("split", idx, ineq, (a, b),
+                                      {"side": side, "path": path}))
+    for idx, ineq in enumerate(goals):
+        goals[idx] = _eliminate_monotone(ineq, idx, events)
     return goals, events
+
+
+def _eliminate_monotone(ineq: Inequality, idx: int,
+                        events: list[PreprocessEvent]) -> Inequality:
+    """Eliminate the one-sided variables of goal idx in one pass: substituting
+    for p leaves the signs of the other variables as they were."""
+    for p in ineq.atoms(fm.PROP):
+        for polarity in ("+", "-"):
+            try:
+                new = ca.monotone_elim(ca.goal(ineq), p, polarity).conclusion
+            except NotApplicable:
+                continue
+            events.append(PreprocessEvent("monotone", idx, ineq, (new,),
+                                          {"var": p, "polarity": polarity}))
+            ineq = new
+            break
+    return ineq
 
 
 def approximate(ineq: Inequality,
@@ -118,43 +110,42 @@ def approximate(ineq: Inequality,
     qi = ca.first_approximation(ca.goal(ineq), supply)
     steps.append(TraceStep("first-approximation", None, {},
                            (qi.conclusion.lhs.atom, qi.conclusion.rhs.atom), qi))
-    progress = True
-    while progress:
-        progress = False
-        for k, prem in enumerate(qi.premises):
-            hit = ca.find_split(prem)
-            if hit is not None:
-                side, path = hit
-                qi = ca.split_premise(qi, k, side, path)
-                steps.append(TraceStep("split", k,
-                                       {"side": side, "path": path}, (), qi))
-                progress = True
-                break
-            applied = False
-            for rule in ca.APPROX_RULES:
-                used_before = set(supply.used)
-                try:
-                    qi = ca.approximation(qi, k, rule, supply)
-                except NotApplicable:
-                    continue
-                new_atoms = tuple(sorted(supply.used - used_before,
-                                         key=lambda a: (a.kind, a.index)))
-                steps.append(TraceStep(f"approx-{rule}", k, {}, new_atoms, qi))
-                applied = True
-                break
-            if applied:
-                progress = True
-                break
+    # A split or rule at premise k rewrites k and inserts after it, and
+    # whether anything applies depends on the premise alone, so the scan stays
+    # at k until nothing applies and never returns to an earlier premise.
+    k = 0
+    while k < len(qi.premises):
+        hit = ca.find_split(qi.premises[k])
+        if hit is not None:
+            side, path = hit
+            qi = ca.split_premise(qi, k, side, path)
+            steps.append(TraceStep("split", k, {"side": side, "path": path},
+                                   (), qi))
+            continue
+        used_before = set(supply.used)
+        for rule in ca.APPROX_RULES:
+            try:
+                qi = ca.approximation(qi, k, rule, supply)
+            except NotApplicable:
+                continue
+            new_atoms = tuple(sorted(supply.used - used_before,
+                                     key=lambda a: (a.kind, a.index)))
+            steps.append(TraceStep(f"approx-{rule}", k, {}, new_atoms, qi))
+            break
+        else:
+            k += 1
     return qi, steps
 
 
 @dataclass
 class FailureInfo:
     stuck: QuasiInequality
-    attempted: list[list[str]]
+    attempted: list[list[str]]  # the first MAX_ATTEMPT_LOG dead ends
+    dead_ends: int  # every dead end, logged or not
 
     def to_json(self) -> dict:
-        return {"stuck": self.stuck.to_json(), "attempted": self.attempted}
+        return {"stuck": self.stuck.to_json(), "attempted": self.attempted,
+                "dead_ends": self.dead_ends}
 
 
 def _signed_name(p: Atom, polarity: str) -> str:
@@ -187,22 +178,24 @@ def _occurrence_site(prem: Inequality, p: Atom) -> tuple[str, tuple[int, ...]]:
 def _solve_premise(qi: QuasiInequality, k: int, p: Atom,
                    polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
     """Rewrite premise k by residuation and negation adjunction until it is
-    solved for p: alpha <= p (polarity '+') or p <= alpha ('-')."""
+    solved for p: alpha <= p (polarity '+') or p <= alpha ('-').  A move
+    depends on premise k alone, so None is returned when no move applies or
+    the premise repeats a state, since the moves then cycle."""
     steps: list[TraceStep] = []
     target = fm.atom(p)
-    for _ in range(4 * _formula_size(qi.premises[k].lhs)
-                   + 4 * _formula_size(qi.premises[k].rhs) + 4):
+    seen: set[Inequality] = set()
+    while True:
         prem = qi.premises[k]
-        if polarity == "+" and prem.rhs == target:
+        if (prem.rhs if polarity == "+" else prem.lhs) == target:
             return qi, steps
-        if polarity == "-" and prem.lhs == target:
-            return qi, steps
+        if prem in seen:
+            return None
+        seen.add(prem)
         side, path = _occurrence_site(prem, p)
         host = prem.lhs if side == "lhs" else prem.rhs
         if host.op == fm.ATOM:
             return None  # solved with the wrong polarity
-        first = path[0]
-        move = _solver_move(host, side, first)
+        move = _solver_move(host, side, path[0])
         if move is None:
             return None
         rule, params = move
@@ -215,7 +208,6 @@ def _solve_premise(qi: QuasiInequality, k: int, p: Atom,
         except NotApplicable:
             return None
         steps.append(TraceStep(rule, k, params, (), qi))
-    return None
 
 
 def _solver_move(host: Formula, side: str, first: int):
@@ -241,10 +233,6 @@ def _solver_move(host: Formula, side: str, first: int):
     if host.op in (fm.NEG, fm.NEG_SHARP):
         return ("adjunction-neg-right", {"which": "neg-right"})
     return None
-
-
-def _formula_size(phi: Formula) -> int:
-    return 1 + sum(_formula_size(a) for a in phi.args)
 
 
 def _try_eliminate_one(qi: QuasiInequality, p: Atom,
@@ -275,9 +263,11 @@ def eliminate(qi: QuasiInequality):
     candidate order, positive polarity before negative, with full
     backtracking.  Returns (pure_qi, signed order, steps) or FailureInfo."""
     attempted: list[list[str]] = []
+    dead_ends = 0
 
     def dfs(state: QuasiInequality,
             path: list[str]) -> Optional[tuple[QuasiInequality, list[str], list[TraceStep]]]:
+        nonlocal dead_ends
         variables = _candidate_vars(state)
         if not variables:
             return state, [], []
@@ -293,13 +283,15 @@ def eliminate(qi: QuasiInequality):
                 if sub is not None:
                     final, order, steps = sub
                     return final, [name] + order, move[1] + steps
-        if not moved and len(attempted) < MAX_ATTEMPT_LOG:
-            attempted.append(list(path))
+        if not moved:
+            dead_ends += 1
+            if len(attempted) < MAX_ATTEMPT_LOG:
+                attempted.append(list(path))
         return None
 
     result = dfs(qi, [])
     if result is None:
-        return FailureInfo(qi, attempted)
+        return FailureInfo(qi, attempted, dead_ends)
     return result
 
 
@@ -307,28 +299,25 @@ def simplify(qi: QuasiInequality) -> tuple[QuasiInequality, list[TraceStep]]:
     """Exhaustively drop identically-true premises and apply the left and
     right simplification rules."""
     steps: list[TraceStep] = []
-    progress = True
-    while progress:
-        progress = False
-        for k in range(len(qi.premises)):
-            try:
-                qi = ca.drop_trivial(qi, k)
-            except NotApplicable:
-                continue
-            steps.append(TraceStep("drop-trivial", k, {}, (), qi))
-            progress = True
-            break
-        if progress:
+    k = 0
+    while k < len(qi.premises):
+        try:
+            qi = ca.drop_trivial(qi, k)
+        except NotApplicable:
+            k += 1
             continue
+        steps.append(TraceStep("drop-trivial", k, {}, (), qi))
+    # the left and right rules only remove premises, so none becomes trivial
+    while True:
         for which in ("left", "right"):
             try:
                 qi = ca.simplification(qi, which)
             except NotApplicable:
                 continue
             steps.append(TraceStep(f"simplification-{which}", None, {}, (), qi))
-            progress = True
             break
-    return qi, steps
+        else:
+            return qi, steps
 
 
 @dataclass

@@ -298,9 +298,11 @@ def render_report(result, fmt: OutputFormat = OutputFormat.TEX,
         if not g.succeeded:
             lines.append("  Elimination failed; stuck at: "
                          + g.failure.stuck.text(result.mode))
-            lines.append("  Attempted orders: "
-                         + ", ".join("[" + " ".join(o) + "]"
-                                     for o in g.failure.attempted[:16]))
+            shown = g.failure.attempted[:16]
+            note = (f" (first {len(shown)} of {g.failure.dead_ends})"
+                    if len(shown) < g.failure.dead_ends else "")
+            lines.append(f"  Attempted orders{note}: "
+                         + ", ".join("[" + " ".join(o) + "]" for o in shown))
             continue
         lines.append(f"  Elimination order: {g.order}")
         lines.append(f"  Elimination phase: {g.pure.text(result.mode)}")

@@ -4,10 +4,11 @@ import pytest
 
 from rmcorr import calculus as ca
 from rmcorr import formula as fm
+from rmcorr import pipeline
 from rmcorr.calculus import Inequality
-from rmcorr.pipeline import (FailureInfo, approximate, correspondent,
-                             eliminate, preprocess, simplify)
-from rmcorr.render import OutputFormat, render, result_to_json
+from rmcorr.pipeline import (FailureInfo, _solve_premise, approximate,
+                             correspondent, eliminate, preprocess, simplify)
+from rmcorr.render import OutputFormat, render, render_report, result_to_json
 from rmcorr.syntax import SyntaxMode, parse
 
 from helpers import random_formula
@@ -15,6 +16,19 @@ from helpers import random_formula
 
 def texts(items):
     return [i.text() for i in items]
+
+
+def count_calls(monkeypatch, rule):
+    """Count the pipeline's calls of one calculus rule."""
+    calls = []
+    original = getattr(ca, rule)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ca, rule, counted)
+    return calls
 
 
 def test_preprocess_splits_then_eliminates_monotone_variables():
@@ -86,19 +100,59 @@ def test_eliminate_b2_order_and_result():
     assert pure.is_pure()
 
 
+def test_approximate_visits_each_premise_once_per_rewrite(monkeypatch):
+    # every visit of a premise rewrites it (one step) or moves past it (once
+    # per premise) and tries each rule at most once; the scan used to restart
+    # from premise 0 after every rewrite and made 9,474 calls here
+    calls = count_calls(monkeypatch, "approximation")
+    (goal,), _ = preprocess(parse(r" \to ".join(["p"] * 40)))
+    state, steps = approximate(goal)
+    assert len(calls) <= len(ca.APPROX_RULES) * (len(state.premises)
+                                                 + len(steps))
+
+
+def test_solver_stops_when_its_moves_cycle(monkeypatch):
+    # for -p, imp-residuation turns (p o q) o r <= m into p o q <= r -> m,
+    # then reads the next move off the right side and undoes it; the solver
+    # used to repeat the pair for 28 moves
+    calls = count_calls(monkeypatch, "residuation")
+    lhs = parse(r"(p \circ q) \circ r")
+    p = lhs.args[0].args[0].atom
+    state = ca.QuasiInequality((Inequality(lhs, fm.cnom(0)),),
+                               Inequality(fm.nom(0), fm.cnom(0)))
+    assert _solve_premise(state, 0, p, "-") is None
+    assert len(calls) <= 2
+
+
 def test_eliminate_pure_input_returns_empty_order():
     state, _ = approximate(Inequality(fm.t(), fm.t()))
     pure, order, steps = eliminate(state)
     assert order == [] and steps == [] and pure == state
 
 
-def test_eliminate_failure_reports_stuck_state():
+# no elimination order: 24 dead ends
+CHAIN_LADDER = (r"((r_1 \to r_2) \land ((p \to q) \to q)) \to "
+                r"(((q \to p) \to p) \lor (r_1 \to r_2))")
+
+
+def test_eliminate_failure_reports_stuck_state(monkeypatch):
     (goal,), _ = preprocess(parse(r"((p \to p) \to q) \to q"))
     state, _ = approximate(goal)
     out = eliminate(state)
     assert isinstance(out, FailureInfo)
     assert any(a.kind == fm.PROP for a in out.stuck.atoms())
     assert out.attempted  # at least one dead-end order recorded
+    assert out.to_json()["dead_ends"] == out.dead_ends == len(out.attempted)
+    res = correspondent(parse(r"((p \to p) \to q) \to q"))
+    assert "  Attempted orders: [" in render_report(res)  # all of them shown
+    # the report shows 16 orders, and the log keeps MAX_ATTEMPT_LOG of them
+    for cap, shown in ((pipeline.MAX_ATTEMPT_LOG, 16), (5, 5)):
+        monkeypatch.setattr(pipeline, "MAX_ATTEMPT_LOG", cap)
+        res = correspondent(parse(CHAIN_LADDER))
+        assert len(res.failure.attempted) == min(cap, 24)
+        assert res.failure.to_json()["dead_ends"] == 24
+        assert (f"  Attempted orders (first {shown} of 24): ["
+                in render_report(res))
 
 
 def test_simplify_example_two():
