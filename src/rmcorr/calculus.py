@@ -31,6 +31,7 @@ __all__ = [
     "monotone_elim",
     "first_approximation",
     "approximation",
+    "approximation_rule",
     "residuation",
     "adjunction",
     "ackermann",
@@ -228,8 +229,44 @@ def first_approximation(qi: QuasiInequality, supply: FreshSupply,
 # ---------------------------------------------------------------------------
 # approximation rules
 
-APPROX_RULES = ("imp-left", "imp-right", "fus-left", "fus-right",
-                "neg-left", "neg-right")
+# rule -> (connective, the side it is on, the argument named, the fresh
+# atom's kind).  A connective on the left sits below a co-nominal, one on
+# the right above a nominal.
+_APPROX_SCHEMA = {
+    "imp-left": (fm.IMP, "lhs", 0, fm.NOM),
+    "imp-right": (fm.IMP, "lhs", 1, fm.CNOM),
+    "fus-left": (fm.FUS, "rhs", 0, fm.NOM),
+    "fus-right": (fm.FUS, "rhs", 1, fm.NOM),
+    "neg-left": (fm.NEG, "lhs", 0, fm.NOM),
+    "neg-right": (fm.NEG, "rhs", 0, fm.CNOM),
+}
+APPROX_RULES = tuple(_APPROX_SCHEMA)
+
+
+def _sides(ineq: Inequality, side: str) -> tuple[Formula, Formula]:
+    """The given side of ineq and the other side."""
+    return (ineq.lhs, ineq.rhs) if side == "lhs" else (ineq.rhs, ineq.lhs)
+
+
+def _oriented(side: str, this: Formula, other: Formula) -> Inequality:
+    """The inequality with `this` on the given side: the inverse of _sides."""
+    return (Inequality(this, other) if side == "lhs"
+            else Inequality(other, this))
+
+
+def _fits(prem: Inequality, rule: str) -> bool:
+    """Whether prem has rule's shape and the argument to name is neither a
+    nominal nor a co-nominal."""
+    op, side, i, _ = _APPROX_SCHEMA[rule]
+    host, bound = _sides(prem, side)
+    return (host.op == op
+            and _is_atom_kind(bound, fm.CNOM if side == "lhs" else fm.NOM)
+            and not _is_special_atom(host.args[i]))
+
+
+def approximation_rule(prem: Inequality) -> Optional[str]:
+    """The first rule of APPROX_RULES that applies to prem, or None."""
+    return next((rule for rule in APPROX_RULES if _fits(prem, rule)), None)
 
 
 def approximation(qi: QuasiInequality, k: int, rule: str, supply: FreshSupply,
@@ -241,72 +278,19 @@ def approximation(qi: QuasiInequality, k: int, rule: str, supply: FreshSupply,
     rewritten premise keeps its position; the naming premise is inserted
     directly after it.
     """
-    prem = qi.premises[k]
-    lhs, rhs = prem.lhs, prem.rhs
-
-    def take(kind: str) -> Formula:
-        nonlocal fresh
-        if fresh is None:
-            fresh = supply.fresh(kind)
-        else:
-            supply.note((fresh,))
-        return fm.atom(fresh)
-
-    if rule == "imp-left":
-        if lhs.op != fm.IMP or not _is_atom_kind(rhs, fm.CNOM):
-            raise NotApplicable("premise is not an implication below a co-nominal")
-        chi, phi = lhs.args
-        if _is_special_atom(chi):
-            raise NotApplicable("argument is already a nominal or co-nominal")
-        j = take(fm.NOM)
-        return _replace(qi, k, (Inequality(fm.imp(j, phi), rhs), Inequality(j, chi)))
-
-    if rule == "imp-right":
-        if lhs.op != fm.IMP or not _is_atom_kind(rhs, fm.CNOM):
-            raise NotApplicable("premise is not an implication below a co-nominal")
-        chi, phi = lhs.args
-        if _is_special_atom(phi):
-            raise NotApplicable("argument is already a nominal or co-nominal")
-        n = take(fm.CNOM)
-        return _replace(qi, k, (Inequality(fm.imp(chi, n), rhs), Inequality(phi, n)))
-
-    if rule == "fus-left":
-        if not _is_atom_kind(lhs, fm.NOM) or rhs.op != fm.FUS:
-            raise NotApplicable("premise is not a nominal below a fusion")
-        chi, phi = rhs.args
-        if _is_special_atom(chi):
-            raise NotApplicable("argument is already a nominal or co-nominal")
-        j = take(fm.NOM)
-        return _replace(qi, k, (Inequality(lhs, fm.fus(j, phi)), Inequality(j, chi)))
-
-    if rule == "fus-right":
-        if not _is_atom_kind(lhs, fm.NOM) or rhs.op != fm.FUS:
-            raise NotApplicable("premise is not a nominal below a fusion")
-        chi, phi = rhs.args
-        if _is_special_atom(phi):
-            raise NotApplicable("argument is already a nominal or co-nominal")
-        j = take(fm.NOM)
-        return _replace(qi, k, (Inequality(lhs, fm.fus(chi, j)), Inequality(j, phi)))
-
-    if rule == "neg-left":
-        if lhs.op != fm.NEG or not _is_atom_kind(rhs, fm.CNOM):
-            raise NotApplicable("premise is not a negation below a co-nominal")
-        phi = lhs.args[0]
-        if _is_special_atom(phi):
-            raise NotApplicable("argument is already a nominal or co-nominal")
-        j = take(fm.NOM)
-        return _replace(qi, k, (Inequality(fm.neg(j), rhs), Inequality(j, phi)))
-
-    if rule == "neg-right":
-        if not _is_atom_kind(lhs, fm.NOM) or rhs.op != fm.NEG:
-            raise NotApplicable("premise is not a nominal below a negation")
-        phi = rhs.args[0]
-        if _is_special_atom(phi):
-            raise NotApplicable("argument is already a nominal or co-nominal")
-        n = take(fm.CNOM)
-        return _replace(qi, k, (Inequality(lhs, fm.neg(n)), Inequality(phi, n)))
-
-    raise NotApplicable(f"unknown approximation rule {rule!r}")
+    if rule not in _APPROX_SCHEMA or not _fits(qi.premises[k], rule):
+        raise NotApplicable(f"approximation rule {rule!r} does not apply")
+    op, side, i, kind = _APPROX_SCHEMA[rule]
+    if fresh is None:
+        fresh = supply.fresh(kind)
+    else:
+        supply.note((fresh,))
+    name = fm.atom(fresh)
+    host, bound = _sides(qi.premises[k], side)
+    rewritten = Formula(op, host.args[:i] + (name,) + host.args[i + 1:])
+    # a nominal names its argument from below, a co-nominal from above
+    naming = _oriented("lhs" if kind == fm.NOM else "rhs", name, host.args[i])
+    return _replace(qi, k, (_oriented(side, rewritten, bound), naming))
 
 
 # ---------------------------------------------------------------------------
@@ -447,44 +431,27 @@ def ackermann(qi: QuasiInequality, p: Atom, polarity: str) -> QuasiInequality:
 # simplification rules
 
 def simplification(qi: QuasiInequality, which: str) -> QuasiInequality:
-    """Drop a premise i <= phi (resp. psi <= m) whose nominal (co-nominal)
-    carries the conclusion, rewriting the conclusion accordingly."""
-    concl = qi.conclusion
-    if which == "left":
-        if not _is_atom_kind(concl.lhs, fm.NOM):
-            raise NotApplicable("conclusion left side is not a nominal")
-        i = concl.lhs.atom
-        for k, prem in enumerate(qi.premises):
-            if prem.lhs != concl.lhs:
-                continue
-            rest = qi.premises[:k] + qi.premises[k + 1:]
-            used_elsewhere = (
-                any(i in r.atoms() for r in rest)
-                or i in fm.atoms(prem.rhs)
-                or i in fm.atoms(concl.rhs)
-            )
-            if used_elsewhere:
-                continue
-            return QuasiInequality(rest, Inequality(prem.rhs, concl.rhs))
-        raise NotApplicable("no eligible premise for left simplification")
-    if which == "right":
-        if not _is_atom_kind(concl.rhs, fm.CNOM):
-            raise NotApplicable("conclusion right side is not a co-nominal")
-        m = concl.rhs.atom
-        for k, prem in enumerate(qi.premises):
-            if prem.rhs != concl.rhs:
-                continue
-            rest = qi.premises[:k] + qi.premises[k + 1:]
-            used_elsewhere = (
-                any(m in r.atoms() for r in rest)
-                or m in fm.atoms(prem.lhs)
-                or m in fm.atoms(concl.lhs)
-            )
-            if used_elsewhere:
-                continue
-            return QuasiInequality(rest, Inequality(concl.lhs, prem.lhs))
-        raise NotApplicable("no eligible premise for right simplification")
-    raise NotApplicable(f"unknown simplification {which!r}")
+    """Drop a premise i <= phi (left) or psi <= m (right) whose nominal i
+    (co-nominal m) also stands on that side of the conclusion and nowhere
+    else, rewriting the conclusion to phi <= rhs (lhs <= psi)."""
+    if which not in ("left", "right"):
+        raise NotApplicable(f"unknown simplification {which!r}")
+    side = "lhs" if which == "left" else "rhs"
+    named, kept = _sides(qi.conclusion, side)
+    if not _is_atom_kind(named, fm.NOM if side == "lhs" else fm.CNOM):
+        raise NotApplicable(f"conclusion {which} side is not a nominal "
+                            "or co-nominal")
+    a = named.atom
+    for k, prem in enumerate(qi.premises):
+        this, other = _sides(prem, side)
+        if this != named:
+            continue
+        rest = qi.premises[:k] + qi.premises[k + 1:]
+        if (any(a in r.atoms() for r in rest) or a in fm.atoms(other)
+                or a in fm.atoms(kept)):
+            continue
+        return QuasiInequality(rest, _oriented(side, other, kept))
+    raise NotApplicable(f"no eligible premise for {which} simplification")
 
 
 def drop_trivial(qi: QuasiInequality, k: int) -> QuasiInequality:
@@ -554,18 +521,13 @@ def _subformula_at(phi: Formula, path: tuple[int, ...]) -> Formula:
 
 def split_goal(ineq: Inequality, side: str, path: tuple[int, ...]) -> tuple[Inequality, Inequality]:
     """Split the meet/join at (side, path) into two inequalities."""
-    host = ineq.lhs if side == "lhs" else ineq.rhs
+    host, other = _sides(ineq, side)
     node = _subformula_at(host, path)
     if node.op not in (fm.AND, fm.OR):
         raise NotApplicable("split target is not a meet or join")
-    pieces = []
-    for arg in node.args:
-        new_host = _replace_at(host, path, arg)
-        if side == "lhs":
-            pieces.append(Inequality(new_host, ineq.rhs))
-        else:
-            pieces.append(Inequality(ineq.lhs, new_host))
-    return pieces[0], pieces[1]
+    a, b = (_oriented(side, _replace_at(host, path, arg), other)
+            for arg in node.args)
+    return a, b
 
 
 def split_premise(qi: QuasiInequality, k: int, side: str,

@@ -1,19 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 success (and oracle agreement when --verify is used);
-1 elimination failure; 2 input/parse error; 3 verification disagreement.
+1 elimination failure; 2 input/parse error or an --out file that cannot be
+written; 3 verification disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from .corpus import BUNDLED, load_corpus
 from .frames import MAX_WORLDS, BudgetError, correspondence_check
 from .pipeline import correspondent
-from .render import OutputFormat, render, render_report
+from .render import OutputFormat, render, render_report, result_to_json
 from .syntax import ParseError, SyntaxMode, parse
 
 EXIT_OK = 0
@@ -55,11 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, "utf-8")
-    else:
+def _emit(text: str, out: str | None, code: int) -> int:
+    """Write the report and return code, or EXIT_INPUT when out cannot be
+    written."""
+    if not out:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(out).write_text(text, "utf-8")
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
+    return code
 
 
 def _run_single(args) -> int:
@@ -82,25 +91,27 @@ def _run_single(args) -> int:
     report = render_report(result, fmt, expand=args.expand_leq,
                            name="input", trace=args.trace)
     if result.status != "success":
-        _emit(report, args.out)
-        return EXIT_ELIMINATION
-    code = EXIT_OK
-    if args.verify:
-        try:
-            rep = correspondence_check(phi, result.fo, args.verify,
-                                       mode=args.syntax)
-        except (BudgetError, ValueError) as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_INPUT
-        if rep.agree:
-            report += (f"Verified: agreement on all {rep.frames_checked} "
-                       f"frames with up to {args.verify} worlds\n")
-        else:
-            report += ("Verification FAILED; counterexample frame: "
-                       + str(rep.counterexample.to_json()) + "\n")
-            code = EXIT_DISAGREE
-    _emit(report, args.out)
-    return code
+        return _emit(report, args.out, EXIT_ELIMINATION)
+    if not args.verify:
+        return _emit(report, args.out, EXIT_OK)
+    try:
+        rep = correspondence_check(phi, result.fo, args.verify,
+                                   mode=args.syntax)
+    except (BudgetError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
+    if fmt is OutputFormat.JSON:
+        # one JSON document: the verdict goes inside the report
+        report = json.dumps(dict(result_to_json(result, trace=args.trace),
+                                 verification=rep.to_json()),
+                            indent=2, sort_keys=True)
+    elif rep.agree:
+        report += (f"Verified: agreement on all {rep.frames_checked} "
+                   f"frames with up to {args.verify} worlds\n")
+    else:
+        report += ("Verification FAILED; counterexample frame: "
+                   + str(rep.counterexample.to_json()) + "\n")
+    return _emit(report, args.out, EXIT_OK if rep.agree else EXIT_DISAGREE)
 
 
 def _run_corpus(args) -> int:
@@ -148,14 +159,15 @@ def _run_corpus(args) -> int:
                 any_disagree = True
         lines.append(f"{entry.name}\tok\t[{order}]\t{rendered}"
                      + ("\t" + ";".join(notes) if notes else ""))
-    _emit("\n".join(lines) + "\n", args.out)
     if any_disagree:
-        return EXIT_DISAGREE
-    if any_parse_error:
-        return EXIT_INPUT
-    if any_failure:
-        return EXIT_ELIMINATION
-    return EXIT_OK
+        code = EXIT_DISAGREE
+    elif any_parse_error:
+        code = EXIT_INPUT
+    elif any_failure:
+        code = EXIT_ELIMINATION
+    else:
+        code = EXIT_OK
+    return _emit("\n".join(lines) + "\n", args.out, code)
 
 
 def main(argv=None) -> int:

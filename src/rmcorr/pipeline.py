@@ -122,18 +122,14 @@ def approximate(ineq: Inequality,
             steps.append(TraceStep("split", k, {"side": side, "path": path},
                                    (), qi))
             continue
-        used_before = set(supply.used)
-        for rule in ca.APPROX_RULES:
-            try:
-                qi = ca.approximation(qi, k, rule, supply)
-            except NotApplicable:
-                continue
-            new_atoms = tuple(sorted(supply.used - used_before,
-                                     key=lambda a: (a.kind, a.index)))
-            steps.append(TraceStep(f"approx-{rule}", k, {}, new_atoms, qi))
-            break
-        else:
+        rule = ca.approximation_rule(qi.premises[k])
+        if rule is None:
             k += 1
+            continue
+        used_before = set(supply.used)
+        qi = ca.approximation(qi, k, rule, supply)
+        steps.append(TraceStep(f"approx-{rule}", k, {},
+                               tuple(supply.used - used_before), qi))
     return qi, steps
 
 

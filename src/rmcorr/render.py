@@ -49,6 +49,17 @@ def render(f: FONode, fmt: OutputFormat,
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _quantifier_run(f: Forall | Exists) -> tuple[list[WVar], FONode]:
+    """The variables of the run of f's quantifier that starts at f, and the
+    body below the run."""
+    vars_ = [f.var]
+    body = f.body
+    while isinstance(body, type(f)):
+        vars_.append(body.var)
+        body = body.body
+    return vars_, body
+
+
 # --- TeX ---
 
 def _tex_term(t: fol.Term) -> str:
@@ -98,12 +109,7 @@ def _tex(f: FONode, prec: int = 0) -> str:
         return wrap(f"{_tex(f.left, mine + 1)} \\implies {_tex(f.right, mine)}", mine)
     if isinstance(f, (Forall, Exists)):
         head = "\\forall" if isinstance(f, Forall) else "\\exists"
-        # collapse runs of the same quantifier
-        vars_ = [f.var]
-        body = f.body
-        while isinstance(body, type(f)):
-            vars_.append(body.var)
-            body = body.body
+        vars_, body = _quantifier_run(f)
         names = " ".join(_tex_term(v) for v in vars_)
         return wrap(f"{head} {names}\\, ({_tex(body, 0)})", _TEX_PREC["quant"])
     raise ValueError(f"cannot render {f!r}")
@@ -128,6 +134,20 @@ def _fun_term(t: fol.Term) -> str:
     return _var_name(t)
 
 
+_SENTENCE_ATOMS = (RAtom, OAtom, LeqAtom, PVarAtom)
+
+
+def _sentence_atom(f: RAtom | OAtom | LeqAtom | PVarAtom) -> str:
+    """The r, o, leq and p atoms, spelled alike in TPTP, Prover9 and SPASS."""
+    if isinstance(f, RAtom):
+        return f"r({_fun_term(f.a)},{_fun_term(f.b)},{_fun_term(f.c)})"
+    if isinstance(f, OAtom):
+        return f"o({_fun_term(f.a)})"
+    if isinstance(f, LeqAtom):
+        return f"leq({_fun_term(f.a)},{_fun_term(f.b)})"
+    return f"p{f.index}({_fun_term(f.a)})"
+
+
 def _tptp(f: FONode, prec: int = 0) -> str:
     # precedence: 1 binary connective, 2 unary/quantified/atomic
     def wrap(text: str, mine: int) -> str:
@@ -137,16 +157,10 @@ def _tptp(f: FONode, prec: int = 0) -> str:
         return "$true"
     if isinstance(f, fol.FalseF):
         return "$false"
-    if isinstance(f, RAtom):
-        return f"r({_fun_term(f.a)},{_fun_term(f.b)},{_fun_term(f.c)})"
-    if isinstance(f, OAtom):
-        return f"o({_fun_term(f.a)})"
-    if isinstance(f, LeqAtom):
-        return f"leq({_fun_term(f.a)},{_fun_term(f.b)})"
+    if isinstance(f, _SENTENCE_ATOMS):
+        return _sentence_atom(f)
     if isinstance(f, EqAtom):
         return f"{_fun_term(f.a)} = {_fun_term(f.b)}"
-    if isinstance(f, PVarAtom):
-        return f"p{f.index}({_fun_term(f.a)})"
     if isinstance(f, Not):
         return f"~ {_tptp(f.body, 2)}"
     if isinstance(f, And):
@@ -157,11 +171,7 @@ def _tptp(f: FONode, prec: int = 0) -> str:
         return wrap(f"{_tptp(f.left, 2)} => {_tptp(f.right, 2)}", 1)
     if isinstance(f, (Forall, Exists)):
         head = "!" if isinstance(f, Forall) else "?"
-        vars_ = [f.var]
-        body = f.body
-        while isinstance(body, type(f)):
-            vars_.append(body.var)
-            body = body.body
+        vars_, body = _quantifier_run(f)
         names = ",".join(_var_name(v) for v in vars_)
         return f"{head} [{names}] : {_tptp(body, 2)}"
     raise ValueError(f"cannot render {f!r}")
@@ -177,16 +187,10 @@ def _prover9(f: FONode, prec: int = 0) -> str:
         return "$T"
     if isinstance(f, fol.FalseF):
         return "$F"
-    if isinstance(f, RAtom):
-        return f"r({_fun_term(f.a)},{_fun_term(f.b)},{_fun_term(f.c)})"
-    if isinstance(f, OAtom):
-        return f"o({_fun_term(f.a)})"
-    if isinstance(f, LeqAtom):
-        return f"leq({_fun_term(f.a)},{_fun_term(f.b)})"
+    if isinstance(f, _SENTENCE_ATOMS):
+        return _sentence_atom(f)
     if isinstance(f, EqAtom):
         return f"{_fun_term(f.a)} = {_fun_term(f.b)}"
-    if isinstance(f, PVarAtom):
-        return f"p{f.index}({_fun_term(f.a)})"
     if isinstance(f, Not):
         return f"-{_prover9(f.body, 2)}"
     if isinstance(f, And):
@@ -208,16 +212,10 @@ def _spass(f: FONode) -> str:
         return "true"
     if isinstance(f, fol.FalseF):
         return "false"
-    if isinstance(f, RAtom):
-        return f"r({_fun_term(f.a)},{_fun_term(f.b)},{_fun_term(f.c)})"
-    if isinstance(f, OAtom):
-        return f"o({_fun_term(f.a)})"
-    if isinstance(f, LeqAtom):
-        return f"leq({_fun_term(f.a)},{_fun_term(f.b)})"
+    if isinstance(f, _SENTENCE_ATOMS):
+        return _sentence_atom(f)
     if isinstance(f, EqAtom):
         return f"equal({_fun_term(f.a)},{_fun_term(f.b)})"
-    if isinstance(f, PVarAtom):
-        return f"p{f.index}({_fun_term(f.a)})"
     if isinstance(f, Not):
         return f"not({_spass(f.body)})"
     if isinstance(f, And):
@@ -228,11 +226,7 @@ def _spass(f: FONode) -> str:
         return f"implies({_spass(f.left)},{_spass(f.right)})"
     if isinstance(f, (Forall, Exists)):
         head = "forall" if isinstance(f, Forall) else "exists"
-        vars_ = [f.var]
-        body = f.body
-        while isinstance(body, type(f)):
-            vars_.append(body.var)
-            body = body.body
+        vars_, body = _quantifier_run(f)
         names = ",".join(_var_name(v) for v in vars_)
         return f"{head}([{names}],{_spass(body)})"
     raise ValueError(f"cannot render {f!r}")

@@ -10,8 +10,9 @@ debug level.
 
 from __future__ import annotations
 
+import itertools
 import logging
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import fol
 from . import formula as fm
@@ -220,20 +221,14 @@ def tr_quasi(qi: QuasiInequality, supply: Optional[FreshSupply] = None) -> FONod
 # ---------------------------------------------------------------------------
 # standard translation (used by the oracle cross-checks)
 
-class _StState:
-    def __init__(self, start: int = 0):
-        self.counter = start
-
-    def fresh(self) -> WVar:
-        v = WVar("z", self.counter)
-        self.counter += 1
-        return v
-
-
-def st(phi: Formula, x: fol.Term, _state: Optional[_StState] = None) -> FONode:
+def st(phi: Formula, x: fol.Term,
+       _zs: Optional[Iterator[int]] = None) -> FONode:
     """Standard translation of an extended-language formula, parametric in a
     frame variable.  Propositional variables become unary predicates."""
-    state = _state or _StState()
+    zs = _zs or itertools.count()
+
+    def fresh() -> WVar:
+        return WVar("z", next(zs))
 
     def go(node: Formula, w: fol.Term) -> FONode:
         if node.op == fm.ATOM:
@@ -250,15 +245,15 @@ def st(phi: Formula, x: fol.Term, _state: Optional[_StState] = None) -> FONode:
         if node.op == fm.BOT:
             return Not(EqAtom(w, w))
         if node.op == fm.NEG:
-            z = state.fresh()
+            z = fresh()
             return Exists(z, And(EqAtom(z, Star(w)), Not(go(node.args[0], z))))
         if node.op == fm.NEG_FLAT:
             # adjoint reading: below some starred non-instance of the body
-            z = state.fresh()
+            z = fresh()
             return Exists(z, And(LeqAtom(Star(z), w), Not(go(node.args[0], z))))
         if node.op == fm.NEG_SHARP:
             # adjoint reading: no instance of the body stars above this world
-            z = state.fresh()
+            z = fresh()
             return Forall(z, Implies(go(node.args[0], z),
                                      Not(LeqAtom(w, Star(z)))))
         if node.op == fm.AND:
@@ -266,28 +261,28 @@ def st(phi: Formula, x: fol.Term, _state: Optional[_StState] = None) -> FONode:
         if node.op == fm.OR:
             return Or(go(node.args[0], w), go(node.args[1], w))
         if node.op == fm.FUS:
-            z1 = state.fresh()
-            z2 = state.fresh()
+            z1 = fresh()
+            z2 = fresh()
             return Exists(z1, Exists(z2, And(And(RAtom(z1, z2, w),
                                                  go(node.args[0], z1)),
                                              go(node.args[1], z2))))
         if node.op == fm.IMP:
-            z1 = state.fresh()
-            z2 = state.fresh()
+            z1 = fresh()
+            z2 = fresh()
             return Forall(z1, Forall(z2, Implies(And(RAtom(w, z1, z2),
                                                      go(node.args[0], z1)),
                                                  go(node.args[1], z2))))
         if node.op == fm.COIMP:
-            z = state.fresh()
+            z = fresh()
             return Exists(z, And(And(LeqAtom(z, w), go(node.args[0], z)),
                                  Not(go(node.args[1], z))))
         if node.op == fm.HIMP:
-            z = state.fresh()
+            z = fresh()
             return Forall(z, Implies(And(LeqAtom(w, z), go(node.args[0], z)),
                                      go(node.args[1], z)))
         if node.op == fm.RRES:
-            z1 = state.fresh()
-            z2 = state.fresh()
+            z1 = fresh()
+            z2 = fresh()
             return Forall(z1, Forall(z2, Implies(And(RAtom(z1, w, z2),
                                                      go(node.args[0], z1)),
                                                  go(node.args[1], z2))))
@@ -299,9 +294,9 @@ def st(phi: Formula, x: fol.Term, _state: Optional[_StState] = None) -> FONode:
 def st_inequality(ineq: Inequality) -> FONode:
     """Standard-translation reading of an inequality: the left side's
     extension is contained in the right side's."""
-    state = _StState()
-    z = state.fresh()
-    return Forall(z, Implies(st(ineq.lhs, z, state), st(ineq.rhs, z, state)))
+    zs = itertools.count()
+    z = WVar("z", next(zs))
+    return Forall(z, Implies(st(ineq.lhs, z, zs), st(ineq.rhs, z, zs)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +399,11 @@ def expand_leq(f: FONode) -> FONode:
     target format should not carry a primitive order symbol."""
     zs = [node.var.index for node in fol.walk(f)
           if isinstance(node, (Forall, Exists)) and node.var.family == "z"]
-    state = _StState(max(zs) + 1 if zs else 0)
+    indices = itertools.count(max(zs) + 1 if zs else 0)
 
     def go(node: FONode) -> FONode:
         if isinstance(node, LeqAtom):
-            z = state.fresh()
+            z = WVar("z", next(indices))
             return Exists(z, And(OAtom(z), RAtom(z, node.a, node.b)))
         kids = tuple(go(c) for c in fol.children(node))
         return fol.rebuild(node, kids)

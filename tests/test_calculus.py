@@ -292,10 +292,14 @@ def test_simplification_left():
 
 
 def test_simplification_blocked_when_symbol_used_elsewhere():
-    state = qi(r"\mathbf j_1 <= \mathbf m", r"\sim \mathbf j_1 <= \mathbf m",
-               concl=r"\mathbf i <= \mathbf m")
-    with pytest.raises(NotApplicable):
-        ca.simplification(state, "right")
+    # m also occurs in another premise, or on the conclusion's other side
+    for state in (qi(r"\mathbf j_1 <= \mathbf m",
+                     r"\sim \mathbf j_1 <= \mathbf m",
+                     concl=r"\mathbf i <= \mathbf m"),
+                  qi(r"\mathbf j_1 <= \mathbf m",
+                     concl=r"\mathbf i \to \mathbf m <= \mathbf m")):
+        with pytest.raises(NotApplicable):
+            ca.simplification(state, "right")
 
 
 def test_simplification_not_applicable_on_bare_conclusion():

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from rmcorr import cli
 from rmcorr.cli import main
+from rmcorr.frames import CorrespondenceReport, enumerate_frames
 
 B2 = r"(p \to q) \land (q \to r) \to (p \to r)"
 
@@ -142,6 +144,40 @@ def test_json_format_and_out_file(tmp_path, capsys):
     obj = json.loads(target.read_text())
     assert obj["status"] == "success"
     assert obj["goals"][0]["trace"]
+
+
+def test_json_report_carries_the_verification(capsys):
+    # the verdict used to follow the JSON document as a text line, so the
+    # output was not valid JSON
+    code, out, _ = run_cli(["-i", B2, "--format", "json", "--verify", "2"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["verification"] == {
+        "agree": True, "frames_checked": 211, "counterexample": None}
+
+
+def test_json_report_carries_a_disagreement(monkeypatch, capsys):
+    frame = next(enumerate_frames(1))
+    disagree = CorrespondenceReport(False, frame, 1)
+    monkeypatch.setattr(cli, "correspondence_check",
+                        lambda *args, **kwargs: disagree)
+    code, out, _ = run_cli(["-i", B2, "--format", "json", "--verify", "1"],
+                           capsys)
+    assert code == 3
+    assert json.loads(out)["verification"] == {
+        "agree": False, "frames_checked": 1, "counterexample": frame.to_json()}
+
+
+@pytest.mark.parametrize("source",
+                         [["-i", "p"], ["--corpus", "bundled-axioms"]])
+def test_unwritable_out_path_exits_2(source, tmp_path, capsys):
+    # writing the report used to raise FileNotFoundError: a traceback and
+    # exit 1, the code of an elimination failure
+    code, out, err = run_cli(source + ["--out", str(tmp_path / "no" / "x")],
+                             capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_bi_syntax_run(capsys):

@@ -1,16 +1,24 @@
 """The forward-scan rewrite phases against the restart-from-0 loops they
-replaced.
+replaced, and the approximation and simplification schemata against the
+written-out rules they replaced.
 
-`ref_preprocess`, `ref_approximate` and `ref_simplify` below are the earlier
-fixed-point loops of `rmcorr.pipeline`, kept verbatim as a reference: after
-every rewrite they rescan from the first goal or premise.  `ref_solve_premise`
-is the earlier premise solver, bounded by 4 moves per node instead of
-stopping when a state repeats.  On the bundled corpus, criterion 7's random
-formulas and extended random formulas, the current phases must produce the
-same goals, events, states and trace steps.
+`ref_approximation` and `ref_simplification` below are the earlier rule
+bodies of `rmcorr.calculus`, one case per rule, kept verbatim as a
+reference.  `ref_preprocess`, `ref_approximate` and `ref_simplify` are the
+earlier fixed-point loops of `rmcorr.pipeline`, kept verbatim but for
+calling those bodies: after every rewrite they rescan from the first goal
+or premise.  `ref_solve_premise` is the earlier premise solver, bounded by
+4 moves per node instead of stopping when a state repeats.  On the bundled
+corpus, criterion 7's random formulas and extended random formulas, the
+current phases must produce the same goals, events, states and trace
+steps, and the current rules the same result as the reference, or
+NotApplicable on both sides, on the states of the approximation and
+simplification phases.
 """
 
+import itertools
 import random
+from typing import Optional
 
 import pytest
 
@@ -18,13 +26,135 @@ from rmcorr import calculus as ca
 from rmcorr import formula as fm
 from rmcorr import pipeline
 from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
-                             QuasiInequality, TraceStep)
+                             QuasiInequality, TraceStep, _is_atom_kind,
+                             _is_special_atom, _replace)
 from rmcorr.formula import Atom, Formula
 from rmcorr.pipeline import (PreprocessEvent, _occurrence_site, _solver_move,
                              approximate, eliminate, preprocess, simplify)
 from rmcorr.syntax import parse
 
 from helpers import random_formula
+
+
+# -- reference rule bodies ----------------------------------------------------
+
+def ref_approximation(qi: QuasiInequality, k: int, rule: str,
+                      supply: FreshSupply,
+                      fresh: Optional[Atom] = None) -> QuasiInequality:
+    """Apply one approximation rule to premise k.
+
+    Each rule pulls a non-special argument out of an implication, fusion or
+    negation premise, naming it with a fresh nominal or co-nominal.  The
+    rewritten premise keeps its position; the naming premise is inserted
+    directly after it.
+    """
+    prem = qi.premises[k]
+    lhs, rhs = prem.lhs, prem.rhs
+
+    def take(kind: str) -> Formula:
+        nonlocal fresh
+        if fresh is None:
+            fresh = supply.fresh(kind)
+        else:
+            supply.note((fresh,))
+        return fm.atom(fresh)
+
+    if rule == "imp-left":
+        if lhs.op != fm.IMP or not _is_atom_kind(rhs, fm.CNOM):
+            raise NotApplicable("premise is not an implication below a co-nominal")
+        chi, phi = lhs.args
+        if _is_special_atom(chi):
+            raise NotApplicable("argument is already a nominal or co-nominal")
+        j = take(fm.NOM)
+        return _replace(qi, k, (Inequality(fm.imp(j, phi), rhs), Inequality(j, chi)))
+
+    if rule == "imp-right":
+        if lhs.op != fm.IMP or not _is_atom_kind(rhs, fm.CNOM):
+            raise NotApplicable("premise is not an implication below a co-nominal")
+        chi, phi = lhs.args
+        if _is_special_atom(phi):
+            raise NotApplicable("argument is already a nominal or co-nominal")
+        n = take(fm.CNOM)
+        return _replace(qi, k, (Inequality(fm.imp(chi, n), rhs), Inequality(phi, n)))
+
+    if rule == "fus-left":
+        if not _is_atom_kind(lhs, fm.NOM) or rhs.op != fm.FUS:
+            raise NotApplicable("premise is not a nominal below a fusion")
+        chi, phi = rhs.args
+        if _is_special_atom(chi):
+            raise NotApplicable("argument is already a nominal or co-nominal")
+        j = take(fm.NOM)
+        return _replace(qi, k, (Inequality(lhs, fm.fus(j, phi)), Inequality(j, chi)))
+
+    if rule == "fus-right":
+        if not _is_atom_kind(lhs, fm.NOM) or rhs.op != fm.FUS:
+            raise NotApplicable("premise is not a nominal below a fusion")
+        chi, phi = rhs.args
+        if _is_special_atom(phi):
+            raise NotApplicable("argument is already a nominal or co-nominal")
+        j = take(fm.NOM)
+        return _replace(qi, k, (Inequality(lhs, fm.fus(chi, j)), Inequality(j, phi)))
+
+    if rule == "neg-left":
+        if lhs.op != fm.NEG or not _is_atom_kind(rhs, fm.CNOM):
+            raise NotApplicable("premise is not a negation below a co-nominal")
+        phi = lhs.args[0]
+        if _is_special_atom(phi):
+            raise NotApplicable("argument is already a nominal or co-nominal")
+        j = take(fm.NOM)
+        return _replace(qi, k, (Inequality(fm.neg(j), rhs), Inequality(j, phi)))
+
+    if rule == "neg-right":
+        if not _is_atom_kind(lhs, fm.NOM) or rhs.op != fm.NEG:
+            raise NotApplicable("premise is not a nominal below a negation")
+        phi = rhs.args[0]
+        if _is_special_atom(phi):
+            raise NotApplicable("argument is already a nominal or co-nominal")
+        n = take(fm.CNOM)
+        return _replace(qi, k, (Inequality(lhs, fm.neg(n)), Inequality(phi, n)))
+
+    raise NotApplicable(f"unknown approximation rule {rule!r}")
+
+
+def ref_simplification(qi: QuasiInequality, which: str) -> QuasiInequality:
+    """Drop a premise i <= phi (resp. psi <= m) whose nominal (co-nominal)
+    carries the conclusion, rewriting the conclusion accordingly."""
+    concl = qi.conclusion
+    if which == "left":
+        if not _is_atom_kind(concl.lhs, fm.NOM):
+            raise NotApplicable("conclusion left side is not a nominal")
+        i = concl.lhs.atom
+        for k, prem in enumerate(qi.premises):
+            if prem.lhs != concl.lhs:
+                continue
+            rest = qi.premises[:k] + qi.premises[k + 1:]
+            used_elsewhere = (
+                any(i in r.atoms() for r in rest)
+                or i in fm.atoms(prem.rhs)
+                or i in fm.atoms(concl.rhs)
+            )
+            if used_elsewhere:
+                continue
+            return QuasiInequality(rest, Inequality(prem.rhs, concl.rhs))
+        raise NotApplicable("no eligible premise for left simplification")
+    if which == "right":
+        if not _is_atom_kind(concl.rhs, fm.CNOM):
+            raise NotApplicable("conclusion right side is not a co-nominal")
+        m = concl.rhs.atom
+        for k, prem in enumerate(qi.premises):
+            if prem.rhs != concl.rhs:
+                continue
+            rest = qi.premises[:k] + qi.premises[k + 1:]
+            used_elsewhere = (
+                any(m in r.atoms() for r in rest)
+                or m in fm.atoms(prem.lhs)
+                or m in fm.atoms(concl.lhs)
+            )
+            if used_elsewhere:
+                continue
+            return QuasiInequality(rest, Inequality(concl.lhs, prem.lhs))
+        raise NotApplicable("no eligible premise for right simplification")
+    raise NotApplicable(f"unknown simplification {which!r}")
 
 
 # -- reference loops ----------------------------------------------------------
@@ -106,7 +236,7 @@ def ref_approximate(ineq: Inequality,
             for rule in ca.APPROX_RULES:
                 used_before = set(supply.used)
                 try:
-                    qi = ca.approximation(qi, k, rule, supply)
+                    qi = ref_approximation(qi, k, rule, supply)
                 except NotApplicable:
                     continue
                 new_atoms = tuple(sorted(supply.used - used_before,
@@ -139,7 +269,7 @@ def ref_simplify(qi: QuasiInequality) -> tuple[QuasiInequality, list[TraceStep]]
             continue
         for which in ("left", "right"):
             try:
-                qi = ca.simplification(qi, which)
+                qi = ref_simplification(qi, which)
             except NotApplicable:
                 continue
             steps.append(TraceStep(f"simplification-{which}", None, {}, (), qi))
@@ -273,3 +403,50 @@ def test_cycle_stop_matches_the_move_bound(formulas, monkeypatch):
     assert calls
     for args, result in calls:
         assert ref_solve_premise(*args) == result, args
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except NotApplicable:
+        return NotApplicable
+
+
+def test_rule_schemata_match_the_written_out_rules(formulas):
+    # every rule on every premise of the approximation phase, in the first
+    # state the premise occurs in (a rewrite keeps the other premise
+    # objects), with the fresh atom drawn from a supply that has seen every
+    # atom of the phase and given as replay gives it; both simplifications
+    # on every state of the simplification phase, run on the approximated
+    # state as in _run
+    given = Atom(fm.NOM, 1000)
+    applied = set()
+    for phi in formulas:
+        for ineq in preprocess(phi)[0]:
+            approximated, steps = approximate(ineq)
+            atoms = set(approximated.atoms())  # copies of a set keep hashes
+            seen = set()  # ids: the steps keep their premises alive
+            for state in (step.result for step in steps):
+                for k, prem in enumerate(state.premises):
+                    if id(prem) in seen:
+                        continue
+                    seen.add(id(prem))
+                    for rule, fresh in itertools.product(ca.APPROX_RULES,
+                                                         (None, given)):
+                        new, ref = FreshSupply(atoms), FreshSupply(atoms)
+                        out = _outcome(ca.approximation, state, k, rule, new,
+                                       fresh)
+                        assert out == _outcome(ref_approximation, state, k,
+                                               rule, ref, fresh), (state, k)
+                        assert new.used == ref.used
+                        if out is not NotApplicable:
+                            applied.add(rule)
+            _, steps = simplify(approximated)
+            for state in [approximated] + [step.result for step in steps]:
+                for which in ("left", "right"):
+                    out = _outcome(ca.simplification, state, which)
+                    assert out == _outcome(ref_simplification, state,
+                                           which), (state, which)
+                    if out is not NotApplicable:
+                        applied.add(which)
+    assert applied == {*ca.APPROX_RULES, "left", "right"}
