@@ -67,9 +67,24 @@ class Inequality:
 
     def signs(self, a: Atom) -> list[int]:
         """Inequality-level signs of every occurrence of a."""
-        out = [-s for _, s in fm.occurrences(self.lhs, a)]
-        out.extend(s for _, s in fm.occurrences(self.rhs, a))
-        return out
+        return self.sign_table().get(a, [])
+
+    def sign_table(self) -> dict[Atom, list[int]]:
+        """Every atom, in order of first occurrence, with the
+        inequality-level signs of its occurrences, from one walk over both
+        sides: an occurrence on the left side has the opposite of its sign
+        in that formula."""
+        table: dict[Atom, list[int]] = {}
+        stack = [(self.rhs, 1), (self.lhs, -1)]
+        while stack:
+            node, sign = stack.pop()
+            if node.op == fm.ATOM:
+                table.setdefault(node.atom, []).append(sign)
+                continue
+            pol = fm.POLARITY.get(node.op, ())
+            for i in range(len(node.args) - 1, -1, -1):
+                stack.append((node.args[i], sign * pol[i]))
+        return table
 
     def is_pure(self) -> bool:
         return fm.is_pure(self.lhs) and fm.is_pure(self.rhs)

@@ -90,6 +90,8 @@ def _run_single(args) -> int:
     fmt = OutputFormat(args.format)
     report = render_report(result, fmt, expand=args.expand_leq,
                            name="input", trace=args.trace)
+    if fmt is OutputFormat.JSON:
+        report += "\n"  # render_report's JSON ends at its closing brace
     if result.status != "success":
         return _emit(report, args.out, EXIT_ELIMINATION)
     if not args.verify:
@@ -104,7 +106,7 @@ def _run_single(args) -> int:
         # one JSON document: the verdict goes inside the report
         report = json.dumps(dict(result_to_json(result, trace=args.trace),
                                  verification=rep.to_json()),
-                            indent=2, sort_keys=True)
+                            indent=2, sort_keys=True) + "\n"
     elif rep.agree:
         report += (f"Verified: agreement on all {rep.frames_checked} "
                    f"frames with up to {args.verify} worlds\n")

@@ -148,19 +148,13 @@ def _signed_name(p: Atom, polarity: str) -> str:
     return f"{polarity}{p.name if p.name is not None else f'p_{p.index}'}"
 
 
-def _candidate_vars(qi: QuasiInequality) -> list[Atom]:
+def _candidate_vars(tables: list[dict[Atom, list[int]]],
+                    conclusion: dict[Atom, list[int]]) -> list[Atom]:
     """Propositional variables in order of first occurrence scanning the
-    premises from the most recently produced backwards, then the conclusion.
-    This is the order the first-success search follows."""
-    out: list[Atom] = []
-    for prem in reversed(qi.premises):
-        for a in prem.atoms(fm.PROP):
-            if a not in out:
-                out.append(a)
-    for a in qi.conclusion.atoms(fm.PROP):
-        if a not in out:
-            out.append(a)
-    return out
+    premises' sign tables from the most recently produced backwards, then the
+    conclusion's.  This is the order the first-success search follows."""
+    return list(dict.fromkeys(a for table in (*reversed(tables), conclusion)
+                              for a in table if a.kind == fm.PROP))
 
 
 def _occurrence_site(prem: Inequality, p: Atom) -> tuple[str, tuple[int, ...]]:
@@ -231,15 +225,16 @@ def _solver_move(host: Formula, side: str, first: int):
     return None
 
 
-def _try_eliminate_one(qi: QuasiInequality, p: Atom,
-                       polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
+def _try_eliminate_one(qi: QuasiInequality, tables: list[dict[Atom, list[int]]],
+                       p: Atom, polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
+    """Solve the one premise holding p with the given polarity for p and
+    apply Ackermann; tables are the premises' sign tables."""
     want = 1 if polarity == "+" else -1
-    holders = [k for k, prem in enumerate(qi.premises)
-               if any(s == want for s in prem.signs(p))]
+    holders = [k for k, table in enumerate(tables) if want in table.get(p, ())]
     if len(holders) != 1:
         return None
     k = holders[0]
-    if len(qi.premises[k].signs(p)) != 1:
+    if len(tables[k][p]) != 1:
         return None
     solved = _solve_premise(qi, k, p, polarity)
     if solved is None:
@@ -254,40 +249,47 @@ def _try_eliminate_one(qi: QuasiInequality, p: Atom,
     return out, steps
 
 
+def _search(state: QuasiInequality, failed: dict, cap: int):
+    """The search below state: (pure_qi, signed order, steps), or, kept in
+    failed, its dead-end count and first cap dead-end orders from state."""
+    hit = failed.get(state)
+    if hit is not None:
+        return hit
+    tables = [prem.sign_table() for prem in state.premises]
+    variables = _candidate_vars(tables, state.conclusion.sign_table())
+    if not variables:
+        return state, [], []
+    dead_ends, log = 0, []
+    for p in variables:
+        for polarity in ("+", "-"):
+            move = _try_eliminate_one(state, tables, p, polarity)
+            if move is None:
+                continue
+            name = _signed_name(p, polarity)
+            sub = _search(move[0], failed, cap)
+            if len(sub) == 3:
+                final, order, steps = sub
+                return final, [name] + order, move[1] + steps
+            dead_ends += sub[0]
+            log.extend([name] + path for path in sub[1][:cap - len(log)])
+    if not dead_ends:  # no move: a failed child has a dead end
+        dead_ends, log = 1, [[]]
+    failed[state] = dead_ends, log
+    return dead_ends, log
+
+
 def eliminate(qi: QuasiInequality):
     """Depth-first search over elimination orders: each remaining variable in
     candidate order, positive polarity before negative, with full
-    backtracking.  Returns (pure_qi, signed order, steps) or FailureInfo."""
-    attempted: list[list[str]] = []
-    dead_ends = 0
+    backtracking.  Returns (pure_qi, signed order, steps) or FailureInfo.
 
-    def dfs(state: QuasiInequality,
-            path: list[str]) -> Optional[tuple[QuasiInequality, list[str], list[TraceStep]]]:
-        nonlocal dead_ends
-        variables = _candidate_vars(state)
-        if not variables:
-            return state, [], []
-        moved = False
-        for p in variables:
-            for polarity in ("+", "-"):
-                move = _try_eliminate_one(state, p, polarity)
-                if move is None:
-                    continue
-                moved = True
-                name = _signed_name(p, polarity)
-                sub = dfs(move[0], path + [name])
-                if sub is not None:
-                    final, order, steps = sub
-                    return final, [name] + order, move[1] + steps
-        if not moved:
-            dead_ends += 1
-            if len(attempted) < MAX_ATTEMPT_LOG:
-                attempted.append(list(path))
-        return None
-
-    result = dfs(qi, [])
-    if result is None:
-        return FailureInfo(qi, attempted, dead_ends)
+    The search below a state depends on the state alone, and each step
+    removes a variable, so no state reaches itself: a failed state is searched
+    once per call.  The memo is a plain argument, not a closure that refers
+    to its own function, so it is freed when the call returns."""
+    result = _search(qi, {}, MAX_ATTEMPT_LOG)
+    if len(result) == 2:
+        return FailureInfo(qi, result[1], result[0])
     return result
 
 

@@ -116,3 +116,21 @@ def random_formula(rng: random.Random, depth: int, n_vars: int,
 
 def run_corpus_entry(source: str, mode: SyntaxMode = SyntaxMode.RELEVANCE):
     return correspondent(parse(source, mode), mode)
+
+
+# Failing elimination ladders around the core C_l <= C_r, where
+# C_l = (p -> q) -> q and C_r = (q -> p) -> p: neither family has an
+# elimination order, and the orders the search tries grow factorially in k.
+_C_L = r"((p \to q) \to q)"
+_C_R = r"((q \to p) \to p)"
+
+
+def fusion_ladder(k: int) -> str:
+    rs = "".join(rf" \circ r_{i}" for i in range(1, k + 1))
+    return rf"({_C_L}{rs}) \to ({_C_R}{rs})"
+
+
+def chain_ladder(k: int) -> str:
+    links = [rf"(r_{i} \to r_{i + 1})" for i in range(1, k + 1)]
+    lhs = r" \land ".join(links + [_C_L])
+    return rf"({lhs}) \to ({_C_R} \lor (r_1 \to r_{k + 1}))"

@@ -5,6 +5,7 @@ from rmcorr import formula as fm
 from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
                              QuasiInequality, TraceStep)
 from rmcorr.formula import Atom
+from rmcorr.pipeline import approximate, preprocess
 from rmcorr.syntax import parse
 
 P = Atom(fm.PROP, 0, "p")
@@ -58,6 +59,25 @@ def canon_ineq(i: Inequality) -> Inequality:
 
 
 # --- monotone variable elimination ---
+
+
+def test_sign_table_is_atoms_with_their_signs(corpus_entries):
+    # one walk gives the atoms in the order of atoms(), each with the signs
+    # of its occurrences in the formulas, negated on the left side
+    seen = 0
+    for entry in corpus_entries:
+        for goal in preprocess(parse(entry.formula))[0]:
+            state, _ = approximate(goal)
+            for ineq in (goal, *state.premises, state.conclusion):
+                table = ineq.sign_table()
+                assert list(table) == ineq.atoms(), ineq
+                for a, signs in table.items():
+                    lhs = [-s for _, s in fm.occurrences(ineq.lhs, a)]
+                    rhs = [s for _, s in fm.occurrences(ineq.rhs, a)]
+                    assert signs == lhs + rhs, (ineq, a)
+                seen += any(len(signs) > 1 for signs in table.values())
+    assert seen  # some atom occurs more than once
+
 
 def test_monotone_positive_variable_becomes_bottom():
     state = qi(concl=r"A <= \sim A \to B")

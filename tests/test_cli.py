@@ -168,6 +168,18 @@ def test_json_report_carries_a_disagreement(monkeypatch, capsys):
         "agree": False, "frames_checked": 1, "counterexample": frame.to_json()}
 
 
+@pytest.mark.parametrize("args, exit_code", [
+    (["-i", B2], 0), (["-i", B2, "--verify", "2"], 0),
+    (["-i", r"((p \to p) \to q) \to q"], 1)])
+def test_json_report_ends_with_a_newline(args, exit_code, capsys):
+    # a single-mode json report used to end at its closing brace, so a shell
+    # prompt followed it on the same line
+    code, out, _ = run_cli(args + ["--format", "json"], capsys)
+    assert code == exit_code
+    assert out.endswith("}\n") and not out.endswith("\n\n")
+    json.loads(out)
+
+
 @pytest.mark.parametrize("source",
                          [["-i", "p"], ["--corpus", "bundled-axioms"]])
 def test_unwritable_out_path_exits_2(source, tmp_path, capsys):

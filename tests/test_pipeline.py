@@ -11,7 +11,7 @@ from rmcorr.pipeline import (FailureInfo, _solve_premise, approximate,
 from rmcorr.render import OutputFormat, render, render_report, result_to_json
 from rmcorr.syntax import SyntaxMode, parse
 
-from helpers import random_formula
+from helpers import chain_ladder, fusion_ladder, random_formula
 
 
 def texts(items):
@@ -147,11 +147,6 @@ def test_eliminate_pure_input_returns_empty_order():
     assert order == [] and steps == [] and pure == state
 
 
-# no elimination order: 24 dead ends
-CHAIN_LADDER = (r"((r_1 \to r_2) \land ((p \to q) \to q)) \to "
-                r"(((q \to p) \to p) \lor (r_1 \to r_2))")
-
-
 def test_eliminate_failure_reports_stuck_state(monkeypatch):
     (goal,), _ = preprocess(parse(r"((p \to p) \to q) \to q"))
     state, _ = approximate(goal)
@@ -165,11 +160,24 @@ def test_eliminate_failure_reports_stuck_state(monkeypatch):
     # the report shows 16 orders, and the log keeps MAX_ATTEMPT_LOG of them
     for cap, shown in ((pipeline.MAX_ATTEMPT_LOG, 16), (5, 5)):
         monkeypatch.setattr(pipeline, "MAX_ATTEMPT_LOG", cap)
-        res = correspondent(parse(CHAIN_LADDER))
+        res = correspondent(parse(chain_ladder(1)))  # 24 dead ends
         assert len(res.failure.attempted) == min(cap, 24)
         assert res.failure.to_json()["dead_ends"] == 24
         assert (f"  Attempted orders (first {shown} of 24): ["
                 in render_report(res))
+
+
+@pytest.mark.parametrize("ladder, calls, dead_ends", [
+    (chain_ladder(3), 450, 1040), (fusion_ladder(5), 250, 480)],
+    ids=["chain-3", "fusion-5"])
+def test_eliminate_searches_each_failed_state_once(ladder, calls, dead_ends,
+                                                   monkeypatch):
+    # the search without a memo reached the same failed states again along
+    # other orders: 2,179 Ackermann steps on chain-3 and 1,059 on fusion-5
+    ackermann = count_calls(monkeypatch, "ackermann")
+    res = correspondent(parse(ladder))
+    assert res.failure.dead_ends == dead_ends
+    assert len(ackermann) <= calls
 
 
 def test_simplify_example_two():

@@ -1,6 +1,7 @@
 """The forward-scan rewrite phases against the restart-from-0 loops they
-replaced, and the approximation and simplification schemata against the
-written-out rules they replaced.
+replaced, the approximation and simplification schemata against the
+written-out rules they replaced, and the memoised elimination search against
+the plain depth-first search it replaced.
 
 `ref_approximation` and `ref_simplification` below are the earlier rule
 bodies of `rmcorr.calculus`, one case per rule, kept verbatim as a
@@ -13,7 +14,13 @@ corpus, criterion 7's random formulas and extended random formulas, the
 current phases must produce the same goals, events, states and trace
 steps, and the current rules the same result as the reference, or
 NotApplicable on both sides, on the states of the approximation and
-simplification phases.
+simplification phases.  `ref_eliminate`, with `ref_candidate_vars` and
+`ref_try_eliminate_one`, is the earlier search, kept verbatim but for reading
+`pipeline.MAX_ATTEMPT_LOG` and calling the other two: it searches a state again every time an order
+reaches it and walks the premises once per variable and polarity.  On the
+same sets and the failing ladders, the current search must give the same
+order and steps, or the same stuck state, attempted orders and dead-end
+count, also with a shorter attempt log.
 """
 
 import itertools
@@ -29,11 +36,12 @@ from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
                              QuasiInequality, TraceStep, _is_atom_kind,
                              _is_special_atom, _replace)
 from rmcorr.formula import Atom, Formula
-from rmcorr.pipeline import (PreprocessEvent, _occurrence_site, _solver_move,
+from rmcorr.pipeline import (FailureInfo, PreprocessEvent, _occurrence_site,
+                             _signed_name, _solve_premise, _solver_move,
                              approximate, eliminate, preprocess, simplify)
 from rmcorr.syntax import parse
 
-from helpers import random_formula
+from helpers import chain_ladder, fusion_ladder, random_formula
 
 
 # -- reference rule bodies ----------------------------------------------------
@@ -315,6 +323,81 @@ def _formula_size(phi: Formula) -> int:
     return 1 + sum(_formula_size(a) for a in phi.args)
 
 
+def ref_candidate_vars(qi: QuasiInequality) -> list[Atom]:
+    """Propositional variables in order of first occurrence scanning the
+    premises from the most recently produced backwards, then the conclusion.
+    This is the order the first-success search follows."""
+    out: list[Atom] = []
+    for prem in reversed(qi.premises):
+        for a in prem.atoms(fm.PROP):
+            if a not in out:
+                out.append(a)
+    for a in qi.conclusion.atoms(fm.PROP):
+        if a not in out:
+            out.append(a)
+    return out
+
+
+def ref_try_eliminate_one(qi: QuasiInequality, p: Atom,
+                          polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
+    want = 1 if polarity == "+" else -1
+    holders = [k for k, prem in enumerate(qi.premises)
+               if any(s == want for s in prem.signs(p))]
+    if len(holders) != 1:
+        return None
+    k = holders[0]
+    if len(qi.premises[k].signs(p)) != 1:
+        return None
+    solved = _solve_premise(qi, k, p, polarity)
+    if solved is None:
+        return None
+    qi2, steps = solved
+    try:
+        out = ca.ackermann(qi2, p, polarity)
+    except NotApplicable:
+        return None
+    steps.append(TraceStep(f"ackermann-{'right' if polarity == '+' else 'left'}",
+                           k, {"var": p, "polarity": polarity}, (), out))
+    return out, steps
+
+
+def ref_eliminate(qi: QuasiInequality):
+    """Depth-first search over elimination orders: each remaining variable in
+    candidate order, positive polarity before negative, with full
+    backtracking.  Returns (pure_qi, signed order, steps) or FailureInfo."""
+    attempted: list[list[str]] = []
+    dead_ends = 0
+
+    def dfs(state: QuasiInequality,
+            path: list[str]) -> Optional[tuple[QuasiInequality, list[str], list[TraceStep]]]:
+        nonlocal dead_ends
+        variables = ref_candidate_vars(state)
+        if not variables:
+            return state, [], []
+        moved = False
+        for p in variables:
+            for polarity in ("+", "-"):
+                move = ref_try_eliminate_one(state, p, polarity)
+                if move is None:
+                    continue
+                moved = True
+                name = _signed_name(p, polarity)
+                sub = dfs(move[0], path + [name])
+                if sub is not None:
+                    final, order, steps = sub
+                    return final, [name] + order, move[1] + steps
+        if not moved:
+            dead_ends += 1
+            if len(attempted) < pipeline.MAX_ATTEMPT_LOG:
+                attempted.append(list(path))
+        return None
+
+    result = dfs(qi, [])
+    if result is None:
+        return FailureInfo(qi, attempted, dead_ends)
+    return result
+
+
 # -- input sets ----------------------------------------------------------------
 
 def _criterion_7():
@@ -328,15 +411,24 @@ def _extended():
             for _ in range(300)]
 
 
+def _ladders():
+    return ([parse(fusion_ladder(k)) for k in range(6)]
+            + [parse(chain_ladder(k)) for k in range(4)])
+
+
 SETS = {"corpus": None, "criterion-7": _criterion_7, "extended": _extended}
+
+
+def _make(name, corpus_entries):
+    make = {**SETS, "ladders": _ladders}[name]
+    if make is None:
+        return [parse(e.formula) for e in corpus_entries]
+    return make()
 
 
 @pytest.fixture(scope="module", params=list(SETS))
 def formulas(request, corpus_entries):
-    make = SETS[request.param]
-    if make is None:
-        return [parse(e.formula) for e in corpus_entries]
-    return make()
+    return _make(request.param, corpus_entries)
 
 
 def _run(phi, pre, approx, simp):
@@ -450,3 +542,33 @@ def test_rule_schemata_match_the_written_out_rules(formulas):
                     if out is not NotApplicable:
                         applied.add(which)
     assert applied == {*ca.APPROX_RULES, "left", "right"}
+
+
+@pytest.fixture(scope="module", params=[*SETS, "ladders"])
+def approximated(request, corpus_entries):
+    return [approximate(ineq)[0]
+            for phi in _make(request.param, corpus_entries)
+            for ineq in preprocess(phi)[0]]
+
+
+def _elimination_json(search, qi):
+    out = search(qi)
+    if isinstance(out, FailureInfo):
+        return out.to_json()
+    pure, order, steps = out
+    return {"pure": pure.to_json(), "order": order,
+            "steps": [s.to_json() for s in steps]}
+
+
+@pytest.mark.parametrize("cap", [None, 1, 5])
+def test_memoised_search_matches_the_plain_search(approximated, cap,
+                                                  monkeypatch, encode_once):
+    # a capped log makes a memoised state's orders run out before its dead
+    # ends do, so the cap has to be applied across memo hits as it was
+    # across the plain search's dead ends
+    if cap is not None:
+        monkeypatch.setattr(pipeline, "MAX_ATTEMPT_LOG", cap)
+    for qi in approximated:
+        encode_once()
+        assert (_elimination_json(eliminate, qi)
+                == _elimination_json(ref_eliminate, qi)), qi
