@@ -364,26 +364,11 @@ def residuation(qi: QuasiInequality, k: int, which: str,
 # ---------------------------------------------------------------------------
 # adjunction rules
 
-def _flatten(op: str, phi: Formula) -> list[Formula]:
-    if phi.op == op:
-        return _flatten(op, phi.args[0]) + _flatten(op, phi.args[1])
-    return [phi]
-
-
 def adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
+    """Negation adjunction on premise k; a join on the left or a meet on the
+    right is split by `split_premise`."""
     prem = qi.premises[k]
     lhs, rhs = prem.lhs, prem.rhs
-
-    if which == "or":
-        if lhs.op != fm.OR:
-            raise NotApplicable("or-adjunction needs a join on the left")
-        new = tuple(Inequality(part, rhs) for part in _flatten(fm.OR, lhs))
-        return _replace(qi, k, new)
-    if which == "and":
-        if rhs.op != fm.AND:
-            raise NotApplicable("and-adjunction needs a meet on the right")
-        new = tuple(Inequality(lhs, part) for part in _flatten(fm.AND, rhs))
-        return _replace(qi, k, new)
     if which == "neg-left":
         if lhs.op == fm.NEG:
             new = Inequality(fm.negflat(rhs), lhs.args[0])

@@ -208,17 +208,16 @@ def occurrences(phi: Formula, a: Atom) -> list[tuple[tuple[int, ...], int]]:
     along its path from the root.
     """
     out: list[tuple[tuple[int, ...], int]] = []
-
-    def walk(node: Formula, path: tuple[int, ...], sign: int) -> None:
+    stack = [((), phi, 1)]
+    while stack:
+        path, node, sign = stack.pop()
         if node.op == ATOM:
             if node.atom == a:
                 out.append((path, sign))
-            return
+            continue
         pol = POLARITY.get(node.op, ())
-        for i, child in enumerate(node.args):
-            walk(child, path + (i,), sign * pol[i])
-
-    walk(phi, (), 1)
+        for i in range(len(node.args) - 1, -1, -1):
+            stack.append((path + (i,), node.args[i], sign * pol[i]))
     return out
 
 

@@ -86,17 +86,16 @@ def preprocess(phi: Formula) -> tuple[list[Inequality], list[PreprocessEvent]]:
 def _eliminate_monotone(ineq: Inequality, idx: int,
                         events: list[PreprocessEvent]) -> Inequality:
     """Eliminate the one-sided variables of goal idx in one pass: substituting
-    for p leaves the signs of the other variables as they were."""
-    for p in ineq.atoms(fm.PROP):
-        for polarity in ("+", "-"):
-            try:
-                new = ca.monotone_elim(ca.goal(ineq), p, polarity).conclusion
-            except NotApplicable:
-                continue
-            events.append(PreprocessEvent("monotone", idx, ineq, (new,),
-                                          {"var": p, "polarity": polarity}))
-            ineq = new
-            break
+    for p leaves the signs of the other variables as they were, so the goal's
+    sign table, read once, names every variable that the rule eliminates."""
+    for p, signs in ineq.sign_table().items():
+        if p.kind != fm.PROP or len(set(signs)) != 1:
+            continue
+        polarity = "+" if signs[0] > 0 else "-"
+        new = ca.monotone_elim(ca.goal(ineq), p, polarity).conclusion
+        events.append(PreprocessEvent("monotone", idx, ineq, (new,),
+                                      {"var": p, "polarity": polarity}))
+        ineq = new
     return ineq
 
 

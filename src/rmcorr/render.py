@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 import json
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import fol
 from . import translate
@@ -34,33 +36,36 @@ def render(f: FONode, fmt: OutputFormat,
     require a closed formula and reuse `name` as the formula label."""
     if expand_leq:
         f = translate.expand_leq(f)
-    if fmt is OutputFormat.TEX:
-        return _tex(f)
     if fmt is OutputFormat.JSON:
         return json.dumps(fo_to_json(f), sort_keys=True)
-    if fol.free_vars(f):
+    if fmt is not OutputFormat.TEX and fol.free_vars(f):
         raise ValueError(f"{fmt.value} output needs a closed formula")
-    if fmt is OutputFormat.TPTP:
-        return f"fof({_tptp_name(name)}, axiom, {_tptp(f)})."
-    if fmt is OutputFormat.PROVER9:
-        return f"{_prover9(f)}."
-    if fmt is OutputFormat.SPASS:
-        return _spass(f)
-    raise ValueError(f"unknown format {fmt!r}")
+    syntax = _SYNTAXES.get(fmt)
+    if syntax is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return syntax.sentence(_print(f, syntax, 0), name)
 
 
-def _quantifier_run(f: Forall | Exists) -> tuple[list[WVar], FONode]:
-    """The variables of the run of f's quantifier that starts at f, and the
-    body below the run."""
-    vars_ = [f.var]
-    body = f.body
-    while isinstance(body, type(f)):
-        vars_.append(body.var)
-        body = body.body
-    return vars_, body
+# --- text syntaxes ---
 
+@dataclass(frozen=True)
+class _Syntax:
+    """How one text syntax spells a formula.  Atom templates name the
+    atom's fields (a, b, c, index); connective templates number their
+    operands, and quantifier templates take the variables ({0}) and the
+    body ({1}).  Each connective and quantifier has its own binding level
+    and asks its parts for theirs; a part is parenthesised when its level is
+    below the level its context asks for."""
+    term: Callable[[fol.Term], str]  # also prints the bound variables
+    atoms: dict[type, str]  # True and False are atoms without fields
+    # template, level, operand levels
+    connectives: dict[type, tuple[str, int, tuple[int, ...]]]
+    quantifiers: dict[type, tuple[str, int, int]]  # template, level, body level
+    var_sep: str
+    grouped: bool  # a run of one quantifier binds all its variables at once
+    not_leq: Optional[str] = None  # a negated order atom, as one atom
+    sentence: Callable[[str, str], str] = lambda text, name: text
 
-# --- TeX ---
 
 def _tex_term(t: fol.Term) -> str:
     stars = 0
@@ -72,50 +77,6 @@ def _tex_term(t: fol.Term) -> str:
         return base
     return f"{base}^{{{'*' * stars}}}"
 
-
-_TEX_PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4, "not": 5, "quant": 5}
-
-
-def _tex(f: FONode, prec: int = 0) -> str:
-    def wrap(text: str, mine: int) -> str:
-        return f"({text})" if mine < prec else text
-
-    if isinstance(f, fol.TrueF):
-        return "\\mathrm{True}"
-    if isinstance(f, fol.FalseF):
-        return "\\mathrm{False}"
-    if isinstance(f, RAtom):
-        return f"R{_tex_term(f.a)}{_tex_term(f.b)}{_tex_term(f.c)}"
-    if isinstance(f, OAtom):
-        return f"O{_tex_term(f.a)}"
-    if isinstance(f, LeqAtom):
-        return f"{_tex_term(f.a)} \\preceq {_tex_term(f.b)}"
-    if isinstance(f, EqAtom):
-        return f"{_tex_term(f.a)} = {_tex_term(f.b)}"
-    if isinstance(f, PVarAtom):
-        return f"P_{{{f.index}}}({_tex_term(f.a)})"
-    if isinstance(f, Not):
-        if isinstance(f.body, LeqAtom):
-            return f"{_tex_term(f.body.a)} \\not\\preceq {_tex_term(f.body.b)}"
-        return wrap(f"\\neg {_tex(f.body, _TEX_PREC['not'])}", _TEX_PREC["not"])
-    if isinstance(f, And):
-        mine = _TEX_PREC["and"]
-        return wrap(f"{_tex(f.left, mine)} \\land {_tex(f.right, mine + 1)}", mine)
-    if isinstance(f, Or):
-        mine = _TEX_PREC["or"]
-        return wrap(f"{_tex(f.left, mine)} \\lor {_tex(f.right, mine + 1)}", mine)
-    if isinstance(f, Implies):
-        mine = _TEX_PREC["implies"]
-        return wrap(f"{_tex(f.left, mine + 1)} \\implies {_tex(f.right, mine)}", mine)
-    if isinstance(f, (Forall, Exists)):
-        head = "\\forall" if isinstance(f, Forall) else "\\exists"
-        vars_, body = _quantifier_run(f)
-        names = " ".join(_tex_term(v) for v in vars_)
-        return wrap(f"{head} {names}\\, ({_tex(body, 0)})", _TEX_PREC["quant"])
-    raise ValueError(f"cannot render {f!r}")
-
-
-# --- TPTP ---
 
 def _tptp_name(name: str) -> str:
     cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in name.lower())
@@ -134,102 +95,87 @@ def _fun_term(t: fol.Term) -> str:
     return _var_name(t)
 
 
-_SENTENCE_ATOMS = (RAtom, OAtom, LeqAtom, PVarAtom)
+# the r, o, leq and p atoms, spelled alike in TPTP, Prover9 and SPASS
+_FUN_ATOMS = {RAtom: "r({a},{b},{c})", OAtom: "o({a})",
+              LeqAtom: "leq({a},{b})", PVarAtom: "p{index}({a})"}
 
 
-def _sentence_atom(f: RAtom | OAtom | LeqAtom | PVarAtom) -> str:
-    """The r, o, leq and p atoms, spelled alike in TPTP, Prover9 and SPASS."""
-    if isinstance(f, RAtom):
-        return f"r({_fun_term(f.a)},{_fun_term(f.b)},{_fun_term(f.c)})"
-    if isinstance(f, OAtom):
-        return f"o({_fun_term(f.a)})"
-    if isinstance(f, LeqAtom):
-        return f"leq({_fun_term(f.a)},{_fun_term(f.b)})"
-    return f"p{f.index}({_fun_term(f.a)})"
+def _infix(neg: str, conj: str, disj: str, imp: str) -> dict:
+    """TPTP's and Prover9's connectives: binary ones bind at 1, negation and
+    every operand at 2."""
+    return {Not: (neg + "{0}", 2, (2,)), And: ("{0} " + conj + " {1}", 1, (2, 2)),
+            Or: ("{0} " + disj + " {1}", 1, (2, 2)),
+            Implies: ("{0} " + imp + " {1}", 1, (2, 2))}
 
 
-def _tptp(f: FONode, prec: int = 0) -> str:
-    # precedence: 1 binary connective, 2 unary/quantified/atomic
-    def wrap(text: str, mine: int) -> str:
-        return f"({text})" if mine < prec else text
-
-    if isinstance(f, fol.TrueF):
-        return "$true"
-    if isinstance(f, fol.FalseF):
-        return "$false"
-    if isinstance(f, _SENTENCE_ATOMS):
-        return _sentence_atom(f)
-    if isinstance(f, EqAtom):
-        return f"{_fun_term(f.a)} = {_fun_term(f.b)}"
-    if isinstance(f, Not):
-        return f"~ {_tptp(f.body, 2)}"
-    if isinstance(f, And):
-        return wrap(f"{_tptp(f.left, 2)} & {_tptp(f.right, 2)}", 1)
-    if isinstance(f, Or):
-        return wrap(f"{_tptp(f.left, 2)} | {_tptp(f.right, 2)}", 1)
-    if isinstance(f, Implies):
-        return wrap(f"{_tptp(f.left, 2)} => {_tptp(f.right, 2)}", 1)
-    if isinstance(f, (Forall, Exists)):
-        head = "!" if isinstance(f, Forall) else "?"
-        vars_, body = _quantifier_run(f)
-        names = ",".join(_var_name(v) for v in vars_)
-        return f"{head} [{names}] : {_tptp(body, 2)}"
-    raise ValueError(f"cannot render {f!r}")
-
-
-# --- Prover9 ---
-
-def _prover9(f: FONode, prec: int = 0) -> str:
-    def wrap(text: str, mine: int) -> str:
-        return f"({text})" if mine < prec else text
-
-    if isinstance(f, fol.TrueF):
-        return "$T"
-    if isinstance(f, fol.FalseF):
-        return "$F"
-    if isinstance(f, _SENTENCE_ATOMS):
-        return _sentence_atom(f)
-    if isinstance(f, EqAtom):
-        return f"{_fun_term(f.a)} = {_fun_term(f.b)}"
-    if isinstance(f, Not):
-        return f"-{_prover9(f.body, 2)}"
-    if isinstance(f, And):
-        return wrap(f"{_prover9(f.left, 2)} & {_prover9(f.right, 2)}", 1)
-    if isinstance(f, Or):
-        return wrap(f"{_prover9(f.left, 2)} | {_prover9(f.right, 2)}", 1)
-    if isinstance(f, Implies):
-        return wrap(f"{_prover9(f.left, 2)} -> {_prover9(f.right, 2)}", 1)
-    if isinstance(f, (Forall, Exists)):
-        head = "all" if isinstance(f, Forall) else "exists"
-        return wrap(f"{head} {_var_name(f.var)} {_prover9(f.body, 2)}", 1)
-    raise ValueError(f"cannot render {f!r}")
+_SYNTAXES = {
+    OutputFormat.TEX: _Syntax(
+        term=_tex_term,
+        atoms={fol.TrueF: "\\mathrm{{True}}", fol.FalseF: "\\mathrm{{False}}",
+               RAtom: "R{a}{b}{c}", OAtom: "O{a}", LeqAtom: "{a} \\preceq {b}",
+               EqAtom: "{a} = {b}", PVarAtom: "P_{{{index}}}({a})"},
+        connectives={Not: ("\\neg {0}", 5, (5,)),
+                     And: ("{0} \\land {1}", 4, (4, 5)),
+                     Or: ("{0} \\lor {1}", 3, (3, 4)),
+                     Implies: ("{0} \\implies {1}", 2, (3, 2))},
+        quantifiers={Forall: ("\\forall {0}\\, ({1})", 5, 0),
+                     Exists: ("\\exists {0}\\, ({1})", 5, 0)},
+        var_sep=" ", grouped=True, not_leq="{a} \\not\\preceq {b}"),
+    OutputFormat.TPTP: _Syntax(
+        term=_fun_term,
+        atoms={**_FUN_ATOMS, fol.TrueF: "$true", fol.FalseF: "$false",
+               EqAtom: "{a} = {b}"},
+        connectives=_infix("~ ", "&", "|", "=>"),
+        quantifiers={Forall: ("! [{0}] : {1}", 2, 2),
+                     Exists: ("? [{0}] : {1}", 2, 2)},
+        var_sep=",", grouped=True,
+        sentence=lambda text, name: f"fof({_tptp_name(name)}, axiom, {text})."),
+    OutputFormat.PROVER9: _Syntax(
+        term=_fun_term,
+        atoms={**_FUN_ATOMS, fol.TrueF: "$T", fol.FalseF: "$F",
+               EqAtom: "{a} = {b}"},
+        connectives=_infix("-", "&", "|", "->"),
+        quantifiers={Forall: ("all {0} {1}", 1, 2),
+                     Exists: ("exists {0} {1}", 1, 2)},
+        var_sep=" ", grouped=False, sentence=lambda text, name: f"{text}."),
+    OutputFormat.SPASS: _Syntax(
+        term=_fun_term,
+        atoms={**_FUN_ATOMS, fol.TrueF: "true", fol.FalseF: "false",
+               EqAtom: "equal({a},{b})"},
+        connectives={Not: ("not({0})", 0, (0,)), And: ("and({0},{1})", 0, (0, 0)),
+                     Or: ("or({0},{1})", 0, (0, 0)),
+                     Implies: ("implies({0},{1})", 0, (0, 0))},
+        quantifiers={Forall: ("forall([{0}],{1})", 0, 0),
+                     Exists: ("exists([{0}],{1})", 0, 0)},
+        var_sep=",", grouped=True),
+}
 
 
-# --- SPASS ---
-
-def _spass(f: FONode) -> str:
-    if isinstance(f, fol.TrueF):
-        return "true"
-    if isinstance(f, fol.FalseF):
-        return "false"
-    if isinstance(f, _SENTENCE_ATOMS):
-        return _sentence_atom(f)
-    if isinstance(f, EqAtom):
-        return f"equal({_fun_term(f.a)},{_fun_term(f.b)})"
-    if isinstance(f, Not):
-        return f"not({_spass(f.body)})"
-    if isinstance(f, And):
-        return f"and({_spass(f.left)},{_spass(f.right)})"
-    if isinstance(f, Or):
-        return f"or({_spass(f.left)},{_spass(f.right)})"
-    if isinstance(f, Implies):
-        return f"implies({_spass(f.left)},{_spass(f.right)})"
-    if isinstance(f, (Forall, Exists)):
-        head = "forall" if isinstance(f, Forall) else "exists"
-        vars_, body = _quantifier_run(f)
-        names = ",".join(_var_name(v) for v in vars_)
-        return f"{head}([{names}],{_spass(body)})"
-    raise ValueError(f"cannot render {f!r}")
+def _print(f: FONode, syntax: _Syntax, prec: int) -> str:
+    cls = type(f)
+    atom = syntax.atoms.get(cls)
+    if cls is Not and syntax.not_leq and type(f.body) is LeqAtom:
+        atom, f = syntax.not_leq, f.body
+    if atom is not None:
+        term = syntax.term
+        return atom.format(**{k: v if type(v) is int else term(v)
+                              for k, v in vars(f).items()})
+    connective = syntax.connectives.get(cls)
+    if connective is not None:
+        template, level, parts = connective
+        text = template.format(*[_print(c, syntax, p)
+                                 for c, p in zip(fol.children(f), parts)])
+    elif cls in syntax.quantifiers:
+        template, level, body_level = syntax.quantifiers[cls]
+        vars_, body = [f.var], f.body
+        while syntax.grouped and type(body) is cls:
+            vars_.append(body.var)
+            body = body.body
+        text = template.format(syntax.var_sep.join(map(syntax.term, vars_)),
+                               _print(body, syntax, body_level))
+    else:
+        raise ValueError(f"cannot render {f!r}")
+    return f"({text})" if level < prec else text
 
 
 # --- JSON ---

@@ -218,18 +218,14 @@ def test_residuation_mismatch():
 
 # --- adjunction ---
 
-def test_adjunction_and_split():
-    state = qi(r"\mathbf i <= (p \to q) \land (q \to r)",
+def test_adjunction_does_not_split_meets_or_joins():
+    # splitting is split_premise's rule; the solver emits only neg-left and
+    # neg-right, so adjunction has no "and" or "or" form
+    state = qi(r"a \lor b <= (p \to q) \land (q \to r)",
                concl=r"\mathbf i <= \mathbf m")
-    out = ca.adjunction(state, 0, "and")
-    assert out == qi(r"\mathbf i <= p \to q", r"\mathbf i <= q \to r",
-                     concl=r"\mathbf i <= \mathbf m")
-
-
-def test_adjunction_or_split():
-    state = qi(r"a \lor b <= \bot", concl=r"\mathbf i <= \mathbf m")
-    out = ca.adjunction(state, 0, "or")
-    assert out == qi(r"a <= \bot", r"b <= \bot", concl=r"\mathbf i <= \mathbf m")
+    for which in ("and", "or"):
+        with pytest.raises(NotApplicable):
+            ca.adjunction(state, 0, which)
 
 
 def test_adjunction_neg_right():

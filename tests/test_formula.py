@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,18 @@ def test_negated_fusion_occurrences_are_negative():
     occs = occurrences(phi, p)
     assert len(occs) == 2
     assert all(sign == -1 for _, sign in occs)
+
+
+def test_occurrences_leaves_no_reference_cycle():
+    # the walk holds no closure that refers to itself, so no cycle is left
+    phi = parse(r"(p \to q) \to (\sim p \circ q)")
+    gc.collect()
+    gc.disable()
+    try:
+        assert occurrences(phi, p) == [((0, 0), 1), ((1, 0, 0), -1)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_positive_in():

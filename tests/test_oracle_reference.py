@@ -425,7 +425,8 @@ def test_importing_rmcorr_builds_no_frames():
             "assert frames._frame_family.cache_info().currsize == 0\n"
             "assert not frames._TABLES\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    subprocess.run([sys.executable, "-c", code], check=True,
+    # -B: the child writes no bytecode into the source tree
+    subprocess.run([sys.executable, "-B", "-c", code], check=True,
                    env={"PYTHONPATH": str(src)})
 
 
