@@ -183,36 +183,42 @@ def free_vars(f: FONode) -> set[WVar]:
 
 def alpha_equal(f: FONode, g: FONode) -> bool:
     """Structural equality up to renaming of bound variables."""
+    return _alpha_equal(f, g, {}, {}, 0)
 
-    def go(a: FONode, b: FONode, env_a: dict, env_b: dict, depth: int) -> bool:
-        if type(a) is not type(b):
+
+def _alpha_equal(a: FONode, b: FONode, env_a: dict, env_b: dict,
+                 depth: int) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (Forall, Exists)):
+        ea = dict(env_a)
+        eb = dict(env_b)
+        ea[a.var] = depth
+        eb[b.var] = depth
+        return _alpha_equal(a.body, b.body, ea, eb, depth + 1)
+    if isinstance(a, ATOM_TYPES):
+        if isinstance(a, PVarAtom) and a.index != b.index:
             return False
-        if isinstance(a, (Forall, Exists)):
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[a.var] = depth
-            eb[b.var] = depth
-            return go(a.body, b.body, ea, eb, depth + 1)
-        if isinstance(a, ATOM_TYPES):
-            def key(t: Term, env: dict):
-                stars = 0
-                while isinstance(t, Star):
-                    stars += 1
-                    t = t.arg
-                return (stars, env.get(t, t))
-            if isinstance(a, PVarAtom) and a.index != b.index:
-                return False
-            terms_a = [v for v in vars(a).values() if isinstance(v, (WVar, Star))]
-            terms_b = [v for v in vars(b).values() if isinstance(v, (WVar, Star))]
-            return [key(t, env_a) for t in terms_a] == [key(t, env_b) for t in terms_b]
-        if isinstance(a, (TrueF, FalseF)):
-            return True
-        kids_a = children(a)
-        kids_b = children(b)
-        return all(go(x, y, env_a, env_b, depth)
-                   for x, y in zip(kids_a, kids_b))
+        terms_a = [v for v in vars(a).values() if isinstance(v, (WVar, Star))]
+        terms_b = [v for v in vars(b).values() if isinstance(v, (WVar, Star))]
+        return ([_term_key(t, env_a) for t in terms_a]
+                == [_term_key(t, env_b) for t in terms_b])
+    if isinstance(a, (TrueF, FalseF)):
+        return True
+    kids_a = children(a)
+    kids_b = children(b)
+    return all(_alpha_equal(x, y, env_a, env_b, depth)
+               for x, y in zip(kids_a, kids_b))
 
-    return go(f, g, {}, {}, 0)
+
+def _term_key(t: Term, env: dict):
+    """(number of stars, the de Bruijn level of the variable or the free
+    variable itself)."""
+    stars = 0
+    while isinstance(t, Star):
+        stars += 1
+        t = t.arg
+    return (stars, env.get(t, t))
 
 
 def conjoin(parts: list[FONode]) -> FONode:

@@ -314,11 +314,34 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
                     yield f
 
 
+def _relabel(f: RMFrame, perm: tuple[int, ...]) -> RMFrame:
+    """The isomorphic copy of f whose world w is perm[w]."""
+    star = [0] * f.n
+    for x in range(f.n):
+        star[perm[x]] = perm[f.star[x]]
+    return RMFrame(f.n, frozenset(perm[w] for w in f.O),
+                   frozenset((perm[a], perm[b], perm[c]) for (a, b, c) in f.R),
+                   tuple(star))
+
+
 @functools.lru_cache(maxsize=None)
-def _frame_family(n: int, mode: str) -> tuple[RMFrame, ...]:
-    """The frames of `enumerate_frames(n, mode)`, in its order, enumerated
-    once per process on first use."""
-    return tuple(enumerate_frames(n, mode))
+def _frame_family(n: int, mode: str
+                  ) -> tuple[tuple[tuple[int, RMFrame], ...], int]:
+    """One frame per isomorphism class of `enumerate_frames(n, mode)`: the
+    first member of each class, in that order, with its 1-based position
+    there; and the number of frames it yields.  Enumerated once per process
+    on first use."""
+    perms = list(itertools.permutations(range(n)))
+    # only the representatives are kept: a frame starts a new class when no
+    # copy of it is one
+    reps: set[RMFrame] = set()
+    classes = []
+    total = 0
+    for total, f in enumerate(enumerate_frames(n, mode), 1):
+        if not any(_relabel(f, p) in reps for p in perms):
+            reps.add(f)
+            classes.append((total, f))
+    return tuple(classes), total
 
 
 def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
@@ -752,8 +775,12 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     """Compare frame validity of phi with truth of its first-order candidate
     on every valid frame of size 1..n, in the order of `enumerate_frames`.
 
-    Both formulas are compiled once; each size and mode is enumerated once
-    per process."""
+    Both verdicts are invariant under renaming the worlds, so each is
+    computed on one frame per isomorphism class, the first of the class in
+    that order.  The first frame on which they differ is therefore a class's
+    first member: the report names it with its position among all frames,
+    and an agreeing report counts all frames, not classes.  Both formulas
+    are compiled once; each size and mode is enumerated once per process."""
     if n < 1:
         raise ValueError("need at least one world")
     if n > MAX_WORLDS:
@@ -769,8 +796,9 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     fo_bind, width = _compile_fo(g, (), None)
     checked = 0
     for size in range(1, n + 1):
-        for f in _frame_family(size, mode):
-            checked += 1
+        classes, total = _frame_family(size, mode)
+        for position, f in classes:
             if _valid(f, bind(f), k) != bool(fo_bind(f)([None] * width)):
-                return CorrespondenceReport(False, f, checked)
+                return CorrespondenceReport(False, f, checked + position)
+        checked += total
     return CorrespondenceReport(True, None, checked)

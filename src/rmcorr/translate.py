@@ -225,77 +225,80 @@ def st(phi: Formula, x: fol.Term,
        _zs: Optional[Iterator[int]] = None) -> FONode:
     """Standard translation of an extended-language formula, parametric in a
     frame variable.  Propositional variables become unary predicates."""
-    zs = _zs or itertools.count()
+    return _st(phi, x, _zs or itertools.count())
 
-    def fresh() -> WVar:
-        return WVar("z", next(zs))
 
-    def go(node: Formula, w: fol.Term) -> FONode:
-        if node.op == fm.ATOM:
-            a = node.atom
-            if a.kind == fm.PROP:
-                return PVarAtom(a.index, w)
-            if a.kind == fm.NOM:
-                return LeqAtom(WVar("x", a.index), w)
-            return Not(LeqAtom(w, WVar("y", a.index)))
-        if node.op == fm.T:
-            return OAtom(w)
-        if node.op == fm.TOP:
-            return EqAtom(w, w)
-        if node.op == fm.BOT:
-            return Not(EqAtom(w, w))
-        if node.op == fm.NEG:
-            z = fresh()
-            return Exists(z, And(EqAtom(z, Star(w)), Not(go(node.args[0], z))))
-        if node.op == fm.NEG_FLAT:
-            # adjoint reading: below some starred non-instance of the body
-            z = fresh()
-            return Exists(z, And(LeqAtom(Star(z), w), Not(go(node.args[0], z))))
-        if node.op == fm.NEG_SHARP:
-            # adjoint reading: no instance of the body stars above this world
-            z = fresh()
-            return Forall(z, Implies(go(node.args[0], z),
-                                     Not(LeqAtom(w, Star(z)))))
-        if node.op == fm.AND:
-            return And(go(node.args[0], w), go(node.args[1], w))
-        if node.op == fm.OR:
-            return Or(go(node.args[0], w), go(node.args[1], w))
-        if node.op == fm.FUS:
-            z1 = fresh()
-            z2 = fresh()
-            return Exists(z1, Exists(z2, And(And(RAtom(z1, z2, w),
-                                                 go(node.args[0], z1)),
-                                             go(node.args[1], z2))))
-        if node.op == fm.IMP:
-            z1 = fresh()
-            z2 = fresh()
-            return Forall(z1, Forall(z2, Implies(And(RAtom(w, z1, z2),
-                                                     go(node.args[0], z1)),
-                                                 go(node.args[1], z2))))
-        if node.op == fm.COIMP:
-            z = fresh()
-            return Exists(z, And(And(LeqAtom(z, w), go(node.args[0], z)),
-                                 Not(go(node.args[1], z))))
-        if node.op == fm.HIMP:
-            z = fresh()
-            return Forall(z, Implies(And(LeqAtom(w, z), go(node.args[0], z)),
-                                     go(node.args[1], z)))
-        if node.op == fm.RRES:
-            z1 = fresh()
-            z2 = fresh()
-            return Forall(z1, Forall(z2, Implies(And(RAtom(z1, w, z2),
-                                                     go(node.args[0], z1)),
-                                                 go(node.args[1], z2))))
-        raise ValueError(f"no standard translation for {node.op!r}")
+def _fresh(zs: Iterator[int]) -> WVar:
+    return WVar("z", next(zs))
 
-    return go(phi, x)
+
+def _st(node: Formula, w: fol.Term, zs: Iterator[int]) -> FONode:
+    """`st` of node at w, its fresh variables numbered from zs."""
+    if node.op == fm.ATOM:
+        a = node.atom
+        if a.kind == fm.PROP:
+            return PVarAtom(a.index, w)
+        if a.kind == fm.NOM:
+            return LeqAtom(WVar("x", a.index), w)
+        return Not(LeqAtom(w, WVar("y", a.index)))
+    if node.op == fm.T:
+        return OAtom(w)
+    if node.op == fm.TOP:
+        return EqAtom(w, w)
+    if node.op == fm.BOT:
+        return Not(EqAtom(w, w))
+    if node.op == fm.NEG:
+        z = _fresh(zs)
+        return Exists(z, And(EqAtom(z, Star(w)),
+                             Not(_st(node.args[0], z, zs))))
+    if node.op == fm.NEG_FLAT:
+        # adjoint reading: below some starred non-instance of the body
+        z = _fresh(zs)
+        return Exists(z, And(LeqAtom(Star(z), w),
+                             Not(_st(node.args[0], z, zs))))
+    if node.op == fm.NEG_SHARP:
+        # adjoint reading: no instance of the body stars above this world
+        z = _fresh(zs)
+        return Forall(z, Implies(_st(node.args[0], z, zs),
+                                 Not(LeqAtom(w, Star(z)))))
+    if node.op == fm.AND:
+        return And(_st(node.args[0], w, zs), _st(node.args[1], w, zs))
+    if node.op == fm.OR:
+        return Or(_st(node.args[0], w, zs), _st(node.args[1], w, zs))
+    if node.op == fm.FUS:
+        z1 = _fresh(zs)
+        z2 = _fresh(zs)
+        return Exists(z1, Exists(z2, And(And(RAtom(z1, z2, w),
+                                             _st(node.args[0], z1, zs)),
+                                         _st(node.args[1], z2, zs))))
+    if node.op == fm.IMP:
+        z1 = _fresh(zs)
+        z2 = _fresh(zs)
+        return Forall(z1, Forall(z2, Implies(And(RAtom(w, z1, z2),
+                                                 _st(node.args[0], z1, zs)),
+                                             _st(node.args[1], z2, zs))))
+    if node.op == fm.COIMP:
+        z = _fresh(zs)
+        return Exists(z, And(And(LeqAtom(z, w), _st(node.args[0], z, zs)),
+                             Not(_st(node.args[1], z, zs))))
+    if node.op == fm.HIMP:
+        z = _fresh(zs)
+        return Forall(z, Implies(And(LeqAtom(w, z), _st(node.args[0], z, zs)),
+                                 _st(node.args[1], z, zs)))
+    if node.op == fm.RRES:
+        z1 = _fresh(zs)
+        z2 = _fresh(zs)
+        return Forall(z1, Forall(z2, Implies(And(RAtom(z1, w, z2),
+                                                 _st(node.args[0], z1, zs)),
+                                             _st(node.args[1], z2, zs))))
+    raise ValueError(f"no standard translation for {node.op!r}")
 
 
 def st_inequality(ineq: Inequality) -> FONode:
     """Standard-translation reading of an inequality: the left side's
     extension is contained in the right side's."""
     zs = itertools.count()
-    z = WVar("z", next(zs))
+    z = _fresh(zs)
     return Forall(z, Implies(st(ineq.lhs, z, zs), st(ineq.rhs, z, zs)))
 
 
@@ -382,16 +385,17 @@ def fo_simplify(f: FONode) -> FONode:
     """Cleanup: double-negation elimination, negation-lowering contraposition,
     constant absorption, and idempotent meets/joins, to a fixed point."""
 
-    def once(node: FONode) -> FONode:
-        kids = tuple(once(c) for c in fol.children(node))
-        return _simplify_node(fol.rebuild(node, kids))
-
     for _ in range(100):
-        nxt = once(f)
+        nxt = _simplify_once(f)
         if nxt == f:
             return f
         f = nxt
     return f
+
+
+def _simplify_once(node: FONode) -> FONode:
+    kids = tuple(_simplify_once(c) for c in fol.children(node))
+    return _simplify_node(fol.rebuild(node, kids))
 
 
 def expand_leq(f: FONode) -> FONode:
@@ -399,16 +403,15 @@ def expand_leq(f: FONode) -> FONode:
     target format should not carry a primitive order symbol."""
     zs = [node.var.index for node in fol.walk(f)
           if isinstance(node, (Forall, Exists)) and node.var.family == "z"]
-    indices = itertools.count(max(zs) + 1 if zs else 0)
+    return _expand_leq(f, itertools.count(max(zs) + 1 if zs else 0))
 
-    def go(node: FONode) -> FONode:
-        if isinstance(node, LeqAtom):
-            z = WVar("z", next(indices))
-            return Exists(z, And(OAtom(z), RAtom(z, node.a, node.b)))
-        kids = tuple(go(c) for c in fol.children(node))
-        return fol.rebuild(node, kids)
 
-    return go(f)
+def _expand_leq(node: FONode, indices: Iterator[int]) -> FONode:
+    if isinstance(node, LeqAtom):
+        z = WVar("z", next(indices))
+        return Exists(z, And(OAtom(z), RAtom(z, node.a, node.b)))
+    kids = tuple(_expand_leq(c, indices) for c in fol.children(node))
+    return fol.rebuild(node, kids)
 
 
 def order_as_equality(f: FONode) -> FONode:

@@ -24,10 +24,10 @@ from rmcorr.calculus import Inequality, QuasiInequality
 from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
                         OAtom, Or, PVarAtom, RAtom, Star, WVar)
 from rmcorr.formula import Atom, Formula
-from rmcorr.frames import (RMFrame, _frame_family, complex_algebra_eval,
-                           correspondence_check, enumerate_frames, eval_fo,
-                           extension, frame_valid, random_frame,
-                           universal_truth)
+from rmcorr.frames import (RMFrame, _frame_family, _relabel,
+                           complex_algebra_eval, correspondence_check,
+                           enumerate_frames, eval_fo, extension, frame_valid,
+                           random_frame, universal_truth)
 from rmcorr.syntax import parse
 
 from helpers import NEVER, random_formula, step_instances
@@ -439,17 +439,54 @@ def _reference_report(phi, g, frames):
     return True, None, checked
 
 
+def _orbit(f: RMFrame) -> set[RMFrame]:
+    return {_relabel(f, p) for p in itertools.permutations(range(f.n))}
+
+
+@pytest.mark.parametrize("mode, totals, classes", [
+    ("relevance", (1, 210), (1, 109)), ("bi", (1, 58), (1, 31)),
+    ("ra", (1, 5), (1, 3))])
+def test_frame_classes_expand_to_the_labelled_frames(mode, totals, classes):
+    for n, total, count in zip((1, 2), totals, classes):
+        family, labelled = _frame_family(n, mode)
+        frames = list(enumerate_frames(n, mode))
+        assert labelled == len(frames) == total and len(family) == count
+        orbits = [_orbit(f) for _, f in family]
+        # the orbits are disjoint and together make up the labelled frames
+        assert sum(map(len, orbits)) == len(set().union(*orbits)) == total
+        assert set().union(*orbits) == set(frames)
+        # each class is kept as its first member, at its labelled position
+        for position, f in family:
+            assert frames[position - 1] == f
+            assert frames.index(f) == min(frames.index(g) for g in _orbit(f))
+
+
 def test_correspondence_check_count_and_first_counterexample(mode_frames):
     phi = parse(r"p \to p")
     rep = correspondence_check(phi, fol.TRUE, 2)
     assert rep.agree and rep.frames_checked == 211
-    # "every world is normal" fails first on some frame past the first
-    g = Forall(X0, OAtom(X0))
-    for mode in MODES:
-        rep = correspondence_check(phi, g, 2, mode)
-        want = _reference_report(phi, g, mode_frames[mode])
-        assert (rep.agree, rep.counterexample, rep.frames_checked) == want
-    assert correspondence_check(phi, g, 2).frames_checked > 1
+    # wrong candidates that fail first on some frame past the first: every
+    # world is normal, star is the identity, the order is total
+    weakening = parse(r"p \to (q \to p)")
+    total = Forall(X0, Forall(X1, LeqAtom(X0, X1)))
+    cases = [(phi, Forall(X0, OAtom(X0))),
+             (phi, Forall(X0, EqAtom(Star(X0), X0))),
+             (phi, total), (weakening, total)]
+    for psi, g in cases:
+        for mode in MODES:
+            rep = correspondence_check(psi, g, 2, mode)
+            want = _reference_report(psi, g, mode_frames[mode])
+            assert (rep.agree, rep.counterexample, rep.frames_checked) == want
+    assert correspondence_check(phi, cases[0][1], 2).frames_checked > 1
+    # weakening's first counterexample comes after copies of earlier
+    # classes, and outside ra mode it has an isomorphic copy after it, so
+    # neither a count of classes nor a count of their members gives its
+    # labelled position
+    for mode, orbit in (("relevance", 2), ("bi", 2), ("ra", 1)):
+        rep = correspondence_check(weakening, total, 2, mode)
+        family = [f for _, f in _frame_family(2, mode)[0]]
+        assert len(_orbit(rep.counterexample)) == orbit
+        assert 2 + family.index(rep.counterexample) < rep.frames_checked
 
 
 def test_correspondence_check_matches_reference_in_bi_and_ra(corpus_runs,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -10,8 +11,9 @@ from rmcorr.fol import (And, EqAtom, Exists, FalseF, Forall, Implies, LeqAtom,
                         Not, OAtom, Or, RAtom, Star, TrueF, WVar)
 from rmcorr.frames import enumerate_frames, eval_formula, eval_fo, extension
 from rmcorr.syntax import parse
-from rmcorr.translate import (PurityError, fo_simplify, order_as_equality, st,
-                              st_inequality, tr, tr_quasi)
+from rmcorr.translate import (PurityError, expand_leq, fo_simplify,
+                              order_as_equality, st, st_inequality, tr,
+                              tr_quasi)
 
 from helpers import random_formula
 
@@ -235,3 +237,26 @@ def test_fo_simplify_preserves_truth_on_frames():
 def test_order_as_equality():
     f = Forall(X(0), LeqAtom(X(0), X(0)))
     assert order_as_equality(f) == Forall(X(0), EqAtom(X(0), X(0)))
+
+
+_WALKED = parse(r"(\mathbf i \to q) \to (\sim \sim p \circ q)")
+_WALKED_FO = st(_WALKED, X(0))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: st(_WALKED, X(0)),
+    lambda: expand_leq(_WALKED_FO),
+    lambda: fo_simplify(Not(Not(_WALKED_FO))),
+    lambda: fol.alpha_equal(_WALKED_FO,
+                            st(_WALKED, X(0), itertools.count(7)))],
+    ids=["st", "expand_leq", "fo_simplify", "alpha_equal"])
+def test_walker_leaves_no_reference_cycle(walk):
+    # the walkers recurse through module functions, not through a closure
+    # that refers to itself, so no cycle is left
+    gc.collect()
+    gc.disable()
+    try:
+        assert walk() is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
