@@ -157,9 +157,12 @@ def rebuild(f: FONode, kids: tuple[FONode, ...]) -> FONode:
 
 
 def walk(f: FONode) -> Iterator[FONode]:
-    yield f
-    for child in children(f):
-        yield from walk(child)
+    """The nodes of f in preorder."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def free_vars(f: FONode) -> set[WVar]:

@@ -5,8 +5,11 @@ first-order formulas; and the brute-force correspondence checker.
 Worlds are 0..n-1 and sets of worlds are bitmasks, so the complex-algebra
 operations are a handful of integer operations per application.  A frame
 tabulates each operation over all masks on first use, and formulas of both
-languages are compiled once into closures, so checking a formula on many
-frames and valuations repeats no tree walk and no operation.
+languages are compiled once, each to the source of one Python expression
+over the frame's values and tables, so checking a formula on many frames
+and valuations repeats no tree walk and no operation.  CPython compiles no
+source nested more than about 200 deep: a formula nested deeper raises
+RecursionError.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from . import fol
 from . import formula as fm
 from .calculus import Inequality, QuasiInequality
 from .formula import Atom, Formula
+from .render import _print, _Syntax
 
 __all__ = [
     "RMFrame",
@@ -119,78 +122,46 @@ class RMFrame:
         return t
 
     def is_upset(self, S: int) -> bool:
-        for w in range(self.n):
-            if S & (1 << w) and (self.up[w] & ~S) & self.full:
-                return False
-        return True
+        return not any(S >> w & 1 and self.up[w] & ~S for w in range(self.n))
 
     # complex-algebra operations on masks
 
     def op_neg(self, Y: int) -> int:
-        return _mask({x for x in range(self.n) if not Y & (1 << self.star[x])})
+        return _mask(x for x in range(self.n) if not Y >> self.star[x] & 1)
 
     def op_negflat(self, Y: int) -> int:
         # left adjoint of negation: the up-closure of the starred complement
         # (equals the pointwise star image when star is an involution)
-        out = 0
-        for v in range(self.n):
-            if not Y & (1 << v):
-                out |= self.up[self.star[v]]
-        return out
+        return _union(self.up[self.star[v]] for v in range(self.n)
+                      if not Y >> v & 1)
 
     def op_negsharp(self, Y: int) -> int:
         # right adjoint of negation: the largest up-set avoiding star[Y]
-        hit = 0
-        for v in range(self.n):
-            if Y & (1 << v):
-                hit |= 1 << self.star[v]
-        out = 0
-        for w in range(self.n):
-            if not self.up[w] & hit:
-                out |= 1 << w
-        return out
+        hit = _mask(self.star[v] for v in range(self.n) if Y >> v & 1)
+        return _mask(w for w in range(self.n) if not self.up[w] & hit)
 
     def op_fus(self, Y: int, Z: int) -> int:
-        out = 0
-        for y in range(self.n):
-            if Y & (1 << y):
-                row = self._results[y]
-                for z in range(self.n):
-                    if Z & (1 << z):
-                        out |= row[z]
-        return out
+        W = range(self.n)
+        return _union(self._results[y][z] for y in W if Y >> y & 1
+                      for z in W if Z >> z & 1)
 
     def op_imp(self, Y: int, Z: int) -> int:
         # x qualifies when every R x y z with y in Y has z in Z
-        out = 0
-        for x in range(self.n):
-            row = self._results[x]
-            if not any(Y & (1 << y) and row[y] & ~Z for y in range(self.n)):
-                out |= 1 << x
-        return out
+        W = range(self.n)
+        return _mask(x for x in W if not any(
+            Y >> y & 1 and self._results[x][y] & ~Z for y in W))
 
     def op_rres(self, Y: int, Z: int) -> int:
         # w qualifies when every R v w u with v in Y has u in Z
-        out = 0
-        for w in range(self.n):
-            if not any(Y & (1 << v) and self._results[v][w] & ~Z
-                       for v in range(self.n)):
-                out |= 1 << w
-        return out
+        W = range(self.n)
+        return _mask(w for w in W if not any(
+            Y >> v & 1 and self._results[v][w] & ~Z for v in W))
 
     def op_coimp(self, Y: int, Z: int) -> int:
-        out = 0
-        for w in range(self.n):
-            if self.down[w] & Y & ~Z & self.full:
-                out |= 1 << w
-        return out
+        return _mask(w for w in range(self.n) if self.down[w] & Y & ~Z)
 
     def op_himp(self, Y: int, Z: int) -> int:
-        out = 0
-        for w in range(self.n):
-            if not (self.up[w] & Y & ~Z) & self.full:
-                out |= 1 << w
-        return out
+        return _mask(w for w in range(self.n) if not self.up[w] & Y & ~Z)
 
     def to_json(self) -> dict:
         return {"n": self.n, "O": sorted(self.O),
@@ -213,11 +184,15 @@ _OPERATIONS = {
 _TABLES: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
-def _mask(s) -> int:
+def _union(masks) -> int:
     out = 0
-    for w in s:
-        out |= 1 << w
+    for m in masks:
+        out |= m
     return out
+
+
+def _mask(worlds) -> int:
+    return _union(1 << w for w in worlds)
 
 
 def check_frame(f: RMFrame) -> bool:
@@ -250,16 +225,16 @@ def check_frame(f: RMFrame) -> bool:
     return True
 
 
+def _fusion_associates(f: RMFrame, sets: list[int]) -> bool:
+    fus = f.op_fus
+    return all(fus(fus(Y, Z), W) == fus(Y, fus(Z, W))
+               for Y in sets for Z in sets for W in sets)
+
+
 def _bi_identities_hold(f: RMFrame) -> bool:
     sets = f.upsets()
-    for Y in sets:
-        for Z in sets:
-            if f.op_fus(Y, Z) != f.op_fus(Z, Y):
-                return False
-            for W in sets:
-                if f.op_fus(f.op_fus(Y, Z), W) != f.op_fus(Y, f.op_fus(Z, W)):
-                    return False
-    return True
+    return (all(f.op_fus(Y, Z) == f.op_fus(Z, Y) for Y in sets for Z in sets)
+            and _fusion_associates(f, sets))
 
 
 def _ra_identities_hold(f: RMFrame) -> bool:
@@ -273,16 +248,10 @@ def _ra_identities_hold(f: RMFrame) -> bool:
         return f.op_neg(f.op_himp(Y, 0))
 
     sets = f.upsets()
-    for Y in sets:
-        for Z in sets:
-            if f.op_imp(Y, Z) != f.op_neg(f.op_fus(f.op_neg(Z), Y)):
-                return False
-            if conv(f.op_fus(Y, Z)) != f.op_fus(conv(Z), conv(Y)):
-                return False
-            for W in sets:
-                if f.op_fus(f.op_fus(Y, Z), W) != f.op_fus(Y, f.op_fus(Z, W)):
-                    return False
-    return True
+    return (all(f.op_imp(Y, Z) == f.op_neg(f.op_fus(f.op_neg(Z), Y))
+                and conv(f.op_fus(Y, Z)) == f.op_fus(conv(Z), conv(Y))
+                for Y in sets for Z in sets)
+            and _fusion_associates(f, sets))
 
 
 _MODE_IDENTITIES = {"relevance": lambda f: True, "bi": _bi_identities_hold,
@@ -383,61 +352,91 @@ def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Object formulas compile to bind(frame) -> ev(values) -> mask, where
-# values holds the mask of each atom of the formula, in order of first
-# occurrence.
-
-def _constant(mask: int) -> Callable[[tuple[int, ...]], int]:
-    return lambda v: mask
+def admissible_values(f: RMFrame, a: Atom) -> list[int]:
+    """The masks an atom may denote: up-sets for variables, principal up-sets
+    for nominals, complements of principal down-sets for co-nominals."""
+    return _admissible(f, a.kind)
 
 
-def _compile(phi: Formula, slots: dict[Atom, int]):
+def _admissible(f: RMFrame, kind: str) -> list[int]:
+    if kind == fm.PROP:
+        return f.upsets()
+    if kind == fm.NOM:
+        return list(dict.fromkeys(f.up))
+    return list(dict.fromkeys(f.full & ~down for down in f.down))
+
+
+# A formula compiles to the source of one Python expression over the values
+# of a frame f, each read off f by the source next to its name: the number
+# of worlds, the masks of all and of the normal worlds, the worlds,
+# res[a][b] (the mask of {c : R a b c}), up[w] and the star map ...
+_FRAME = {"n": "f.n", "full": "f.full", "o": "f.o_mask", "W": "range(f.n)",
+          "res": "f._results", "up": "f.up", "star": "f.star"}
+# ... and those of the following that the expression reads: the admissible
+# values of each kind of atom (C also for any other kind), and the table of
+# each connective
+_RANGES = {fm.PROP: "U", fm.NOM: "N", fm.CNOM: "C"}
+_EXTRAS = {**{name: f"admissible(f, {kind!r})"
+              for kind, name in _RANGES.items()},
+           **{f"t_{op}": f"f.table({op!r})" for op in _OPERATIONS}}
+# a program calls nothing but these; every other name is its own
+_GLOBALS = {"__builtins__": {"all": all, "any": any, "range": range},
+            "admissible": _admissible}
+
+
+def _bind(params: str, expr: str, extras) -> Callable[[RMFrame], Callable]:
+    """Compile a program, the only place where generated source is compiled:
+    bind(f) -> the function of `params` on frame f, evaluated once as
+    `lambda f: (lambda <values>: lambda <params>: <expr>)(<values of f>)`."""
+    values = {**_FRAME, **{name: _EXTRAS[name] for name in extras}}
+    try:
+        return eval(f"lambda f: (lambda {', '.join(values)}: "
+                    f"lambda {params}: {expr})({', '.join(values.values())})",
+                    _GLOBALS)
+    except (SyntaxError, MemoryError):
+        # CPython's parser refuses source nested about 200 deep with these
+        raise RecursionError("formula is nested too deeply to compile") from None
+
+
+def _quantified(quantifier: str, expr: str, ranges,
+                extras: dict[str, None]) -> str:
+    """expr under all or any over the (name, range) pairs, in order; the
+    ranges are added to `extras`."""
+    extras.update(dict.fromkeys(values for _, values in ranges))
+    loops = "".join(f" for {name} in {values}" for name, values in ranges)
+    return f"{quantifier}({expr}{loops})" if loops else expr
+
+
+_CONSTANTS = {fm.T: "o", fm.TOP: "full", fm.BOT: "0"}
+_LATTICE = {fm.AND: "&", fm.OR: "|"}
+
+
+def _emit(phi: Formula, names: dict[Atom, str], extras: dict[str, None]) -> str:
+    """Source of the mask of phi, whose atoms are named by `names`; the
+    table of each connective that it reads is added to `extras`."""
     op = phi.op
     if op == fm.ATOM:
-        get = itemgetter(slots[phi.atom])
-        return lambda f: get
-    if op == fm.T:
-        return lambda f: _constant(f.o_mask)
-    if op == fm.TOP:
-        return lambda f: _constant(f.full)
-    if op == fm.BOT:
-        return lambda f: _constant(0)
-    if op in fm.UNARY_OPS:
-        arg = _compile(phi.args[0], slots)
-
-        def bind_unary(f):
-            table, a = f.table(op), arg(f)
-            return lambda v: table[a(v)]
-        return bind_unary
-    if op not in fm.BINARY_OPS:
+        return names[phi.atom]
+    if op in _CONSTANTS:
+        return _CONSTANTS[op]
+    if op not in _LATTICE and op not in _OPERATIONS:
         raise ValueError(f"unknown connective {op!r}")
-    left = _compile(phi.args[0], slots)
-    right = _compile(phi.args[1], slots)
-    if op == fm.AND:
-        def bind_and(f):
-            a, b = left(f), right(f)
-            return lambda v: a(v) & b(v)
-        return bind_and
-    if op == fm.OR:
-        def bind_or(f):
-            a, b = left(f), right(f)
-            return lambda v: a(v) | b(v)
-        return bind_or
-
-    def bind_binary(f):
-        table, n, a, b = f.table(op), f.n, left(f), right(f)
-        return lambda v: table[a(v) << n | b(v)]
-    return bind_binary
+    args = [_emit(arg, names, extras) for arg in phi.args]
+    if op in _LATTICE:
+        return f"({args[0]} {_LATTICE[op]} {args[1]})"
+    extras[f"t_{op}"] = None
+    if op in fm.UNARY_OPS:
+        return f"t_{op}[{args[0]}]"
+    return f"t_{op}[{args[0]} << n | {args[1]}]"
 
 
 class _ProgramCache:
-    """Compiled programs keyed by the identity of their formula (plus any
-    further key), the oldest dropped beyond `size`.  Each entry holds its
-    formula, so an id stays that formula's while the entry lives; equal but
-    distinct formulas compile separately, and no formula is hashed.  An
-    entry also keeps its program bound to the last frame it ran on, since
-    callers evaluate one formula on one frame under many assignments in a
-    row."""
+    """Programs compiled by `_bind`, keyed by the identity of their formula
+    (plus any further key), the oldest dropped beyond `size`.  Each entry
+    holds its formula, so an id stays that formula's while the entry lives;
+    equal but distinct formulas compile separately, and no formula is
+    hashed.  An entry also keeps its program bound to the last frame it ran
+    on, since callers evaluate one formula on one frame many times in a row."""
 
     def __init__(self, compile_fn, size: int = 4096):
         self.compile_fn = compile_fn
@@ -459,11 +458,23 @@ class _ProgramCache:
         return entry[4], entry[2]
 
 
-def _compile_program(phi: Formula):
-    """(bind, the atoms of phi in order of first occurrence, whose masks
-    make up the values tuple)."""
+def _compile_program(phi: Formula, valid: bool):
+    """(bind, the atoms of phi in order of first occurrence).  The program
+    maps the atoms' masks to the mask of phi; if `valid`, it takes nothing
+    and decides frame validity: all(phi & o == o for v0 in U ...)."""
     atoms = tuple(fm.atoms(phi))
-    return _compile(phi, {a: i for i, a in enumerate(atoms)}), atoms
+    names = {a: f"v{i}" for i, a in enumerate(atoms)}
+    extras: dict[str, None] = {}
+    expr = _emit(phi, names, extras)
+    if not valid:
+        return _bind(", ".join(names.values()), expr, extras), atoms
+    bad = [a for a in atoms if a.kind != fm.PROP]
+    if bad:
+        raise ValueError(f"frame validity is defined for variable-only "
+                         f"formulas; found {bad[0]!r}")
+    valid_expr = _quantified("all", f"{expr} & o == o",
+                             [(name, "U") for name in names.values()], extras)
+    return _bind("", valid_expr, extras), atoms
 
 
 _program = _ProgramCache(_compile_program)
@@ -471,12 +482,12 @@ _program = _ProgramCache(_compile_program)
 
 def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
     """Mask of worlds where phi holds."""
-    ev, atoms = _program(f, phi)
+    ev, atoms = _program(f, phi, False)
     try:
-        values = tuple([valuation[a] for a in atoms])
+        values = [valuation[a] for a in atoms]
     except KeyError as exc:
         raise ValueError(f"unassigned atom {exc.args[0]!r}") from None
-    return ev(values)
+    return ev(*values)
 
 
 def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
@@ -485,197 +496,94 @@ def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
     return bool(extension(f, valuation, phi) & (1 << w))
 
 
-def admissible_values(f: RMFrame, a: Atom) -> list[int]:
-    """The masks an atom may denote: up-sets for variables, principal up-sets
-    for nominals, complements of principal down-sets for co-nominals."""
-    if a.kind == fm.PROP:
-        return f.upsets()
-    if a.kind == fm.NOM:
-        return list(dict.fromkeys(f.up[w] for w in range(f.n)))
-    return list(dict.fromkeys(f.full & ~f.down[v] for v in range(f.n)))
-
-
 def _check_valuation(f: RMFrame, valuation: dict[Atom, int]) -> None:
     for a, val in valuation.items():
         if val not in admissible_values(f, a):
             raise ValueError(f"valuation of {a!r} is out of range")
 
 
-def _check_variables_only(atoms: tuple[Atom, ...]) -> None:
-    bad = [a for a in atoms if a.kind != fm.PROP]
-    if bad:
-        raise ValueError(f"frame validity is defined for variable-only "
-                         f"formulas; found {bad[0]!r}")
-
-
-def _valid(f: RMFrame, ev, k: int) -> bool:
-    o = f.o_mask
-    for combo in itertools.product(f.upsets(), repeat=k):
-        if ev(combo) & o != o:
-            return False
-    return True
-
-
 def frame_valid(f: RMFrame, phi: Formula) -> bool:
     """Frame validity: truth at every normal world under every assignment of
     up-sets to the propositional variables."""
-    ev, atoms = _program(f, phi)
-    _check_variables_only(atoms)
-    return _valid(f, ev, len(atoms))
+    valid, _ = _program(f, phi, True)
+    return valid()
 
 
-# First-order formulas compile to bind(frame) -> ev(env) -> truth, where env
-# is a list holding each world variable and each predicate's mask at its
-# slot.  A quantifier writes its variable's slot in place and restores it on
-# exit.  Errors are raised when the offending node is reached, as a direct
-# evaluation would.
+# First-order formulas print as Python expressions through the printer of
+# the text syntaxes.  A world variable is named by its family and index, a
+# predicate by its variable's index (p0, p1, ...), and a quantifier is a
+# generator over W, so an inner quantifier's binding ends with its scope.
+# A name without a binding raises NameError when it is reached, as a direct
+# evaluation would raise, and `_truth` reports it.
 
-def _raiser(message: str):
-    def fail(e):
-        raise ValueError(message)
-    return lambda f: fail
+def _is_index(i) -> bool:
+    return type(i) is int and i >= 0
 
 
-def _compile_fo(g: fol.FONode, free: tuple[fol.WVar, ...],
+def _py_var(v) -> str:
+    """The name of a world variable, made of a fixed letter and an int."""
+    if type(v) is fol.WVar and _is_index(v.index):
+        for family in ("x", "y", "z"):
+            if v.family == family:
+                return f"{family}{v.index}"
+    raise ValueError(f"not a world variable: {v!r}")
+
+
+def _py_term(t: fol.Term) -> str:
+    if isinstance(t, fol.Star):
+        return f"star[{_py_term(t.arg)}]"
+    return _py_var(t)
+
+
+_PYTHON = _Syntax(
+    term=_py_term,
+    atoms={fol.TrueF: "True", fol.FalseF: "False",
+           fol.RAtom: "res[{a}][{b}] >> {c} & 1", fol.OAtom: "o >> {a} & 1",
+           fol.LeqAtom: "up[{a}] >> {b} & 1", fol.EqAtom: "{a} == {b}",
+           fol.PVarAtom: "p{index} >> {a} & 1"},
+    connectives={fol.Not: ("not {0}", 3, (3,)),
+                 fol.And: ("{0} and {1}", 2, (2, 2)),
+                 fol.Or: ("{0} or {1}", 1, (1, 1)),
+                 fol.Implies: ("not {0} or {1}", 1, (3, 1))},
+    quantifiers={fol.Forall: ("all({1} for {0} in W)", 4, 0),
+                 fol.Exists: ("any({1} for {0} in W)", 4, 0)},
+    var_sep=" in W for ", grouped=True)
+_PY_NODES = {*_PYTHON.atoms, *_PYTHON.connectives, *_PYTHON.quantifiers}
+
+
+def _compile_fo(g: fol.FONode, free: tuple[str, ...],
                 preds: Optional[tuple[int, ...]]):
-    """Compile g for an env that holds the variables `free`, then the masks
-    of the predicates `preds` (None: no valuation); returns (bind, env
-    width)."""
-    slots = {v: i for i, v in enumerate(free)}
-    pred_slots = None
-    if preds is not None:
-        pred_slots = {p: len(free) + i for i, p in enumerate(preds)}
-    width = len(free) + len(preds or ())
-
-    def term(t: fol.Term):
-        if isinstance(t, fol.Star):
-            arg = term(t.arg)
-
-            def bind_star(f):
-                star, a = f.star, arg(f)
-                return lambda e: star[a(e)]
-            return bind_star
-        if t not in slots:
-            return _raiser(f"unbound variable {t!r}")
-        get = itemgetter(slots[t])
-        return lambda f: get
-
-    def node(g: fol.FONode):
-        nonlocal width
-        if isinstance(g, fol.TrueF):
-            return lambda f: _constant(True)
-        if isinstance(g, fol.FalseF):
-            return lambda f: _constant(False)
-        if isinstance(g, fol.RAtom):
-            ta, tb, tc = term(g.a), term(g.b), term(g.c)
-
-            def bind_r(f):
-                res, a, b, c = f._results, ta(f), tb(f), tc(f)
-                return lambda e: res[a(e)][b(e)] >> c(e) & 1
-            return bind_r
-        if isinstance(g, fol.OAtom):
-            ta = term(g.a)
-
-            def bind_o(f):
-                o, a = f.o_mask, ta(f)
-                return lambda e: o >> a(e) & 1
-            return bind_o
-        if isinstance(g, fol.LeqAtom):
-            ta, tb = term(g.a), term(g.b)
-
-            def bind_leq(f):
-                up, a, b = f.up, ta(f), tb(f)
-                return lambda e: up[a(e)] >> b(e) & 1
-            return bind_leq
-        if isinstance(g, fol.EqAtom):
-            ta, tb = term(g.a), term(g.b)
-
-            def bind_eq(f):
-                a, b = ta(f), tb(f)
-                return lambda e: a(e) == b(e)
-            return bind_eq
-        if isinstance(g, fol.PVarAtom):
-            if pred_slots is None:
-                return _raiser("predicate atom needs a valuation")
-            if g.index not in pred_slots:
-                return _raiser(f"no valuation for variable index {g.index}")
-            mask, ta = itemgetter(pred_slots[g.index]), term(g.a)
-
-            def bind_p(f):
-                a = ta(f)
-                return lambda e: mask(e) >> a(e) & 1
-            return bind_p
-        if isinstance(g, fol.Not):
-            body = node(g.body)
-
-            def bind_not(f):
-                b = body(f)
-                return lambda e: not b(e)
-            return bind_not
-        if isinstance(g, (fol.And, fol.Or, fol.Implies)):
-            left, right = node(g.left), node(g.right)
-            if isinstance(g, fol.And):
-                def bind_and(f):
-                    a, b = left(f), right(f)
-                    return lambda e: a(e) and b(e)
-                return bind_and
-            if isinstance(g, fol.Or):
-                def bind_or(f):
-                    a, b = left(f), right(f)
-                    return lambda e: a(e) or b(e)
-                return bind_or
-
-            def bind_implies(f):
-                a, b = left(f), right(f)
-                return lambda e: not a(e) or b(e)
-            return bind_implies
-        if isinstance(g, (fol.Forall, fol.Exists)):
-            outer = slots.get(g.var)
-            if outer is None:
-                s = slots[g.var] = width
-                width += 1
-            else:
-                s = outer
-            body = node(g.body)
-            if outer is None:
-                del slots[g.var]
-            if isinstance(g, fol.Forall):
-                def bind_forall(f):
-                    b, worlds = body(f), range(f.n)
-
-                    def forall(e):
-                        old = e[s]
-                        for w in worlds:
-                            e[s] = w
-                            if not b(e):
-                                e[s] = old
-                                return False
-                        e[s] = old
-                        return True
-                    return forall
-                return bind_forall
-
-            def bind_exists(f):
-                b, worlds = body(f), range(f.n)
-
-                def exists(e):
-                    old = e[s]
-                    for w in worlds:
-                        e[s] = w
-                        if b(e):
-                            e[s] = old
-                            return True
-                    e[s] = old
-                    return False
-                return exists
-            return bind_exists
-        raise ValueError(f"unknown first-order node {g!r}")
-
-    bind = node(g)
-    return bind, width
+    """Compile g for the values of the variables named `free`, then the
+    masks of the predicates `preds` (None: no valuation); returns (bind,
+    None).  Every node, variable and predicate index is checked before any
+    source is built."""
+    for node in fol.walk(g):
+        if type(node) not in _PY_NODES:
+            raise ValueError(f"unknown first-order node {node!r}")
+        for key, value in vars(node).items():
+            if key == "index" and not _is_index(value):
+                raise ValueError(f"not a predicate index: {value!r}")
+            if key != "index" and not isinstance(value, fol.FONode):
+                _py_term(value)
+    params = [*free, *(f"p{i}" for i in preds or ())]
+    return _bind(", ".join(params), _print(g, _PYTHON, 0), ()), None
 
 
 _fo_program = _ProgramCache(_compile_fo)
+
+
+def _truth(program, values, has_masks: bool) -> bool:
+    """Run a first-order program on the values of its parameters;
+    `has_masks` tells whether its predicates were given masks."""
+    try:
+        return bool(program(*values))
+    except NameError as exc:
+        name = exc.name
+    if name[0] != "p":
+        raise ValueError(f"unbound variable {name}")
+    if not has_masks:
+        raise ValueError("predicate atom needs a valuation")
+    raise ValueError(f"no valuation for variable index {name[1:]}")
 
 
 def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None,
@@ -688,49 +596,40 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
     if valuation is not None:
         masks: dict[int, int] = {}
         for a, val in valuation.items():
-            if a.kind == fm.PROP:
+            if a.kind == fm.PROP and _is_index(a.index):
                 masks.setdefault(a.index, val)
         preds = tuple(masks)
         values += masks.values()
-    ev, width = _fo_program(f, g, tuple(env), preds)
-    values += [None] * (width - len(values))
-    return bool(ev(values))
+    ev, _ = _fo_program(f, g, tuple(map(_py_var, env)), preds)
+    return _truth(ev, values, preds is not None)
 
 
 def _compile_quasi(obj, given: tuple[Atom, ...]):
     """Compile a (quasi-)inequality for the masks of the atoms `given`,
-    closed universally over its other atoms; returns (bind, those atoms)."""
+    closed universally over its other atoms; returns (bind, those atoms).
+    The program is `not (<fixed parts> and any(<other parts> for ...))`: a
+    counterexample makes each premise hold and the conclusion fail, and
+    the parts that mention no closed-over atom are tested once per call."""
     if isinstance(obj, Inequality):
         obj = QuasiInequality((), obj)
     elif not isinstance(obj, QuasiInequality):
         raise TypeError(f"cannot evaluate {obj!r}")
     missing = tuple(a for a in obj.atoms() if a not in given)
-    slots = {a: i for i, a in enumerate(given + missing)}
-    # a counterexample makes each premise hold and the conclusion fail;
-    # the parts that mention no missing atom are tested once per call
-    parts = [(any(a in missing for a in ineq.atoms()), want,
-              _compile(ineq.lhs, slots), _compile(ineq.rhs, slots))
-             for ineq, want in [*((p, True) for p in obj.premises),
-                                (obj.conclusion, False)]]
-
-    def bind(f):
-        full, fixed, moving = f.full, [], []
-        for closes, want, lhs, rhs in parts:
-            a, b = lhs(f), rhs(f)
-            (moving if closes else fixed).append(
-                lambda v, a=a, b=b, want=want: (not a(v) & ~b(v) & full) == want)
-        ranges = [admissible_values(f, a) for a in missing]
-
-        def holds(values: tuple[int, ...]) -> bool:
-            if not all(part(values) for part in fixed):
-                return True
-            for combo in itertools.product(*ranges):
-                v = values + combo
-                if all(part(v) for part in moving):
-                    return False
-            return True
-        return holds
-    return bind, missing
+    names = {a: f"v{i}" for i, a in enumerate(given + missing)}
+    extras: dict[str, None] = {}
+    fixed, moving = [], []
+    for ineq, holds in [*((p, "not ") for p in obj.premises),
+                        (obj.conclusion, "")]:
+        part = (f"{holds}{_emit(ineq.lhs, names, extras)}"
+                f" & ~{_emit(ineq.rhs, names, extras)} & full")
+        closes = any(a in missing for a in ineq.atoms())
+        (moving if closes else fixed).append(part)
+    if moving:
+        fixed.append(_quantified("any", " and ".join(moving),
+                                 [(names[a], _RANGES.get(a.kind, "C"))
+                                  for a in missing], extras))
+    params = ", ".join(names[a] for a in given)
+    return _bind(params, f"not ({' and '.join(fixed)})", extras), missing
 
 
 # each object meets many valuations in a row; many are built for one call
@@ -744,7 +643,7 @@ def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
     holds, missing = _quasi_program(f, obj, tuple(valuation))
     if missing:
         raise ValueError(f"unassigned atom {missing[0]!r}")
-    return holds(tuple(valuation.values()))
+    return holds(*valuation.values())
 
 
 def universal_truth(f: RMFrame, qi, partial: Optional[dict[Atom, int]] = None) -> bool:
@@ -752,7 +651,7 @@ def universal_truth(f: RMFrame, qi, partial: Optional[dict[Atom, int]] = None) -
     partial valuation."""
     partial = partial or {}
     holds, _ = _quasi_program(f, qi, tuple(partial))
-    return holds(tuple(partial.values()))
+    return holds(*partial.values())
 
 
 @dataclass
@@ -790,15 +689,13 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     # compiled here rather than through the program caches: a check runs
     # long enough to amortise compilation, and cached programs would only
     # hold memory across the checks of a batch
-    bind, atoms = _compile_program(phi)
-    _check_variables_only(atoms)
-    k = len(atoms)
-    fo_bind, width = _compile_fo(g, (), None)
+    valid, _ = _compile_program(phi, True)
+    fo, _ = _compile_fo(g, (), None)
     checked = 0
     for size in range(1, n + 1):
         classes, total = _frame_family(size, mode)
         for position, f in classes:
-            if _valid(f, bind(f), k) != bool(fo_bind(f)([None] * width)):
+            if valid(f)() != _truth(fo(f), (), False):
                 return CorrespondenceReport(False, f, checked + position)
         checked += total
     return CorrespondenceReport(True, None, checked)

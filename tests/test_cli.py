@@ -94,9 +94,13 @@ def test_deeply_nested_input_exits_2(source, tmp_path, capsys):
 
 
 def test_nested_input_below_the_limit_succeeds(capsys):
-    code, out, _ = run_cli(["-i", "\\sim " * 150 + "p"], capsys)
-    assert code == 0
-    assert "Correspondent" in out
+    # the oracle compiles the formula and its correspondent to Python
+    # source, which CPython's parser caps at about 200 levels of nesting
+    for extra in ([], ["--verify", "1"]):
+        code, out, _ = run_cli(["-i", "\\sim " * 150 + "p", *extra], capsys)
+        assert code == 0
+        assert "Correspondent" in out
+        assert ("Verified" in out) == bool(extra)
 
 
 def test_corpus_run(capsys):

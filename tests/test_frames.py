@@ -5,6 +5,7 @@ import pytest
 
 from rmcorr import fol
 from rmcorr import formula as fm
+from rmcorr import frames
 from rmcorr.calculus import FreshSupply, Inequality, QuasiInequality
 from rmcorr.calculus import first_approximation, goal
 from rmcorr.fol import Forall, LeqAtom, OAtom, WVar
@@ -134,6 +135,54 @@ def test_eval_fo_basics():
     assert eval_fo(ONE_POINT, closed, {})
     with pytest.raises(ValueError):
         eval_fo(ONE_POINT, OAtom(x), {})
+
+
+@pytest.mark.parametrize("depth", [250, 1000])
+def test_deep_formulas_raise_recursion_error(depth):
+    # CPython compiles no source nested more than about 200 deep, and the
+    # oracle's emitters recurse: too deep a formula raises RecursionError,
+    # which the CLI reports as input nested too deeply, never SyntaxError or
+    # MemoryError
+    p, x = fm.var(0), WVar("x", 0)
+    phi, g = p, OAtom(x)
+    for i in range(depth):
+        phi = fm.neg(phi) if i % 2 else fm.imp(p, phi)
+        g = fol.Implies(g, fol.TRUE)
+    g = Forall(x, g)
+    checks = [lambda: extension(ONE_POINT, {p.atom: 1}, phi),
+              lambda: frame_valid(ONE_POINT, phi),
+              lambda: universal_truth(ONE_POINT, Inequality(fm.t(), phi)),
+              lambda: eval_fo(ONE_POINT, g),
+              lambda: correspondence_check(phi, g, 1)]
+    for check in checks:
+        with pytest.raises(RecursionError):
+            check()
+
+
+BAD_VARS = [WVar("w", 0), WVar("x", "0"), WVar("x", -1), WVar("x", True),
+            WVar("x0 or __import__('os').system('exit 1') or x", 0)]
+
+
+@pytest.mark.parametrize("bad", BAD_VARS, ids=repr)
+def test_only_program_made_names_reach_eval(bad, monkeypatch):
+    # a variable that is not x, y or z with an int index >= 0 is refused
+    # before any source is compiled, even on a branch never reached
+    def no_eval(*args):
+        raise AssertionError("source was compiled")
+    monkeypatch.setattr(frames, "eval", no_eval, raising=False)
+    x = WVar("x", 0)
+    cases = [(OAtom(bad), {}), (fol.Or(fol.TRUE, OAtom(bad)), {}),
+             (Forall(bad, OAtom(x)), {x: 0}), (fol.TRUE, {bad: 0}),
+             (fol.RAtom(x, fol.Star(bad), x), {x: 0})]
+    for g, env in cases:
+        with pytest.raises(ValueError, match="not a world variable"):
+            eval_fo(ONE_POINT, g, env)
+    with pytest.raises(ValueError, match="not a predicate index"):
+        eval_fo(ONE_POINT, fol.PVarAtom(-1, x), {x: 0}, {})
+    # the check compiles its object formula first
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="not a world variable"):
+        correspondence_check(parse(r"p \to p"), Forall(bad, OAtom(bad)), 1)
 
 
 def test_complex_algebra_eval_validates_valuation():

@@ -260,3 +260,15 @@ def test_walker_leaves_no_reference_cycle(walk):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_walk_is_preorder_and_stack_safe():
+    x = fol.WVar("x", 0)
+    g = fol.And(fol.Not(fol.OAtom(x)), fol.Forall(x, fol.LeqAtom(x, x)))
+    assert list(fol.walk(g)) == [g, g.left, g.left.body, g.right, g.right.body]
+    # a 3,000-deep chain used to exceed the recursion limit
+    deep = fol.OAtom(x)
+    for _ in range(3000):
+        deep = fol.Not(deep)
+    nodes = list(fol.walk(deep))
+    assert len(nodes) == 3001 and nodes[0] is deep and nodes[-1] == fol.OAtom(x)
