@@ -309,83 +309,70 @@ def approximation(qi: QuasiInequality, k: int, rule: str, supply: FreshSupply,
 
 
 # ---------------------------------------------------------------------------
-# residuation rules (invertible; the direction is read off the premise shape)
+# residuation and adjunction rules (invertible)
+
+# which -> (f, the position of x in f, g, the side tried first), for the
+# Galois connection f(x, b) <= y iff x <= g(b, y)
+RESIDUATION = {
+    "imp": (fm.FUS, 0, fm.IMP, "rhs"),
+    "rres": (fm.FUS, 1, fm.RRES, "rhs"),
+    "and": (fm.AND, 0, fm.HIMP, "lhs"),
+    "or": (fm.COIMP, 0, fm.OR, "rhs"),
+}
+
 
 def residuation(qi: QuasiInequality, k: int, which: str,
                 commute: bool = False) -> QuasiInequality:
-    prem = qi.premises[k]
-    lhs, rhs = prem.lhs, prem.rhs
+    """Rewrite premise k along the Galois connection f(x, b) <= y iff
+    x <= g(b, y) of `which`: a premise with f on the left becomes
+    x <= g(b, y), one with g on the right becomes f(x, b) <= y.
 
-    if which == "or":
-        if rhs.op == fm.OR:
-            chi, psi = rhs.args
-            if commute:
-                chi, psi = psi, chi
-            new = Inequality(fm.coimp(lhs, chi), psi)
-        elif lhs.op == fm.COIMP and not commute:
-            phi, chi = lhs.args
-            new = Inequality(phi, fm.disj(chi, rhs))
-        else:
-            raise NotApplicable("or-residuation shape mismatch")
-    elif which == "and":
-        if lhs.op == fm.AND:
-            phi, chi = lhs.args
-            if commute:
-                phi, chi = chi, phi
-            new = Inequality(phi, fm.himp(chi, rhs))
-        elif rhs.op == fm.HIMP and not commute:
-            chi, psi = rhs.args
-            new = Inequality(fm.conj(lhs, chi), psi)
-        else:
-            raise NotApplicable("and-residuation shape mismatch")
-    elif which == "imp":
-        if rhs.op == fm.IMP:
-            chi, psi = rhs.args
-            new = Inequality(fm.fus(lhs, chi), psi)
-        elif lhs.op == fm.FUS:
-            phi, chi = lhs.args
-            new = Inequality(phi, fm.imp(chi, rhs))
-        else:
-            raise NotApplicable("imp-residuation shape mismatch")
-    elif which == "rres":
-        if rhs.op == fm.RRES:
-            phi, chi = rhs.args
-            new = Inequality(fm.fus(phi, lhs), chi)
-        elif lhs.op == fm.FUS:
-            phi, psi = lhs.args
-            new = Inequality(psi, fm.rres(phi, rhs))
-        else:
-            raise NotApplicable("rres-residuation shape mismatch")
-    else:
+    The direction is read off the premise's shape, the side tried first
+    before the other: the right side for imp, rres and or, the left for
+    and.  `commute` swaps the arguments of a meet or join on the side tried
+    first, and then the other side is not tried; it has no effect on imp
+    and rres, whose first side carries neither."""
+    if which not in RESIDUATION:
         raise NotApplicable(f"unknown residuation {which!r}")
-    return _replace(qi, k, (new,))
+    f, i, g, first = RESIDUATION[which]
+    swap = commute and (f if first == "lhs" else g) in (fm.AND, fm.OR)
+    other = "rhs" if first == "lhs" else "lhs"
+    for side in (first,) if swap else (first, other):
+        host, bound = _sides(qi.premises[k], side)
+        if host.op != (f if side == "lhs" else g):
+            continue
+        args = host.args[::-1] if swap else host.args
+        if side == "lhs":  # f(x, b) <= y  ~>  x <= g(b, y)
+            new = Inequality(args[i], Formula(g, (args[1 - i], bound)))
+        else:  # x <= g(b, y)  ~>  f(x, b) <= y
+            b, y = args
+            x_b = (bound, b) if i == 0 else (b, bound)
+            new = Inequality(Formula(f, x_b), y)
+        return _replace(qi, k, (new,))
+    raise NotApplicable(f"{which}-residuation shape mismatch")
 
 
-# ---------------------------------------------------------------------------
-# adjunction rules
+# which -> (the side of the negation, negation -> its adjoint), for the
+# antitone Galois connections ~x <= y iff flat(y) <= x and x <= ~y iff
+# y <= sharp(x); a join on the left or a meet on the right is split by
+# `split_premise`
+ADJUNCTION = {
+    "neg-left": ("lhs", {fm.NEG: fm.NEG_FLAT, fm.NEG_FLAT: fm.NEG}),
+    "neg-right": ("rhs", {fm.NEG: fm.NEG_SHARP, fm.NEG_SHARP: fm.NEG}),
+}
+
 
 def adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
-    """Negation adjunction on premise k; a join on the left or a meet on the
-    right is split by `split_premise`."""
-    prem = qi.premises[k]
-    lhs, rhs = prem.lhs, prem.rhs
-    if which == "neg-left":
-        if lhs.op == fm.NEG:
-            new = Inequality(fm.negflat(rhs), lhs.args[0])
-        elif lhs.op == fm.NEG_FLAT:
-            new = Inequality(fm.neg(rhs), lhs.args[0])
-        else:
-            raise NotApplicable("neg-left adjunction shape mismatch")
-        return _replace(qi, k, (new,))
-    if which == "neg-right":
-        if rhs.op == fm.NEG:
-            new = Inequality(rhs.args[0], fm.negsharp(lhs))
-        elif rhs.op == fm.NEG_SHARP:
-            new = Inequality(rhs.args[0], fm.neg(lhs))
-        else:
-            raise NotApplicable("neg-right adjunction shape mismatch")
-        return _replace(qi, k, (new,))
-    raise NotApplicable(f"unknown adjunction {which!r}")
+    """Negation adjunction on premise k: the negation's argument changes
+    side and the adjoint is applied to the other side."""
+    if which not in ADJUNCTION:
+        raise NotApplicable(f"unknown adjunction {which!r}")
+    side, adjoint = ADJUNCTION[which]
+    host, bound = _sides(qi.premises[k], side)
+    if host.op not in adjoint:
+        raise NotApplicable(f"{which} adjunction shape mismatch")
+    moved = Formula(adjoint[host.op], (bound,))
+    return _replace(qi, k, (_oriented(side, moved, host.args[0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -465,42 +452,31 @@ def drop_trivial(qi: QuasiInequality, k: int) -> QuasiInequality:
 # ---------------------------------------------------------------------------
 # splitting (distribution of meets and joins over goals)
 
-def _find_split_in(phi: Formula, sign: int, path: tuple[int, ...]):
-    """First preorder position of a join at inequality-sign - or a meet at
-    inequality-sign +, descending only through negation, meet, join, fusion
-    at sign -, and implication at sign +."""
-    if phi.op == fm.OR and sign == -1:
-        return path
-    if phi.op == fm.AND and sign == 1:
-        return path
-    if phi.op == fm.NEG:
-        return _find_split_in(phi.args[0], -sign, path + (0,))
-    if phi.op in (fm.AND, fm.OR):
-        hit = _find_split_in(phi.args[0], sign, path + (0,))
-        if hit is not None:
-            return hit
-        return _find_split_in(phi.args[1], sign, path + (1,))
-    if phi.op == fm.FUS and sign == -1:
-        hit = _find_split_in(phi.args[0], sign, path + (0,))
-        if hit is not None:
-            return hit
-        return _find_split_in(phi.args[1], sign, path + (1,))
-    if phi.op == fm.IMP and sign == 1:
-        hit = _find_split_in(phi.args[0], -sign, path + (0,))
-        if hit is not None:
-            return hit
-        return _find_split_in(phi.args[1], sign, path + (1,))
-    return None
+# (connective, inequality sign) -> the signs of its arguments, from
+# fm.POLARITY, where a split is looked for below it, or None where it is the
+# split: a meet at + or a join at -
+_SPLIT_DESCENT = {
+    (op, sign): tuple(sign * p for p in fm.POLARITY[op])
+    for op, sign in ((fm.NEG, 1), (fm.NEG, -1), (fm.AND, -1), (fm.OR, 1),
+                     (fm.FUS, -1), (fm.IMP, 1))
+} | {(fm.AND, 1): None, (fm.OR, -1): None}
 
 
 def find_split(ineq: Inequality) -> Optional[tuple[str, tuple[int, ...]]]:
-    """Locate a splittable meet/join in an inequality: ('lhs'|'rhs', path)."""
-    hit = _find_split_in(ineq.lhs, -1, ())
-    if hit is not None:
-        return ("lhs", hit)
-    hit = _find_split_in(ineq.rhs, 1, ())
-    if hit is not None:
-        return ("rhs", hit)
+    """Locate a splittable meet/join in an inequality: ('lhs'|'rhs', path)
+    of the first split, in preorder over the left side, at inequality-sign
+    -, then the right side, at +."""
+    stack = [("rhs", ineq.rhs, 1, ()), ("lhs", ineq.lhs, -1, ())]
+    while stack:
+        side, node, sign, path = stack.pop()
+        signs = _SPLIT_DESCENT.get((node.op, sign), ())
+        while signs:  # on into the first argument; a second one waits
+            if len(signs) == 2:
+                stack.append((side, node.args[1], signs[1], path + (1,)))
+            node, sign, path = node.args[0], signs[0], path + (0,)
+            signs = _SPLIT_DESCENT.get((node.op, sign), ())
+        if signs is None:
+            return side, path
     return None
 
 

@@ -180,6 +180,9 @@ def main(argv=None) -> int:
     if args.verify > MAX_WORLDS:
         sys.stderr.write(f"error: --verify is capped at {MAX_WORLDS} worlds\n")
         return EXIT_INPUT
+    if args.trace and args.corpus is not None:
+        sys.stderr.write("error: --trace needs --input or --file\n")
+        return EXIT_INPUT
     try:
         if args.corpus is not None:
             return _run_corpus(args)

@@ -127,8 +127,6 @@ class Exists(FONode):
 TRUE = TrueF()
 FALSE = FalseF()
 
-ATOM_TYPES = (RAtom, OAtom, LeqAtom, EqAtom, PVarAtom)
-
 
 def children(f: FONode) -> tuple[FONode, ...]:
     if isinstance(f, Not):
@@ -165,53 +163,46 @@ def walk(f: FONode) -> Iterator[FONode]:
         stack.extend(reversed(children(node)))
 
 
+def _terms(f: FONode) -> list[Term]:
+    """The term fields of f in field order: none unless f is an atom."""
+    return [v for v in vars(f).values() if isinstance(v, (WVar, Star))]
+
+
 def free_vars(f: FONode) -> set[WVar]:
-    if isinstance(f, RAtom):
-        return {term_var(f.a), term_var(f.b), term_var(f.c)}
-    if isinstance(f, (LeqAtom, EqAtom)):
-        return {term_var(f.a), term_var(f.b)}
-    if isinstance(f, OAtom):
-        return {term_var(f.a)}
-    if isinstance(f, PVarAtom):
-        return {term_var(f.a)}
-    if isinstance(f, (TrueF, FalseF)):
-        return set()
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
+    """The world variables of f that no quantifier above them binds."""
     out: set[WVar] = set()
-    for child in children(f):
-        out |= free_vars(child)
+    stack = [(f, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, (Forall, Exists)):
+            stack.append((node.body, bound | {node.var}))
+            continue
+        out.update(v for v in map(term_var, _terms(node)) if v not in bound)
+        stack.extend((child, bound) for child in children(node))
     return out
 
 
 def alpha_equal(f: FONode, g: FONode) -> bool:
-    """Structural equality up to renaming of bound variables."""
-    return _alpha_equal(f, g, {}, {}, 0)
-
-
-def _alpha_equal(a: FONode, b: FONode, env_a: dict, env_b: dict,
-                 depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (Forall, Exists)):
-        ea = dict(env_a)
-        eb = dict(env_b)
-        ea[a.var] = depth
-        eb[b.var] = depth
-        return _alpha_equal(a.body, b.body, ea, eb, depth + 1)
-    if isinstance(a, ATOM_TYPES):
+    """Structural equality up to renaming of bound variables: each pair of
+    nodes is compared with the de Bruijn levels of the variables bound
+    above it."""
+    stack = [(f, g, {}, {}, 0)]
+    while stack:
+        a, b, env_a, env_b, depth = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (Forall, Exists)):
+            stack.append((a.body, b.body, {**env_a, a.var: depth},
+                          {**env_b, b.var: depth}, depth + 1))
+            continue
         if isinstance(a, PVarAtom) and a.index != b.index:
             return False
-        terms_a = [v for v in vars(a).values() if isinstance(v, (WVar, Star))]
-        terms_b = [v for v in vars(b).values() if isinstance(v, (WVar, Star))]
-        return ([_term_key(t, env_a) for t in terms_a]
-                == [_term_key(t, env_b) for t in terms_b])
-    if isinstance(a, (TrueF, FalseF)):
-        return True
-    kids_a = children(a)
-    kids_b = children(b)
-    return all(_alpha_equal(x, y, env_a, env_b, depth)
-               for x, y in zip(kids_a, kids_b))
+        if ([_term_key(t, env_a) for t in _terms(a)]
+                != [_term_key(t, env_b) for t in _terms(b)]):
+            return False
+        stack.extend((x, y, env_a, env_b, depth)
+                     for x, y in zip(children(a), children(b)))
+    return True
 
 
 def _term_key(t: Term, env: dict):

@@ -200,27 +200,26 @@ def _solve_premise(qi: QuasiInequality, k: int, p: Atom,
 
 
 def _solver_move(host: Formula, side: str, first: int):
-    if side == "lhs":
-        if host.op == fm.FUS:
-            return ("residuation-imp" if first == 0 else "residuation-rres",
-                    {"which": "imp" if first == 0 else "rres"})
-        if host.op == fm.AND:
-            return ("residuation-and", {"which": "and", "commute": first == 1})
-        if host.op == fm.COIMP:
-            return ("residuation-or", {"which": "or"})
-        if host.op in (fm.NEG, fm.NEG_FLAT):
-            return ("adjunction-neg-left", {"which": "neg-left"})
-        return None
-    if host.op == fm.IMP:
-        return ("residuation-imp", {"which": "imp"})
-    if host.op == fm.RRES:
-        return ("residuation-rres", {"which": "rres"})
-    if host.op == fm.HIMP:
-        return ("residuation-and", {"which": "and"})
-    if host.op == fm.OR:
-        return ("residuation-or", {"which": "or", "commute": first == 0})
-    if host.op in (fm.NEG, fm.NEG_SHARP):
-        return ("adjunction-neg-right", {"which": "neg-right"})
+    """The rule that rewrites host, the given side of a premise, whose
+    argument `first` holds p: the residuation whose f (on the left) or g (on
+    the right) is host's connective, or else the negation adjunction of that
+    side.  A meet or join is commuted when p is not where x (on the left)
+    or y (on the right) of the Galois connection sits."""
+    move = None
+    for which, (f, i, g, _) in ca.RESIDUATION.items():
+        # fusion is the f of two rules: the one whose x holds p wins
+        fits = host.op == (f if side == "lhs" else g)
+        if fits and (move is None or i == first):
+            move = which, i
+    if move is not None:
+        which, i = move
+        params = {"which": which}
+        if host.op in (fm.AND, fm.OR):
+            params["commute"] = first != (i if side == "lhs" else 1)
+        return f"residuation-{which}", params
+    for which, (neg_side, adjoint) in ca.ADJUNCTION.items():
+        if neg_side == side and host.op in adjoint:
+            return f"adjunction-{which}", {"which": which}
     return None
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rmcorr import calculus as ca
@@ -5,8 +7,10 @@ from rmcorr import formula as fm
 from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
                              QuasiInequality, TraceStep)
 from rmcorr.formula import Atom
-from rmcorr.pipeline import approximate, preprocess
+from rmcorr.pipeline import approximate, correspondent, preprocess
 from rmcorr.syntax import parse
+
+from helpers import random_formula
 
 P = Atom(fm.PROP, 0, "p")
 Q = Atom(fm.PROP, 1, "q")
@@ -384,6 +388,26 @@ def test_trace_replay_reproduces_final_state():
     simp, last = simplify(pure)
     replayed = ca.replay(ca.goal(start), steps + more + last)
     assert replayed == simp
+
+
+def test_trace_replay_reproduces_every_goal(corpus_runs):
+    # every goal of the corpus and of criterion 7's formulas replays to its
+    # simplified state, or to its approximated one when elimination failed
+    rng = random.Random(271828)  # the seed of acceptance criterion 7
+    results = [result for _, result in corpus_runs.values()]
+    results += [correspondent(random_formula(rng, depth=6, n_vars=4))
+                for _ in range(1000)]
+    rules = set()
+    for g in (g for result in results for g in result.goals):
+        end = g.simplified if g.succeeded else g.approximated
+        assert ca.replay(ca.goal(g.initial), g.steps) == end, g.initial
+        rules.update(step.rule for step in g.steps)
+    assert rules == {"first-approximation", "split", "drop-trivial",
+                     *(f"approx-{rule}" for rule in ca.APPROX_RULES),
+                     *(f"residuation-{which}" for which in ca.RESIDUATION),
+                     *(f"adjunction-{which}" for which in ca.ADJUNCTION),
+                     "ackermann-left", "ackermann-right",
+                     "simplification-left", "simplification-right"}
 
 
 def test_trace_replay_detects_divergence():

@@ -55,6 +55,14 @@ def test_verify_rejects_negative_bound(bound, capsys):
     assert "Verified" not in out
 
 
+def test_trace_with_corpus_exits_2(capsys):
+    # a corpus run prints one line per entry and used to drop --trace
+    code, out, err = run_cli(["--corpus", "bundled-axioms", "--trace"], capsys)
+    assert code == 2
+    assert err == "error: --trace needs --input or --file\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("line", ['{"name": "a"}', '{"formula": "p"}', "[1]",
                                   '"p"', '{"name": "a", "formula": 3}'])
 def test_corpus_malformed_line_exits_2(line, tmp_path, capsys):

@@ -1,26 +1,33 @@
 """The forward-scan rewrite phases against the restart-from-0 loops they
-replaced, the approximation and simplification schemata against the
-written-out rules they replaced, and the memoised elimination search against
-the plain depth-first search it replaced.
+replaced, the rule schemata and tables against the written-out rules they
+replaced, and the memoised elimination search against the plain
+depth-first search it replaced.
 
-`ref_approximation` and `ref_simplification` below are the earlier rule
-bodies of `rmcorr.calculus`, one case per rule, kept verbatim as a
-reference.  `ref_preprocess`, `ref_approximate` and `ref_simplify` are the
-earlier fixed-point loops of `rmcorr.pipeline`, kept verbatim but for
-calling those bodies: after every rewrite they rescan from the first goal
-or premise.  `ref_solve_premise` is the earlier premise solver, bounded by
-4 moves per node instead of stopping when a state repeats.  On the bundled
-corpus, criterion 7's random formulas and extended random formulas, the
-current phases must produce the same goals, events, states and trace
-steps, and the current rules the same result as the reference, or
-NotApplicable on both sides, on the states of the approximation and
-simplification phases.  `ref_eliminate`, with `ref_candidate_vars` and
-`ref_try_eliminate_one`, is the earlier search, kept verbatim but for reading
-`pipeline.MAX_ATTEMPT_LOG` and calling the other two: it searches a state again every time an order
-reaches it and walks the premises once per variable and polarity.  On the
-same sets and the failing ladders, the current search must give the same
-order and steps, or the same stuck state, attempted orders and dead-end
-count, also with a shorter attempt log.
+`ref_approximation`, `ref_simplification`, `ref_residuation`,
+`ref_adjunction` and `ref_find_split` (with `ref_find_split_in`) below are
+the earlier rule bodies of `rmcorr.calculus`, one case per rule, direction
+or connective, kept verbatim as a reference; `ref_solver_move` is the
+earlier premise solver's choice of move in `rmcorr.pipeline`.
+`ref_preprocess`, `ref_approximate` and `ref_simplify` are the earlier
+fixed-point loops of `rmcorr.pipeline`, kept verbatim but for calling those
+bodies: after every rewrite they rescan from the first goal or premise.
+`ref_solve_premise` is the earlier premise solver, bounded by 4 moves per
+node instead of stopping when a state repeats, and calling the reference
+move, residuation and adjunction.  On the bundled corpus, criterion 7's
+random formulas and extended random formulas, the current phases must
+produce the same goals, events, states and trace steps, and the current
+rules the same result as the reference, or NotApplicable on both sides, on
+the states of the approximation and simplification phases.
+`ref_eliminate`, with `ref_candidate_vars` and `ref_try_eliminate_one`, is
+the earlier search, kept verbatim but for reading
+`pipeline.MAX_ATTEMPT_LOG` and calling the other two: it searches a state
+again every time an order reaches it and walks the premises once per
+variable and polarity.  On the same sets and the failing ladders, the
+current search must give the same order and steps, or the same stuck
+state, attempted orders and dead-end count, also with a shorter attempt
+log.  On every premise that the approximation and elimination phases reach
+on those four sets, residuation, adjunction, the split search and the
+solver's move must give what the reference gives.
 """
 
 import itertools
@@ -165,6 +172,144 @@ def ref_simplification(qi: QuasiInequality, which: str) -> QuasiInequality:
     raise NotApplicable(f"unknown simplification {which!r}")
 
 
+def ref_residuation(qi: QuasiInequality, k: int, which: str,
+                    commute: bool = False) -> QuasiInequality:
+    prem = qi.premises[k]
+    lhs, rhs = prem.lhs, prem.rhs
+
+    if which == "or":
+        if rhs.op == fm.OR:
+            chi, psi = rhs.args
+            if commute:
+                chi, psi = psi, chi
+            new = Inequality(fm.coimp(lhs, chi), psi)
+        elif lhs.op == fm.COIMP and not commute:
+            phi, chi = lhs.args
+            new = Inequality(phi, fm.disj(chi, rhs))
+        else:
+            raise NotApplicable("or-residuation shape mismatch")
+    elif which == "and":
+        if lhs.op == fm.AND:
+            phi, chi = lhs.args
+            if commute:
+                phi, chi = chi, phi
+            new = Inequality(phi, fm.himp(chi, rhs))
+        elif rhs.op == fm.HIMP and not commute:
+            chi, psi = rhs.args
+            new = Inequality(fm.conj(lhs, chi), psi)
+        else:
+            raise NotApplicable("and-residuation shape mismatch")
+    elif which == "imp":
+        if rhs.op == fm.IMP:
+            chi, psi = rhs.args
+            new = Inequality(fm.fus(lhs, chi), psi)
+        elif lhs.op == fm.FUS:
+            phi, chi = lhs.args
+            new = Inequality(phi, fm.imp(chi, rhs))
+        else:
+            raise NotApplicable("imp-residuation shape mismatch")
+    elif which == "rres":
+        if rhs.op == fm.RRES:
+            phi, chi = rhs.args
+            new = Inequality(fm.fus(phi, lhs), chi)
+        elif lhs.op == fm.FUS:
+            phi, psi = lhs.args
+            new = Inequality(psi, fm.rres(phi, rhs))
+        else:
+            raise NotApplicable("rres-residuation shape mismatch")
+    else:
+        raise NotApplicable(f"unknown residuation {which!r}")
+    return _replace(qi, k, (new,))
+
+
+def ref_adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
+    """Negation adjunction on premise k; a join on the left or a meet on the
+    right is split by `split_premise`."""
+    prem = qi.premises[k]
+    lhs, rhs = prem.lhs, prem.rhs
+    if which == "neg-left":
+        if lhs.op == fm.NEG:
+            new = Inequality(fm.negflat(rhs), lhs.args[0])
+        elif lhs.op == fm.NEG_FLAT:
+            new = Inequality(fm.neg(rhs), lhs.args[0])
+        else:
+            raise NotApplicable("neg-left adjunction shape mismatch")
+        return _replace(qi, k, (new,))
+    if which == "neg-right":
+        if rhs.op == fm.NEG:
+            new = Inequality(rhs.args[0], fm.negsharp(lhs))
+        elif rhs.op == fm.NEG_SHARP:
+            new = Inequality(rhs.args[0], fm.neg(lhs))
+        else:
+            raise NotApplicable("neg-right adjunction shape mismatch")
+        return _replace(qi, k, (new,))
+    raise NotApplicable(f"unknown adjunction {which!r}")
+
+
+def ref_find_split_in(phi: Formula, sign: int, path: tuple[int, ...]):
+    """First preorder position of a join at inequality-sign - or a meet at
+    inequality-sign +, descending only through negation, meet, join, fusion
+    at sign -, and implication at sign +."""
+    if phi.op == fm.OR and sign == -1:
+        return path
+    if phi.op == fm.AND and sign == 1:
+        return path
+    if phi.op == fm.NEG:
+        return ref_find_split_in(phi.args[0], -sign, path + (0,))
+    if phi.op in (fm.AND, fm.OR):
+        hit = ref_find_split_in(phi.args[0], sign, path + (0,))
+        if hit is not None:
+            return hit
+        return ref_find_split_in(phi.args[1], sign, path + (1,))
+    if phi.op == fm.FUS and sign == -1:
+        hit = ref_find_split_in(phi.args[0], sign, path + (0,))
+        if hit is not None:
+            return hit
+        return ref_find_split_in(phi.args[1], sign, path + (1,))
+    if phi.op == fm.IMP and sign == 1:
+        hit = ref_find_split_in(phi.args[0], -sign, path + (0,))
+        if hit is not None:
+            return hit
+        return ref_find_split_in(phi.args[1], sign, path + (1,))
+    return None
+
+
+def ref_find_split(ineq: Inequality) -> Optional[tuple[str, tuple[int, ...]]]:
+    """Locate a splittable meet/join in an inequality: ('lhs'|'rhs', path)."""
+    hit = ref_find_split_in(ineq.lhs, -1, ())
+    if hit is not None:
+        return ("lhs", hit)
+    hit = ref_find_split_in(ineq.rhs, 1, ())
+    if hit is not None:
+        return ("rhs", hit)
+    return None
+
+
+def ref_solver_move(host: Formula, side: str, first: int):
+    if side == "lhs":
+        if host.op == fm.FUS:
+            return ("residuation-imp" if first == 0 else "residuation-rres",
+                    {"which": "imp" if first == 0 else "rres"})
+        if host.op == fm.AND:
+            return ("residuation-and", {"which": "and", "commute": first == 1})
+        if host.op == fm.COIMP:
+            return ("residuation-or", {"which": "or"})
+        if host.op in (fm.NEG, fm.NEG_FLAT):
+            return ("adjunction-neg-left", {"which": "neg-left"})
+        return None
+    if host.op == fm.IMP:
+        return ("residuation-imp", {"which": "imp"})
+    if host.op == fm.RRES:
+        return ("residuation-rres", {"which": "rres"})
+    if host.op == fm.HIMP:
+        return ("residuation-and", {"which": "and"})
+    if host.op == fm.OR:
+        return ("residuation-or", {"which": "or", "commute": first == 0})
+    if host.op in (fm.NEG, fm.NEG_SHARP):
+        return ("adjunction-neg-right", {"which": "neg-right"})
+    return None
+
+
 # -- reference loops ----------------------------------------------------------
 
 def ref_preprocess(phi: Formula) -> tuple[list[Inequality], list[PreprocessEvent]]:
@@ -303,16 +448,16 @@ def ref_solve_premise(qi: QuasiInequality, k: int, p: Atom, polarity: str):
         if host.op == fm.ATOM:
             return None  # solved with the wrong polarity
         first = path[0]
-        move = _solver_move(host, side, first)
+        move = ref_solver_move(host, side, first)
         if move is None:
             return None
         rule, params = move
         try:
             if rule.startswith("residuation-"):
-                qi = ca.residuation(qi, k, params["which"],
-                                    commute=params.get("commute", False))
+                qi = ref_residuation(qi, k, params["which"],
+                                     commute=params.get("commute", False))
             else:
-                qi = ca.adjunction(qi, k, params["which"])
+                qi = ref_adjunction(qi, k, params["which"])
         except NotApplicable:
             return None
         steps.append(TraceStep(rule, k, params, (), qi))
@@ -572,3 +717,80 @@ def test_memoised_search_matches_the_plain_search(approximated, cap,
         encode_once()
         assert (_elimination_json(eliminate, qi)
                 == _elimination_json(ref_eliminate, qi)), qi
+
+
+@pytest.fixture(scope="module")
+def reached_premises(corpus_entries):
+    """The distinct premises of every state that the approximation phase
+    and the elimination search reach on all four sets, failed branches
+    included: the search's states are recorded as residuation, adjunction
+    and Ackermann return them."""
+    states = []
+
+    def recording(rule):
+        def run(*args, **kwargs):
+            states.append(rule(*args, **kwargs))
+            return states[-1]
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("residuation", "adjunction", "ackermann"):
+            mp.setattr(ca, name, recording(getattr(ca, name)))
+        for phi in itertools.chain.from_iterable(
+                _make(name, corpus_entries) for name in [*SETS, "ladders"]):
+            for ineq in preprocess(phi)[0]:
+                qi, steps = approximate(ineq)
+                states.extend(step.result for step in steps)
+                eliminate(qi)
+    return list(dict.fromkeys(p for state in states for p in state.premises))
+
+
+def _move_sites():
+    """(side, connective, argument) of every move of the reference solver."""
+    ops = [(op, 1) for op in fm.UNARY_OPS] + [(op, 2) for op in fm.BINARY_OPS]
+    return {(side, op, first) for side in ("lhs", "rhs") for op, n in ops
+            for first in range(n)
+            if ref_solver_move(Formula(op, (fm.top(),) * n), side, first)}
+
+
+def test_galois_tables_match_the_written_out_rules(reached_premises):
+    # each premise on its own, below a conclusion the rules do not read;
+    # a residuation's direction is the side that lost its connective
+    conclusion = Inequality(fm.nom(0), fm.cnom(0))
+    applied, moves, splits = set(), set(), set()
+    for prem in reached_premises:
+        state = QuasiInequality((prem,), conclusion)
+        for which, commute in itertools.product(
+                ("imp", "rres", "and", "or", "unknown"), (False, True)):
+            out = _outcome(ca.residuation, state, 0, which, commute)
+            assert out == _outcome(ref_residuation, state, 0, which,
+                                   commute), (prem, which, commute)
+            if out is not NotApplicable:
+                side = "lhs" if out.premises[0].lhs in prem.lhs.args else "rhs"
+                applied.add((which, commute, side))
+        for which in ("neg-left", "neg-right", "and", "unknown"):
+            out = _outcome(ca.adjunction, state, 0, which)
+            assert out == _outcome(ref_adjunction, state, 0, which), (prem,
+                                                                      which)
+            if out is not NotApplicable:
+                host = prem.lhs if which == "neg-left" else prem.rhs
+                applied.add((which, host.op))
+        hit = ca.find_split(prem)
+        assert hit == ref_find_split(prem), prem
+        splits.add(hit and hit[0])
+        for side, host in (("lhs", prem.lhs), ("rhs", prem.rhs)):
+            for first in range(len(host.args)):
+                move = _solver_move(host, side, first)
+                assert move == ref_solver_move(host, side, first), (host, side)
+                if move is not None:
+                    moves.add((side, host.op, first))
+    # a commuted meet or join rules out the other side
+    assert applied == ({(which, commute, side)
+                        for which in ("imp", "rres", "and", "or")
+                        for commute in (False, True)
+                        for side in ("lhs", "rhs")}
+                       - {("and", True, "rhs"), ("or", True, "lhs")}
+                       | {("neg-left", fm.NEG), ("neg-left", fm.NEG_FLAT),
+                          ("neg-right", fm.NEG), ("neg-right", fm.NEG_SHARP)})
+    assert splits == {"lhs", "rhs", None}
+    assert moves == _move_sites()

@@ -266,9 +266,22 @@ def test_walk_is_preorder_and_stack_safe():
     x = fol.WVar("x", 0)
     g = fol.And(fol.Not(fol.OAtom(x)), fol.Forall(x, fol.LeqAtom(x, x)))
     assert list(fol.walk(g)) == [g, g.left, g.left.body, g.right, g.right.body]
-    # a 3,000-deep chain used to exceed the recursion limit
-    deep = fol.OAtom(x)
-    for _ in range(3000):
-        deep = fol.Not(deep)
+    # a 3,000-deep chain used to exceed the recursion limit, in free_vars
+    # and alpha_equal too
+    deep = _not_chain(x, 3000)
     nodes = list(fol.walk(deep))
     assert len(nodes) == 3001 and nodes[0] is deep and nodes[-1] == fol.OAtom(x)
+    assert fol.free_vars(deep) == {x}
+    assert fol.free_vars(fol.Exists(x, deep)) == set()
+    y = fol.WVar("y", 0)
+    assert fol.alpha_equal(fol.Forall(x, deep),
+                           fol.Forall(y, _not_chain(y, 3000)))
+    assert not fol.alpha_equal(deep, _not_chain(y, 3000))
+    assert not fol.alpha_equal(deep, _not_chain(x, 3001))
+
+
+def _not_chain(v, n):
+    out = fol.OAtom(v)
+    for _ in range(n):
+        out = fol.Not(out)
+    return out
