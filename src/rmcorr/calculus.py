@@ -524,12 +524,12 @@ def _atom_from_params(value) -> Atom:
 def apply_step(qi: QuasiInequality, step: TraceStep) -> QuasiInequality:
     """Re-apply a recorded step to a state; fresh atoms come from the record."""
     rule = step.rule
-    supply = FreshSupply(qi.atoms())
     if rule == "first-approximation":
-        return first_approximation(qi, supply, fresh=(step.fresh[0], step.fresh[1]))
+        return first_approximation(qi, FreshSupply.for_qi(qi),
+                                   fresh=(step.fresh[0], step.fresh[1]))
     if rule.startswith("approx-"):
-        return approximation(qi, step.premise, rule[len("approx-"):], supply,
-                             fresh=step.fresh[0])
+        return approximation(qi, step.premise, rule[len("approx-"):],
+                             FreshSupply.for_qi(qi), fresh=step.fresh[0])
     if rule.startswith("residuation-"):
         return residuation(qi, step.premise, rule[len("residuation-"):],
                            commute=step.params.get("commute", False))

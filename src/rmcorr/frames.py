@@ -1,6 +1,6 @@
-"""Finite frames with a ternary accessibility relation, a set of normal
-worlds, and a star map; model-theoretic evaluation of object formulas and
-first-order formulas; and the brute-force correspondence checker.
+"""Finite frames with a ternary accessibility relation, normal worlds and a
+star map, built on their order (210 of 4,096 structures on two worlds; three
+stay capped); evaluation of formulas; the brute-force correspondence checker.
 
 Worlds are 0..n-1 and sets of worlds are bitmasks, so the complex-algebra
 operations are a handful of integer operations per application.  A frame
@@ -43,7 +43,7 @@ __all__ = [
     "CorrespondenceReport",
 ]
 
-# enumeration tests 4,096 candidates at two worlds, about 2.9e10 at three
+# enumeration builds 210 of the 4,096 structures on two worlds; three stay capped
 MAX_WORLDS = 2
 
 
@@ -238,12 +238,6 @@ def _bi_identities_hold(f: RMFrame) -> bool:
 
 
 def _ra_identities_hold(f: RMFrame) -> bool:
-    # antichain order
-    for u in range(f.n):
-        for v in range(f.n):
-            if u != v and f.leq(u, v):
-                return False
-
     def conv(Y: int) -> int:
         return f.op_neg(f.op_himp(Y, 0))
 
@@ -261,9 +255,13 @@ _MODE_IDENTITIES = {"relevance": lambda f: True, "bi": _bi_identities_hold,
 def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
     """All valid frames on n worlds, lexicographic in (O, R, star).
 
-    In bi mode only frames whose complex algebra has commutative associative
-    fusion are produced; in ra mode the order must be an antichain and the
-    relation-algebra identities must hold.
+    Frames are built on their order, a preorder (in ra mode only the
+    identity, an antichain), from a non-empty up-set O, an antitone star
+    and, per world a, a slice {(b, c) : R a b c} whose rows R a b are
+    up-sets shrinking as b goes up; the slices shrink as a goes up, and
+    those of O make the order.  `check_frame` and the mode's identities
+    (bi: commutative associative fusion; ra: the relation-algebra ones)
+    still decide these candidates, 210 on two worlds (164 in ra mode).
     """
     if n < 1:
         raise ValueError("need at least one world")
@@ -272,15 +270,31 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
     if mode not in _MODE_IDENTITIES:
         raise ValueError(f"unknown frame mode {mode!r}")
     identities_hold = _MODE_IDENTITIES[mode]
-    triples = list(itertools.product(range(n), repeat=3))
-    for o_bits in range(1 << n):
-        O = frozenset(w for w in range(n) if o_bits & (1 << w))
-        for r_bits in range(1 << len(triples)):
-            R = frozenset(t for i, t in enumerate(triples) if r_bits & (1 << i))
-            for star in itertools.product(range(n), repeat=n):
-                f = RMFrame(n, O, R, star)
-                if check_frame(f) and identities_hold(f):
-                    yield f
+    W, masks = range(n), range(1 << n)
+    found = []  # (O, R, stars), R's bit a * n * n + b * n + c for R a b c
+    for up in ([tuple(1 << w for w in W)] if mode == "ra"  # up[w] = {v : w <= v}
+               else itertools.product(masks, repeat=n)):
+        def shrinks(seq) -> bool:  # u <= v implies that seq[v] is in seq[u]
+            return not any(up[u] >> v & 1 and seq[v] & ~seq[u] for u in W for v in W)
+        if not shrinks(up) or not all(up[w] >> w & 1 for w in W):
+            continue  # not transitive, or not reflexive
+        upsets = [S for S in masks if not any(S >> w & 1 and up[w] & ~S for w in W)]
+        # star v <= star u, so up[star u] is in up[star v], whenever u <= v
+        stars = [s for s in itertools.product(W, repeat=n) if shrinks([~up[x] for x in s])]
+        slices = [_union(row << b * n for b, row in enumerate(rows))
+                  for rows in itertools.product(upsets, repeat=n) if shrinks(rows)]
+        order = _union(row << w * n for w, row in enumerate(up))
+        for O, R in itertools.product(upsets[1:], itertools.product(slices, repeat=n)):
+            if shrinks(R) and _union(R[o] for o in W if O >> o & 1) == order:
+                found.append((O, _union(r << a * n * n for a, r in enumerate(R)), stars))
+    triples = list(itertools.product(W, repeat=3))
+    for o_bits, r_bits, stars in sorted(found):
+        O = frozenset(w for w in W if o_bits >> w & 1)
+        R = frozenset(t for i, t in enumerate(triples) if r_bits >> i & 1)
+        for star in stars:
+            f = RMFrame(n, O, R, star)
+            if check_frame(f) and identities_hold(f):
+                yield f
 
 
 def _relabel(f: RMFrame, perm: tuple[int, ...]) -> RMFrame:
@@ -496,12 +510,6 @@ def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
     return bool(extension(f, valuation, phi) & (1 << w))
 
 
-def _check_valuation(f: RMFrame, valuation: dict[Atom, int]) -> None:
-    for a, val in valuation.items():
-        if val not in admissible_values(f, a):
-            raise ValueError(f"valuation of {a!r} is out of range")
-
-
 def frame_valid(f: RMFrame, phi: Formula) -> bool:
     """Frame validity: truth at every normal world under every assignment of
     up-sets to the propositional variables."""
@@ -639,7 +647,9 @@ _quasi_program = _ProgramCache(_compile_quasi, 256)
 def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
     """Truth of an inequality (containment of extensions) or quasi-inequality
     (premises imply conclusion) under one admissible valuation."""
-    _check_valuation(f, valuation)
+    for a, val in valuation.items():
+        if val not in admissible_values(f, a):
+            raise ValueError(f"valuation of {a!r} is out of range")
     holds, missing = _quasi_program(f, obj, tuple(valuation))
     if missing:
         raise ValueError(f"unassigned atom {missing[0]!r}")

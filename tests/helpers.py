@@ -10,7 +10,7 @@ import random
 from rmcorr import calculus as ca
 from rmcorr import formula as fm
 from rmcorr.calculus import Inequality, QuasiInequality
-from rmcorr.frames import RMFrame, admissible_values, universal_truth
+from rmcorr.frames import RMFrame, _quasi_program, admissible_values
 from rmcorr.formula import Formula
 from rmcorr.pipeline import correspondent
 from rmcorr.syntax import SyntaxMode, parse
@@ -82,12 +82,14 @@ def step_equivalent(frame: RMFrame, before: QuasiInequality,
         candidates = before.atoms() + afters[0].atoms()
     else:
         candidates = atoms
-    shared = [a for a in dict.fromkeys(candidates) if a in both]
+    shared = tuple(a for a in dict.fromkeys(candidates) if a in both)
+    # universal_truth(frame, qi, dict(zip(shared, combo))) for every combo,
+    # with each program bound once rather than looked up per valuation
+    old = _quasi_program(frame, before, shared)[0]
+    new = [_quasi_program(frame, qi, shared)[0] for qi in afters]
     for combo in itertools.product(*(admissible_values(frame, a)
                                      for a in shared)):
-        sigma = dict(zip(shared, combo))
-        if (universal_truth(frame, before, sigma)
-                != all(universal_truth(frame, qi, sigma) for qi in afters)):
+        if old(*combo) != all(holds(*combo) for holds in new):
             return False
     return True
 

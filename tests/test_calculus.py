@@ -410,6 +410,35 @@ def test_trace_replay_reproduces_every_goal(corpus_runs):
                      "simplification-left", "simplification-right"}
 
 
+def test_replaying_a_residuation_step_reads_no_atoms(corpus_runs,
+                                                    monkeypatch):
+    # only the approximation rules take a fresh-atom supply, so replaying
+    # any other step builds none and never lists the state's atoms
+    pairs = []
+    for _, result in corpus_runs.values():
+        for g in result.goals:
+            state = ca.goal(g.initial)
+            for step in g.steps:
+                if step.rule.startswith("residuation-"):
+                    pairs.append((state, step))
+                state = step.result
+    assert pairs
+    calls = []
+    atoms = QuasiInequality.atoms
+    monkeypatch.setattr(QuasiInequality, "atoms",
+                        lambda self, kind=None: calls.append(self)
+                        or atoms(self, kind))
+    for state, step in pairs:
+        assert ca.apply_step(state, step) == step.result
+    assert calls == []
+    # the counter does see the rules that still take a supply
+    state, step = next((ca.goal(g.initial), g.steps[0])
+                       for _, result in corpus_runs.values()
+                       for g in result.goals)
+    assert step.rule == "first-approximation"
+    assert ca.apply_step(state, step) == step.result and calls
+
+
 def test_trace_replay_detects_divergence():
     start = qi(concl=r"p <= p")
     supply = FreshSupply.for_qi(start)

@@ -7,6 +7,9 @@ give the same extensions, validity verdicts and first-order truth values.
 `ref_holds` and `ref_admissible` build the truth of a (quasi-)inequality on
 `ref_extension`, with the admissible values read off the order, for the
 brute-force check of `universal_truth` and `complex_algebra_eval`.
+`ref_enumerate_frames` is the enumerator that tested every candidate
+structure, kept verbatim as the reference for the constructive one, with
+the ra-mode identities it used, which also required an antichain order.
 """
 
 import itertools
@@ -24,7 +27,9 @@ from rmcorr.calculus import Inequality, QuasiInequality
 from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
                         OAtom, Or, PVarAtom, RAtom, Star, WVar)
 from rmcorr.formula import Atom, Formula
-from rmcorr.frames import (RMFrame, _frame_family, _relabel,
+from rmcorr.frames import (MAX_WORLDS, BudgetError, RMFrame,
+                           _bi_identities_hold, _frame_family,
+                           _fusion_associates, _relabel, check_frame,
                            complex_algebra_eval, correspondence_check,
                            enumerate_frames, eval_fo, extension, frame_valid,
                            random_frame, universal_truth)
@@ -159,6 +164,52 @@ def ref_holds(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
             or ref_holds(f, valuation, obj.conclusion))
 
 
+def _ra_identities_hold(f: RMFrame) -> bool:
+    # antichain order
+    for u in range(f.n):
+        for v in range(f.n):
+            if u != v and f.leq(u, v):
+                return False
+
+    def conv(Y: int) -> int:
+        return f.op_neg(f.op_himp(Y, 0))
+
+    sets = f.upsets()
+    return (all(f.op_imp(Y, Z) == f.op_neg(f.op_fus(f.op_neg(Z), Y))
+                and conv(f.op_fus(Y, Z)) == f.op_fus(conv(Z), conv(Y))
+                for Y in sets for Z in sets)
+            and _fusion_associates(f, sets))
+
+
+_MODE_IDENTITIES = {"relevance": lambda f: True, "bi": _bi_identities_hold,
+                    "ra": _ra_identities_hold}
+
+
+def ref_enumerate_frames(n: int, mode: str = "relevance"):
+    """All valid frames on n worlds, lexicographic in (O, R, star).
+
+    In bi mode only frames whose complex algebra has commutative associative
+    fusion are produced; in ra mode the order must be an antichain and the
+    relation-algebra identities must hold.
+    """
+    if n < 1:
+        raise ValueError("need at least one world")
+    if n > MAX_WORLDS:
+        raise BudgetError(f"exhaustive enumeration is capped at {MAX_WORLDS} worlds")
+    if mode not in _MODE_IDENTITIES:
+        raise ValueError(f"unknown frame mode {mode!r}")
+    identities_hold = _MODE_IDENTITIES[mode]
+    triples = list(itertools.product(range(n), repeat=3))
+    for o_bits in range(1 << n):
+        O = frozenset(w for w in range(n) if o_bits & (1 << w))
+        for r_bits in range(1 << len(triples)):
+            R = frozenset(t for i, t in enumerate(triples) if r_bits & (1 << i))
+            for star in itertools.product(range(n), repeat=n):
+                f = RMFrame(n, O, R, star)
+                if check_frame(f) and identities_hold(f):
+                    yield f
+
+
 # -- fixtures -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -166,6 +217,26 @@ def mode_frames():
     """Every frame with at most two worlds, per mode, in enumeration order."""
     return {mode: [f for n in (1, 2) for f in enumerate_frames(n, mode)]
             for mode in MODES}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_constructive_enumeration_matches_the_brute_force_one(mode):
+    # the same frames in the same order, at every size up to the cap
+    for n in range(1, MAX_WORLDS + 1):
+        assert (list(enumerate_frames(n, mode))
+                == list(ref_enumerate_frames(n, mode)))
+
+
+def test_enumeration_errors_match_the_brute_force_ones():
+    for n, mode, error in ((0, "relevance", ValueError),
+                           (MAX_WORLDS + 1, "bi", BudgetError),
+                           (1, "RA", ValueError)):
+        raised = []
+        for enumerate_ in (enumerate_frames, ref_enumerate_frames):
+            with pytest.raises(ValueError) as info:
+                next(enumerate_(n, mode))
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] and raised[0][0] is error
 
 
 def test_relevance_frames_include_the_other_modes(mode_frames):
