@@ -226,24 +226,23 @@ def check_frame(f: RMFrame) -> bool:
 
 
 def _fusion_associates(f: RMFrame, sets: list[int]) -> bool:
-    fus = f.op_fus
-    return all(fus(fus(Y, Z), W) == fus(Y, fus(Z, W))
+    fus, n = f.table(fm.FUS), f.n
+    return all(fus[fus[Y << n | Z] << n | W] == fus[Y << n | fus[Z << n | W]]
                for Y in sets for Z in sets for W in sets)
 
 
 def _bi_identities_hold(f: RMFrame) -> bool:
-    sets = f.upsets()
-    return (all(f.op_fus(Y, Z) == f.op_fus(Z, Y) for Y in sets for Z in sets)
+    fus, n, sets = f.table(fm.FUS), f.n, f.upsets()
+    return (all(fus[Y << n | Z] == fus[Z << n | Y] for Y in sets for Z in sets)
             and _fusion_associates(f, sets))
 
 
 def _ra_identities_hold(f: RMFrame) -> bool:
-    def conv(Y: int) -> int:
-        return f.op_neg(f.op_himp(Y, 0))
-
-    sets = f.upsets()
-    return (all(f.op_imp(Y, Z) == f.op_neg(f.op_fus(f.op_neg(Z), Y))
-                and conv(f.op_fus(Y, Z)) == f.op_fus(conv(Z), conv(Y))
+    fus, imp, neg, himp = (f.table(op) for op in (fm.FUS, fm.IMP, fm.NEG, fm.HIMP))
+    n, sets = f.n, f.upsets()
+    conv = [neg[himp[Y << n]] for Y in range(f.full + 1)]  # Y -> ~(Y => bot)
+    return (all(imp[Y << n | Z] == neg[fus[neg[Z] << n | Y]]
+                and conv[fus[Y << n | Z]] == fus[conv[Z] << n | conv[Y]]
                 for Y in sets for Z in sets)
             and _fusion_associates(f, sets))
 

@@ -186,35 +186,31 @@ def _term_json(t: fol.Term) -> dict:
     return {"term": "var", "family": t.family, "index": t.index}
 
 
+# the op of each node class; a quantifier's fields and an atom's predicate
+# index keep their names, every other field is one of the node's args
+_JSON_OPS = {fol.TrueF: "true", fol.FalseF: "false", RAtom: "R", OAtom: "O",
+             LeqAtom: "leq", EqAtom: "eq", PVarAtom: "pvar", Not: "not",
+             And: "and", Or: "or", Implies: "implies", Forall: "forall",
+             Exists: "exists"}
+
+
 def fo_to_json(f: FONode) -> dict:
-    if isinstance(f, fol.TrueF):
-        return {"op": "true"}
-    if isinstance(f, fol.FalseF):
-        return {"op": "false"}
-    if isinstance(f, RAtom):
-        return {"op": "R", "args": [_term_json(f.a), _term_json(f.b),
-                                    _term_json(f.c)]}
-    if isinstance(f, OAtom):
-        return {"op": "O", "args": [_term_json(f.a)]}
-    if isinstance(f, LeqAtom):
-        return {"op": "leq", "args": [_term_json(f.a), _term_json(f.b)]}
-    if isinstance(f, EqAtom):
-        return {"op": "eq", "args": [_term_json(f.a), _term_json(f.b)]}
-    if isinstance(f, PVarAtom):
-        return {"op": "pvar", "index": f.index, "args": [_term_json(f.a)]}
-    if isinstance(f, Not):
-        return {"op": "not", "args": [fo_to_json(f.body)]}
-    if isinstance(f, And):
-        return {"op": "and", "args": [fo_to_json(f.left), fo_to_json(f.right)]}
-    if isinstance(f, Or):
-        return {"op": "or", "args": [fo_to_json(f.left), fo_to_json(f.right)]}
-    if isinstance(f, Implies):
-        return {"op": "implies",
-                "args": [fo_to_json(f.left), fo_to_json(f.right)]}
-    if isinstance(f, (Forall, Exists)):
-        op = "forall" if isinstance(f, Forall) else "exists"
-        return {"op": op, "var": _term_json(f.var), "body": fo_to_json(f.body)}
-    raise ValueError(f"cannot serialize {f!r}")
+    op = _JSON_OPS.get(type(f))
+    if op is None:
+        raise ValueError(f"cannot serialize {f!r}")
+    out, args = {"op": op}, []
+    for name, value in vars(f).items():
+        if isinstance(value, FONode):
+            value = fo_to_json(value)
+        elif not isinstance(value, int):
+            value = _term_json(value)
+        if name == "index" or isinstance(f, (Forall, Exists)):
+            out[name] = value
+        else:
+            args.append(value)
+    if args:
+        out["args"] = args
+    return out
 
 
 # --- reports ---

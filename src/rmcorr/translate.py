@@ -2,17 +2,24 @@
 formulas over the frame signature, plus the standard translation used for
 cross-checking, and the post-translation cleanup passes.
 
-The inequality translator is an ordered match list: the first rule whose
-shape fits wins.  Shapes with no dedicated rule fall back to expanding one
-side through the standard translation; every such fall-through is logged at
-debug level.
+An inequality with a nominal i on the left is read "x_i is in the extension
+of the right side", one with a co-nominal m on the right "y_m is not in the
+extension of the left side"; any other falls back to "every nominal below
+the left side is below the right side".  The rules the two readings share
+are written once, for the nominal side, and read negated on the co-nominal
+side: meet and join swap, so do top and bottom and the quantifiers, and a
+literal gains or loses its negation.  The Routley-Meyer clause of each
+non-lattice connective is one entry of a table, read by the standard
+translation with fresh z variables and by the inequality translator with
+fresh nominals wherever a connective has no direct rule on its side; every
+such expansion is logged at debug level.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import fol
 from . import formula as fm
@@ -31,20 +38,75 @@ class PurityError(ValueError):
     """Raised when the inequality translator meets a propositional variable."""
 
 
-def _is_nom(phi: Formula) -> bool:
-    return phi.op == fm.ATOM and phi.atom.kind == fm.NOM
-
-
-def _is_cnom(phi: Formula) -> bool:
-    return phi.op == fm.ATOM and phi.atom.kind == fm.CNOM
+def _is(phi: Formula, kind: str) -> bool:
+    return phi.op == fm.ATOM and phi.atom.kind == kind
 
 
 def _xvar(phi: Formula) -> WVar:
     return WVar("x", phi.atom.index)
 
 
-def _yvar(phi: Formula) -> WVar:
-    return WVar("y", phi.atom.index)
+# The Routley-Meyer clause of each connective but meet and join: its
+# quantifier, its number of bound worlds, whether its last literal is
+# negated, and its literals at world w, given `read`, which reads argument k
+# at a world, and the bound worlds.  A universal clause reads
+# "forall zs (first literals -> last)", an existential one
+# "exists zs (first literals & last)".
+_CLAUSES: dict[str, tuple[type, int, bool, Callable[..., list[FONode]]]] = {
+    fm.NEG: (Exists, 1, True,
+             lambda read, w, z: [EqAtom(z, Star(w)), read(0, z)]),
+    # adjoint reading: below some starred non-instance of the body
+    fm.NEG_FLAT: (Exists, 1, True,
+                  lambda read, w, z: [LeqAtom(Star(z), w), read(0, z)]),
+    # adjoint reading: no instance of the body stars above this world
+    fm.NEG_SHARP: (Forall, 1, True,
+                   lambda read, w, z: [read(0, z), LeqAtom(w, Star(z))]),
+    fm.FUS: (Exists, 2, False, lambda read, w, z1, z2:
+             [RAtom(z1, z2, w), read(0, z1), read(1, z2)]),
+    fm.IMP: (Forall, 2, False, lambda read, w, z1, z2:
+             [RAtom(w, z1, z2), read(0, z1), read(1, z2)]),
+    fm.RRES: (Forall, 2, False, lambda read, w, z1, z2:
+              [RAtom(z1, w, z2), read(0, z1), read(1, z2)]),
+    fm.COIMP: (Exists, 1, True,
+               lambda read, w, z: [LeqAtom(z, w), read(0, z), read(1, z)]),
+    fm.HIMP: (Forall, 1, False,
+              lambda read, w, z: [LeqAtom(w, z), read(0, z), read(1, z)]),
+}
+
+
+def _bind(quantifier: type, worlds: list[WVar], first: list[FONode],
+          last: FONode) -> FONode:
+    """forall worlds (first -> last), or exists worlds (first & last)."""
+    body = fol.conjoin(first)
+    body = Implies(body, last) if quantifier is Forall else And(body, last)
+    for v in reversed(worlds):
+        body = quantifier(v, body)
+    return body
+
+
+def _clause(op: str, w: fol.Term, worlds: list[WVar],
+            read: Callable[[int, WVar], FONode], holds: bool = True) -> FONode:
+    """The clause of `op` at w over the bound `worlds`, or its negation
+    when not `holds`: the other quantifier, the last literal negated."""
+    quantifier, _, negated, literals = _CLAUSES[op]
+    *first, last = literals(read, w, *worlds)
+    if not holds:
+        quantifier = Exists if quantifier is Forall else Forall
+        negated = not negated
+    return _bind(quantifier, worlds, first, Not(last) if negated else last)
+
+
+def _st_atom(a: Atom, w: fol.Term) -> FONode:
+    if a.kind == fm.PROP:
+        return PVarAtom(a.index, w)
+    if a.kind == fm.NOM:
+        return LeqAtom(WVar("x", a.index), w)
+    return Not(LeqAtom(w, WVar("y", a.index)))
+
+
+def _literal(f: FONode, holds: bool) -> FONode:
+    """An atomic literal of the nominal side, read at the given sign."""
+    return f if holds else _smart_not(f)
 
 
 def tr(ineq: Inequality, supply: Optional[FreshSupply] = None) -> FONode:
@@ -54,153 +116,94 @@ def tr(ineq: Inequality, supply: Optional[FreshSupply] = None) -> FONode:
     already present, so printed output lines up with the derivation that
     produced the inequality.
     """
-    for side in (ineq.lhs, ineq.rhs):
-        if any(a.kind == fm.PROP for a in fm.atoms(side)):
-            raise PurityError(f"inequality is not pure: {ineq!r}")
+    if not ineq.is_pure():
+        raise PurityError(f"inequality is not pure: {ineq!r}")
     return _tr(ineq, supply or FreshSupply(ineq.atoms()))
 
 
 def _tr(ineq: Inequality, supply: FreshSupply) -> FONode:
     L, R = ineq.lhs, ineq.rhs
-
-    def rec(lhs: Formula, rhs: Formula) -> FONode:
-        return _tr(Inequality(lhs, rhs), supply)
-
-    if L.op == fm.ATOM and L.atom.kind == fm.PROP or \
-       R.op == fm.ATOM and R.atom.kind == fm.PROP:
+    if _is(L, fm.PROP) or _is(R, fm.PROP):
         raise PurityError(f"inequality is not pure: {ineq!r}")
+    if _is(L, fm.NOM):
+        return _reading(R, L, True, supply)
+    if _is(R, fm.CNOM):
+        return _reading(L, R, False, supply)
+    return _generic(L, R, supply)
 
-    if _is_nom(L):
-        xi = _xvar(L)
-        if _is_nom(R):
-            return LeqAtom(_xvar(R), xi)
-        if _is_cnom(R):
-            return Not(LeqAtom(xi, _yvar(R)))
-        if R.op == fm.T:
-            return OAtom(xi)
-        if R.op == fm.BOT:
-            return FALSE
-        if R.op == fm.TOP:
-            return TRUE
-        if R.op == fm.NEG:
-            arg = R.args[0]
-            if _is_cnom(arg):
-                return LeqAtom(Star(xi), _yvar(arg))
-            if _is_nom(arg):
-                return Not(LeqAtom(_xvar(arg), Star(xi)))
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Forall(_xvar(j),
-                          Implies(rec(j, arg), Not(LeqAtom(_xvar(j), Star(xi)))))
-        if R.op == fm.FUS:
-            a, b = R.args
-            if _is_nom(a) and _is_nom(b):
-                return RAtom(_xvar(a), _xvar(b), xi)
-            if _is_nom(a):
-                k = fm.atom(supply.fresh(fm.NOM))
-                return Exists(_xvar(k),
-                              And(rec(k, b), RAtom(_xvar(a), _xvar(k), xi)))
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Exists(_xvar(j), And(rec(j, a), rec(L, fm.fus(j, b))))
-        if R.op == fm.IMP:
-            return rec(fm.fus(L, R.args[0]), R.args[1])
-        if R.op == fm.RRES:
-            return rec(fm.fus(R.args[0], L), R.args[1])
-        if R.op == fm.HIMP:
-            return rec(fm.conj(L, R.args[0]), R.args[1])
-        if R.op == fm.AND:
-            return And(rec(L, R.args[0]), rec(L, R.args[1]))
-        if R.op == fm.OR:
-            return Or(rec(L, R.args[0]), rec(L, R.args[1]))
-        if R.op == fm.COIMP:
-            logger.debug("no direct rule for nominal below %s; expanding via "
-                         "standard translation", R.op)
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Exists(_xvar(j),
-                          And(And(LeqAtom(_xvar(j), xi), rec(j, R.args[0])),
-                              Not(rec(j, R.args[1]))))
-        if R.op == fm.NEG_FLAT:
-            logger.debug("no direct rule for nominal below %s; expanding via "
-                         "standard translation", R.op)
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Exists(_xvar(j),
-                          And(LeqAtom(Star(_xvar(j)), xi), Not(rec(j, R.args[0]))))
-        if R.op == fm.NEG_SHARP:
-            logger.debug("no direct rule for nominal below %s; expanding via "
-                         "standard translation", R.op)
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Forall(_xvar(j),
-                          Implies(rec(j, R.args[0]),
-                                  Not(LeqAtom(xi, Star(_xvar(j))))))
 
-    if _is_cnom(R):
-        ym = _yvar(R)
-        if _is_cnom(L):
-            return LeqAtom(ym, _yvar(L))
-        if L.op == fm.T:
-            return Not(OAtom(ym))
-        if L.op == fm.BOT:
-            return TRUE
-        if L.op == fm.TOP:
-            return FALSE
-        if L.op == fm.NEG:
-            arg = L.args[0]
-            if _is_cnom(arg):
-                return Not(LeqAtom(Star(ym), _yvar(arg)))
-            if _is_nom(arg):
-                return LeqAtom(_xvar(arg), Star(ym))
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Exists(_xvar(j),
-                          And(rec(j, arg), LeqAtom(_xvar(j), Star(ym))))
-        if L.op == fm.FUS:
-            a, b = L.args
-            if _is_nom(a) and _is_nom(b):
-                return Not(RAtom(_xvar(a), _xvar(b), ym))
-            if _is_nom(a):
-                j = fm.atom(supply.fresh(fm.NOM))
-                return Forall(_xvar(j),
-                              Implies(rec(j, b), Not(RAtom(_xvar(a), _xvar(j), ym))))
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Forall(_xvar(j), Implies(rec(j, a), rec(fm.fus(j, b), R)))
-        if L.op == fm.HIMP:
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Forall(_xvar(j), Implies(rec(j, L), rec(j, R)))
-        if L.op == fm.COIMP:
-            return rec(L.args[0], fm.disj(L.args[1], R))
-        if L.op == fm.AND:
-            return Or(rec(L.args[0], R), rec(L.args[1], R))
-        if L.op == fm.OR:
-            return And(rec(L.args[0], R), rec(L.args[1], R))
-        if L.op == fm.IMP and _is_nom(L.args[0]) and _is_cnom(L.args[1]):
+def _generic(L: Formula, R: Formula, supply: FreshSupply) -> FONode:
+    """L <= R iff every nominal below L is below R."""
+    j = fm.atom(supply.fresh(fm.NOM))
+    return Forall(_xvar(j), Implies(_reading(L, j, True, supply),
+                                    _reading(R, j, True, supply)))
+
+
+def _reading(phi: Formula, at: Formula, holds: bool,
+             supply: FreshSupply) -> FONode:
+    """at <= phi for a nominal `at` (`holds`): x_at is in phi's extension;
+    phi <= at for a co-nominal `at`: y_at is not in phi's extension."""
+    w = WVar("x" if holds else "y", at.atom.index)
+    op, args = phi.op, phi.args
+    if op == fm.ATOM:
+        if phi.atom.kind == fm.PROP:
+            ineq = Inequality(at, phi) if holds else Inequality(phi, at)
+            raise PurityError(f"inequality is not pure: {ineq!r}")
+        return _literal(_st_atom(phi.atom, w), holds)
+    if op == fm.T:
+        return _literal(OAtom(w), holds)
+    if op == fm.TOP:
+        return _literal(TRUE, holds)
+    if op == fm.BOT:
+        return _literal(FALSE, holds)
+    if op in (fm.AND, fm.OR):
+        # meet and join swap on the co-nominal side
+        connective = And if (op == fm.AND) == holds else Or
+        return connective(_reading(args[0], at, holds, supply),
+                          _reading(args[1], at, holds, supply))
+    if op == fm.NEG and (_is(args[0], fm.NOM) or _is(args[0], fm.CNOM)):
+        # ~a holds at w when a fails at w*
+        return _literal(_st_atom(args[0].atom, Star(w)), not holds)
+    if op == fm.NEG:
+        j = fm.atom(supply.fresh(fm.NOM))
+        return _bind(Forall if holds else Exists, [_xvar(j)],
+                     [_reading(args[0], j, True, supply)],
+                     _literal(Not(LeqAtom(_xvar(j), Star(w))), holds))
+    if op == fm.FUS:
+        a, b = args
+        if _is(a, fm.NOM) and _is(b, fm.NOM):
+            return _literal(RAtom(_xvar(a), _xvar(b), w), holds)
+        j = fm.atom(supply.fresh(fm.NOM))
+        if _is(a, fm.NOM):
+            first = _reading(b, j, True, supply)
+            last = _literal(RAtom(_xvar(a), _xvar(j), w), holds)
+        else:
+            first = _reading(a, j, True, supply)
+            last = _reading(fm.fus(j, b), at, holds, supply)
+        return _bind(Exists if holds else Forall, [_xvar(j)], [first], last)
+    if holds:
+        # residuation: i <= a -> b iff i o a <= b, and so on
+        if op == fm.IMP:
+            return _tr(Inequality(fm.fus(at, args[0]), args[1]), supply)
+        if op == fm.RRES:
+            return _tr(Inequality(fm.fus(args[0], at), args[1]), supply)
+        if op == fm.HIMP:
+            return _tr(Inequality(fm.conj(at, args[0]), args[1]), supply)
+    else:
+        if op == fm.COIMP:
+            return _tr(Inequality(args[0], fm.disj(args[1], at)), supply)
+        if op == fm.IMP and _is(args[0], fm.NOM) and _is(args[1], fm.CNOM):
             # nominal -> co-nominal below a co-nominal collapses to one
             # accessibility atom on Routley-Meyer frames
-            return RAtom(ym, _xvar(L.args[0]), _yvar(L.args[1]))
-        if L.op in (fm.IMP, fm.RRES):
-            logger.debug("no direct rule for %s below a co-nominal; expanding "
-                         "via standard translation", L.op)
-            j = fm.atom(supply.fresh(fm.NOM))
-            k = fm.atom(supply.fresh(fm.NOM))
-            rel = RAtom(ym, _xvar(j), _xvar(k)) if L.op == fm.IMP \
-                else RAtom(_xvar(j), ym, _xvar(k))
-            return Exists(_xvar(j), Exists(_xvar(k),
-                          And(And(rel, rec(j, L.args[0])),
-                              Not(rec(k, L.args[1])))))
-        if L.op == fm.NEG_FLAT:
-            logger.debug("no direct rule for %s below a co-nominal; expanding "
-                         "via standard translation", L.op)
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Forall(_xvar(j),
-                          Implies(LeqAtom(Star(_xvar(j)), ym), rec(j, L.args[0])))
-        if L.op == fm.NEG_SHARP:
-            logger.debug("no direct rule for %s below a co-nominal; expanding "
-                         "via standard translation", L.op)
-            j = fm.atom(supply.fresh(fm.NOM))
-            return Exists(_xvar(j),
-                          And(rec(j, L.args[0]), LeqAtom(ym, Star(_xvar(j)))))
-
-    # generic fallback: A <= B  iff  every nominal below A is below B
-    j = fm.atom(supply.fresh(fm.NOM))
-    return Forall(_xvar(j), Implies(_tr(Inequality(j, L), supply),
-                                    _tr(Inequality(j, R), supply)))
+            return RAtom(w, _xvar(args[0]), WVar("y", args[1].atom.index))
+        if op == fm.HIMP:
+            return _generic(phi, at, supply)
+    logger.debug("no direct rule for %s on the %s side; expanding its "
+                 "clause", op, "nominal" if holds else "co-nominal")
+    worlds = [WVar("x", supply.fresh(fm.NOM).index)
+              for _ in range(_CLAUSES[op][1])]
+    return _clause(op, w, worlds, lambda k, x: _reading(
+        args[k], fm.nom(x.index), True, supply), holds)
 
 
 def tr_quasi(qi: QuasiInequality, supply: Optional[FreshSupply] = None) -> FONode:
@@ -211,7 +214,6 @@ def tr_quasi(qi: QuasiInequality, supply: Optional[FreshSupply] = None) -> FONod
     free = [WVar("x", a.index) for a in qi.atoms(fm.NOM)]
     free += [WVar("y", a.index) for a in qi.atoms(fm.CNOM)]
     free.sort(key=lambda v: (v.family, v.index))
-    body: FONode
     parts = [_tr(p, supply) for p in qi.premises]
     concl = _tr(qi.conclusion, supply)
     body = Implies(fol.conjoin(parts), concl) if parts else concl
@@ -224,81 +226,37 @@ def tr_quasi(qi: QuasiInequality, supply: Optional[FreshSupply] = None) -> FONod
 def st(phi: Formula, x: fol.Term,
        _zs: Optional[Iterator[int]] = None) -> FONode:
     """Standard translation of an extended-language formula, parametric in a
-    frame variable.  Propositional variables become unary predicates."""
-    return _st(phi, x, _zs or itertools.count())
-
-
-def _fresh(zs: Iterator[int]) -> WVar:
-    return WVar("z", next(zs))
+    frame variable.  Propositional variables become unary predicates.  Fresh
+    variables are z0, z1, ..., skipping x's own index when x is a z."""
+    v = fol.term_var(x)
+    return _st(phi, x, _zs or (k for k in itertools.count() if WVar("z", k) != v))
 
 
 def _st(node: Formula, w: fol.Term, zs: Iterator[int]) -> FONode:
     """`st` of node at w, its fresh variables numbered from zs."""
-    if node.op == fm.ATOM:
-        a = node.atom
-        if a.kind == fm.PROP:
-            return PVarAtom(a.index, w)
-        if a.kind == fm.NOM:
-            return LeqAtom(WVar("x", a.index), w)
-        return Not(LeqAtom(w, WVar("y", a.index)))
-    if node.op == fm.T:
+    op = node.op
+    if op == fm.ATOM:
+        return _st_atom(node.atom, w)
+    if op == fm.T:
         return OAtom(w)
-    if node.op == fm.TOP:
+    if op == fm.TOP:
         return EqAtom(w, w)
-    if node.op == fm.BOT:
+    if op == fm.BOT:
         return Not(EqAtom(w, w))
-    if node.op == fm.NEG:
-        z = _fresh(zs)
-        return Exists(z, And(EqAtom(z, Star(w)),
-                             Not(_st(node.args[0], z, zs))))
-    if node.op == fm.NEG_FLAT:
-        # adjoint reading: below some starred non-instance of the body
-        z = _fresh(zs)
-        return Exists(z, And(LeqAtom(Star(z), w),
-                             Not(_st(node.args[0], z, zs))))
-    if node.op == fm.NEG_SHARP:
-        # adjoint reading: no instance of the body stars above this world
-        z = _fresh(zs)
-        return Forall(z, Implies(_st(node.args[0], z, zs),
-                                 Not(LeqAtom(w, Star(z)))))
-    if node.op == fm.AND:
-        return And(_st(node.args[0], w, zs), _st(node.args[1], w, zs))
-    if node.op == fm.OR:
-        return Or(_st(node.args[0], w, zs), _st(node.args[1], w, zs))
-    if node.op == fm.FUS:
-        z1 = _fresh(zs)
-        z2 = _fresh(zs)
-        return Exists(z1, Exists(z2, And(And(RAtom(z1, z2, w),
-                                             _st(node.args[0], z1, zs)),
-                                         _st(node.args[1], z2, zs))))
-    if node.op == fm.IMP:
-        z1 = _fresh(zs)
-        z2 = _fresh(zs)
-        return Forall(z1, Forall(z2, Implies(And(RAtom(w, z1, z2),
-                                                 _st(node.args[0], z1, zs)),
-                                             _st(node.args[1], z2, zs))))
-    if node.op == fm.COIMP:
-        z = _fresh(zs)
-        return Exists(z, And(And(LeqAtom(z, w), _st(node.args[0], z, zs)),
-                             Not(_st(node.args[1], z, zs))))
-    if node.op == fm.HIMP:
-        z = _fresh(zs)
-        return Forall(z, Implies(And(LeqAtom(w, z), _st(node.args[0], z, zs)),
-                                 _st(node.args[1], z, zs)))
-    if node.op == fm.RRES:
-        z1 = _fresh(zs)
-        z2 = _fresh(zs)
-        return Forall(z1, Forall(z2, Implies(And(RAtom(z1, w, z2),
-                                                 _st(node.args[0], z1, zs)),
-                                             _st(node.args[1], z2, zs))))
-    raise ValueError(f"no standard translation for {node.op!r}")
+    if op in (fm.AND, fm.OR):
+        connective = And if op == fm.AND else Or
+        return connective(_st(node.args[0], w, zs), _st(node.args[1], w, zs))
+    if op not in _CLAUSES:
+        raise ValueError(f"no standard translation for {op!r}")
+    worlds = [WVar("z", next(zs)) for _ in range(_CLAUSES[op][1])]
+    return _clause(op, w, worlds, lambda k, z: _st(node.args[k], z, zs))
 
 
 def st_inequality(ineq: Inequality) -> FONode:
     """Standard-translation reading of an inequality: the left side's
     extension is contained in the right side's."""
     zs = itertools.count()
-    z = _fresh(zs)
+    z = WVar("z", next(zs))
     return Forall(z, Implies(st(ineq.lhs, z, zs), st(ineq.rhs, z, zs)))
 
 
@@ -400,9 +358,11 @@ def _simplify_once(node: FONode) -> FONode:
 
 def expand_leq(f: FONode) -> FONode:
     """Unfold the derived order into its definition from O and R; used when a
-    target format should not carry a primitive order symbol."""
-    zs = [node.var.index for node in fol.walk(f)
-          if isinstance(node, (Forall, Exists)) and node.var.family == "z"]
+    target format should not carry a primitive order symbol.  The new z
+    variables are numbered above every z in f, bound or free."""
+    bound = [node.var for node in fol.walk(f)
+             if isinstance(node, (Forall, Exists))]
+    zs = [v.index for v in (*bound, *fol.free_vars(f)) if v.family == "z"]
     return _expand_leq(f, itertools.count(max(zs) + 1 if zs else 0))
 
 

@@ -9,7 +9,9 @@ give the same extensions, validity verdicts and first-order truth values.
 brute-force check of `universal_truth` and `complex_algebra_eval`.
 `ref_enumerate_frames` is the enumerator that tested every candidate
 structure, kept verbatim as the reference for the constructive one, with
-the ra-mode identities it used, which also required an antichain order.
+the mode identities it used, which computed the operations by loops over
+the up-sets rather than reading the frame's tables, and in ra mode also
+required an antichain order.
 """
 
 import itertools
@@ -27,9 +29,8 @@ from rmcorr.calculus import Inequality, QuasiInequality
 from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
                         OAtom, Or, PVarAtom, RAtom, Star, WVar)
 from rmcorr.formula import Atom, Formula
-from rmcorr.frames import (MAX_WORLDS, BudgetError, RMFrame,
-                           _bi_identities_hold, _frame_family,
-                           _fusion_associates, _relabel, check_frame,
+from rmcorr.frames import (MAX_WORLDS, BudgetError, RMFrame, _frame_family,
+                           _relabel, check_frame,
                            complex_algebra_eval, correspondence_check,
                            enumerate_frames, eval_fo, extension, frame_valid,
                            random_frame, universal_truth)
@@ -162,6 +163,18 @@ def ref_holds(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
                 & ~ref_extension(f, valuation, obj.rhs) & f.full) == 0
     return (not all(ref_holds(f, valuation, p) for p in obj.premises)
             or ref_holds(f, valuation, obj.conclusion))
+
+
+def _fusion_associates(f: RMFrame, sets: list[int]) -> bool:
+    fus = f.op_fus
+    return all(fus(fus(Y, Z), W) == fus(Y, fus(Z, W))
+               for Y in sets for Z in sets for W in sets)
+
+
+def _bi_identities_hold(f: RMFrame) -> bool:
+    sets = f.upsets()
+    return (all(f.op_fus(Y, Z) == f.op_fus(Z, Y) for Y in sets for Z in sets)
+            and _fusion_associates(f, sets))
 
 
 def _ra_identities_hold(f: RMFrame) -> bool:

@@ -10,7 +10,10 @@ predicate atoms and starred terms, and their universal closures), the
 current `render` must give the same string, or raise the same exception, in
 every format with and without the order expanded.  So must it on every
 connective and quantifier directly below every other, and on the error
-cases at the end.
+cases at the end.  `ref_fo_to_json` is the earlier per-class JSON form,
+kept verbatim; the table-driven `fo_to_json` must give the same object, or
+raise the same exception, on the same formulas and on their order
+expansions.
 """
 
 from __future__ import annotations
@@ -237,6 +240,45 @@ def _spass(f: FONode) -> str:
     raise ValueError(f"cannot render {f!r}")
 
 
+# --- JSON ---
+
+def _term_json(t: fol.Term) -> dict:
+    if isinstance(t, Star):
+        return {"term": "star", "arg": _term_json(t.arg)}
+    return {"term": "var", "family": t.family, "index": t.index}
+
+
+def ref_fo_to_json(f: FONode) -> dict:
+    if isinstance(f, fol.TrueF):
+        return {"op": "true"}
+    if isinstance(f, fol.FalseF):
+        return {"op": "false"}
+    if isinstance(f, RAtom):
+        return {"op": "R", "args": [_term_json(f.a), _term_json(f.b),
+                                    _term_json(f.c)]}
+    if isinstance(f, OAtom):
+        return {"op": "O", "args": [_term_json(f.a)]}
+    if isinstance(f, LeqAtom):
+        return {"op": "leq", "args": [_term_json(f.a), _term_json(f.b)]}
+    if isinstance(f, EqAtom):
+        return {"op": "eq", "args": [_term_json(f.a), _term_json(f.b)]}
+    if isinstance(f, PVarAtom):
+        return {"op": "pvar", "index": f.index, "args": [_term_json(f.a)]}
+    if isinstance(f, Not):
+        return {"op": "not", "args": [ref_fo_to_json(f.body)]}
+    if isinstance(f, And):
+        return {"op": "and", "args": [ref_fo_to_json(f.left), ref_fo_to_json(f.right)]}
+    if isinstance(f, Or):
+        return {"op": "or", "args": [ref_fo_to_json(f.left), ref_fo_to_json(f.right)]}
+    if isinstance(f, Implies):
+        return {"op": "implies",
+                "args": [ref_fo_to_json(f.left), ref_fo_to_json(f.right)]}
+    if isinstance(f, (Forall, Exists)):
+        op = "forall" if isinstance(f, Forall) else "exists"
+        return {"op": op, "var": _term_json(f.var), "body": ref_fo_to_json(f.body)}
+    raise ValueError(f"cannot serialize {f!r}")
+
+
 # -- input sets ----------------------------------------------------------------
 
 def _correspondents(formulas):
@@ -363,3 +405,15 @@ def test_printer_matches_on_error_cases(f, fmt, kwargs):
     for expand in (False, True):
         assert (_outcome(render, f, fmt, expand, **kwargs)
                 == _outcome(ref_render, f, fmt, expand, **kwargs))
+
+
+def test_json_form_matches_the_per_class_one(fo_formulas, walk_once):
+    assert fo_formulas
+    for f in fo_formulas:
+        for g in (f, translate.expand_leq(f)):
+            assert _outcome(fo_to_json, g) == _outcome(ref_fo_to_json, g), g
+
+
+@pytest.mark.parametrize("f", list(dict.fromkeys(f for f, _, _ in ERROR_CASES)))
+def test_json_form_matches_on_error_cases(f):
+    assert _outcome(fo_to_json, f) == _outcome(ref_fo_to_json, f)

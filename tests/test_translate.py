@@ -285,3 +285,30 @@ def _not_chain(v, n):
     for _ in range(n):
         out = fol.Not(out)
     return out
+
+
+def test_st_at_a_z_variable_skips_its_index():
+    # the fresh variables used to start at z0 even at z0 itself, which
+    # bound the parameter: forall z0 (z0 <= z0 & P0(z0) -> P1(z0))
+    phi = fm.himp(fm.var(0, "p"), fm.var(1, "q"))
+    out = st(phi, Z(0))
+    assert out == Forall(Z(1), Implies(And(LeqAtom(Z(0), Z(1)),
+                                           fol.PVarAtom(0, Z(1))),
+                                       fol.PVarAtom(1, Z(1))))
+    assert fol.free_vars(out) == {Z(0)}
+    assert fol.free_vars(st(fm.fus(phi, phi), Star(Z(2)))) == {Z(2)}
+    # an x parameter keeps the numbering from z0
+    assert st(phi, X(0)) == Forall(Z(0), Implies(
+        And(LeqAtom(X(0), Z(0)), fol.PVarAtom(0, Z(0))), fol.PVarAtom(1, Z(0))))
+
+
+def test_expand_leq_numbers_above_free_z_variables():
+    # numbering only above the bound z variables used to capture a free one:
+    # exists z0 (O z0 & R z0 z0 x0)
+    out = expand_leq(LeqAtom(Z(0), X(0)))
+    assert out == Exists(Z(1), And(OAtom(Z(1)), RAtom(Z(1), Z(0), X(0))))
+    assert fol.free_vars(out) == {Z(0), X(0)}
+    # closed inputs number above their bound z variables, as before
+    closed = Forall(Z(3), LeqAtom(Z(3), X(0)))
+    assert expand_leq(closed) == Forall(Z(3), Exists(Z(4), And(
+        OAtom(Z(4)), RAtom(Z(4), Z(3), X(0)))))
