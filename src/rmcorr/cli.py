@@ -188,7 +188,8 @@ def main(argv=None) -> int:
             return _run_corpus(args)
         return _run_single(args)
     except RecursionError:
-        # the parser, rewriter and translator recurse on the formula tree
+        # the rewriter and translator recurse on the formula tree, and the
+        # parser on parentheses
         sys.stderr.write("error: input is nested too deeply\n")
         return EXIT_INPUT
 

@@ -1,5 +1,5 @@
-"""Surface syntax: TeX-style tokens, three selectable notations, a top-down
-operator-precedence parser, a minimal-parenthesis printer, and a JSON tree
+"""Surface syntax: TeX-style tokens, three selectable notations, a
+precedence-climbing parser, a minimal-parenthesis printer, and a JSON tree
 form for tooling.
 
 Notations:
@@ -15,12 +15,20 @@ Notations:
 Precedence, loosest to tightest: implication-family (right-associative;
 mixing different implication operators in one chain is a parse error),
 ``\\lor``, ``\\land``, fusion, unary negations, postfix converse.
+
+Each notation has one table from every fixed spelling to its token, or to
+the message refusing it there; a regular expression per table scans the
+longest spelling, and a ``\\word`` never runs into a following letter.
+Variables are single letters with an optional ASCII-digit subscript.  The
+implication chain is one loop; ``\\lor``, ``\\land`` and fusion are one
+precedence-climbing loop over ``_PREC`` (Pratt, POPL 1973).  The parser
+recurses only on parentheses.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 
 from . import formula as fm
 from .formula import Formula
@@ -62,15 +70,9 @@ _RELEVANCE_OPS = {
     fm.NEG_FLAT: "\\sim^\\flat",
     fm.NEG_SHARP: "\\sim^\\sharp",
 }
-_BI_OPS = {
-    fm.IMP: "-*",
-    fm.HIMP: "\\to",
-    fm.COIMP: "\\coimp",
-    fm.RRES: "\\fures",
-    fm.OR: "\\lor",
-    fm.AND: "\\land",
-    fm.FUS: "*",
-}
+_BI_OPS = {**{op: tok for op, tok in _RELEVANCE_OPS.items()
+              if op not in fm.UNARY_OPS},
+           fm.IMP: "-*", fm.HIMP: "\\to", fm.FUS: "*"}
 
 _CONST_TOKENS = {fm.T: "\\mathbf t", fm.TOP: "\\top", fm.BOT: "\\bot"}
 
@@ -84,280 +86,202 @@ IMPL_OPS = (fm.IMP, fm.HIMP, fm.COIMP, fm.RRES)
 _PREC = {fm.IMP: 10, fm.HIMP: 10, fm.COIMP: 10, fm.RRES: 10,
          fm.OR: 20, fm.AND: 30, fm.FUS: 40,
          fm.NEG: 50, fm.NEG_FLAT: 50, fm.NEG_SHARP: 50}
+# the left-associative connectives, read by the precedence-climbing loop
+_INFIX = {op: _PREC[op] for op in (fm.OR, fm.AND, fm.FUS)}
+_PREFIX = (*fm.UNARY_OPS, "classical")
+
+# A token is (tag, text, pos, leaf).  The tag is the connective of an
+# operator, or "leaf" (a variable, nominal or constant, built in leaf), "(",
+# ")", "classical" (\neg), "converse" or "end"; parse errors quote the text.
+_Token = tuple[str, str, int, "Formula | None"]
+
+_NEGATIONS = {"\\sim": fm.NEG,
+              "\\sim^\\flat": fm.NEG_FLAT, "\\sim^{\\flat}": fm.NEG_FLAT,
+              "\\sim^\\sharp": fm.NEG_SHARP, "\\sim^{\\sharp}": fm.NEG_SHARP}
 
 
-@dataclass
-class _Token:
-    kind: str   # "op", "const", "ident", "nom", "cnom", "lparen", "rparen",
-                # "neg_classical", "converse", "end"
-    value: str
-    pos: int
-    index: int = 0  # for nom/cnom tokens
+def _scanner(mode: SyntaxMode):
+    """The mode's table from each fixed spelling to its (tag, text, leaf), or
+    to the message that refuses it; and a matcher that skips whitespace and
+    reads one spelling (the alternatives are tried in order, so the longest
+    wins) or else one character."""
+    ops = _op_tokens(mode)
+    table: dict[str, tuple | str] = {tok: (op, tok, None)
+                                     for op, tok in ops.items()}
+    table.update({"(": ("(", "(", None), ")": (")", ")", None),
+                  "\\top": ("leaf", "\\top", fm.top()),
+                  "\\bot": ("leaf", "\\bot", fm.bot()),
+                  "\\mathbf": ("mathbf", "", None)})
+    for tok, op in _NEGATIONS.items():
+        table[tok] = ("negation is not part of the bi notation"
+                      if mode is SyntaxMode.BI else (op, ops[op], None))
+    ra = mode is SyntaxMode.RELATION_ALGEBRA
+    table["\\neg"] = (("classical", "\\neg", None) if ra
+                      else "classical negation is only available in ra mode")
+    for tok in ("^\\smallsmile", "^{\\smallsmile}"):
+        table[tok] = (("converse", tok, None) if ra
+                      else "converse is only available in ra mode")
+    spellings = "|".join(map(re.escape, sorted(table, key=len, reverse=True)))
+    return table, re.compile(rf"\s*(?:({spellings})|(\S))").match
+
+
+_SCANNERS = {mode: _scanner(mode) for mode in SyntaxMode}
+
+
+_SUBSCRIPT = re.compile(r"_(\{?)([0-9]*)")
 
 
 def _read_subscript(text: str, i: int) -> tuple[int, int]:
-    """Parse ``_k`` or ``_{k}`` starting at text[i] == '_'; return (value, next)."""
-    j = i + 1
-    braced = j < len(text) and text[j] == "{"
-    if braced:
-        j += 1
-    start = j
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    if j == start:
+    """Parse ``_k`` or ``_{k}``, k in ASCII digits, starting at
+    text[i] == '_'; return (value, next)."""
+    match = _SUBSCRIPT.match(text, i)
+    brace, digits = match.groups()
+    if not digits:
         raise ParseError(i, "expected digits in subscript")
-    value = int(text[start:j])
-    if braced:
-        if j >= len(text) or text[j] != "}":
+    j = match.end()
+    if brace:
+        if text[j:j + 1] != "}":
             raise ParseError(j, "unterminated subscript brace")
         j += 1
-    return value, j
+    return int(digits), j
 
 
-def _tokenize(text: str, mode: SyntaxMode) -> list[_Token]:
-    ops = _op_tokens(mode)
-    op_by_token = {tok: op for op, tok in ops.items()}
-    const_by_token = {tok: c for c, tok in _CONST_TOKENS.items()}
+def _tokenize(text: str, mode: SyntaxMode,
+              names: dict[str, Formula]) -> list[_Token]:
+    """Tokens of text; `names` keeps each variable, numbered by first
+    occurrence."""
+    table, scan = _SCANNERS[mode]
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", "(", i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", ")", i))
-            i += 1
-            continue
-        if mode is SyntaxMode.BI and c == "-" and text[i:i + 2] == "-*":
-            tokens.append(_Token("op", "-*", i))
-            i += 2
-            continue
-        if mode is SyntaxMode.BI and c == "*":
-            tokens.append(_Token("op", "*", i))
-            i += 1
-            continue
-        if c == "^":
-            # postfix converse decoration, relation-algebra mode only
-            for form in ("^\\smallsmile", "^{\\smallsmile}"):
-                if text.startswith(form, i):
-                    if mode is not SyntaxMode.RELATION_ALGEBRA:
-                        raise ParseError(i, "converse is only available in ra mode")
-                    tokens.append(_Token("converse", form, i))
-                    i += len(form)
-                    break
-            else:
-                raise ParseError(i, "unknown token '^'")
-            continue
-        if c == "\\":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word == "\\sim":
-                # may continue as \sim^\flat / \sim^\sharp (braces optional)
-                for suffix, op in (("^\\flat", fm.NEG_FLAT), ("^{\\flat}", fm.NEG_FLAT),
-                                   ("^\\sharp", fm.NEG_SHARP), ("^{\\sharp}", fm.NEG_SHARP)):
-                    if text.startswith(suffix, j):
-                        if mode is SyntaxMode.BI:
-                            raise ParseError(i, "negation is not part of the bi notation")
-                        tokens.append(_Token("op", ops[op], i))
-                        j += len(suffix)
-                        break
-                else:
-                    if mode is SyntaxMode.BI:
-                        raise ParseError(i, "negation is not part of the bi notation")
-                    tokens.append(_Token("op", "\\sim", i))
-                i = j
-                continue
-            if word == "\\neg":
-                if mode is not SyntaxMode.RELATION_ALGEBRA:
-                    raise ParseError(i, "classical negation is only available in ra mode")
-                tokens.append(_Token("neg_classical", word, i))
-                i = j
-                continue
-            if word == "\\mathbf":
-                k = j
-                while k < n and text[k].isspace():
-                    k += 1
-                braced = k < n and text[k] == "{"
-                if braced:
-                    k += 1
-                if k >= n or not text[k].isalpha():
-                    raise ParseError(k, "expected letter after \\mathbf")
-                letter = text[k]
-                k += 1
-                index = None
-                if k < n and text[k] == "_":
-                    index, k = _read_subscript(text, k)
-                if braced:
-                    if k < n and text[k] == "_" and index is None:
-                        index, k = _read_subscript(text, k)
-                    if k >= n or text[k] != "}":
-                        raise ParseError(k, "unterminated \\mathbf brace")
-                    k += 1
-                if k < n and text[k] == "_" and index is None:
-                    index, k = _read_subscript(text, k)
-                tokens.append(_mathbf_token(letter, index, i))
-                i = k
-                continue
-            if word in op_by_token:
-                tokens.append(_Token("op", word, i))
-                i = j
-                continue
-            if word in const_by_token:
-                tokens.append(_Token("const", word, i))
-                i = j
-                continue
-            raise ParseError(i, f"unknown token '{word}'")
-        if c.isalpha():
-            j = i + 1
+    j = 0
+    while match := scan(text, j):
+        spelling, c = match.groups()
+        i, j = match.span(match.lastindex)
+        if c is not None and c.isalpha():
             name = c
-            if j < n and text[j] == "_":
+            if text[j:j + 1] == "_":
                 sub, j = _read_subscript(text, j)
                 name = f"{c}_{sub}"
-            tokens.append(_Token("ident", name, i))
-            i = j
-            continue
-        raise ParseError(i, f"unknown token {c!r}")
-    tokens.append(_Token("end", "", n))
+            if name not in names:
+                names[name] = fm.var(len(names), name)
+            tokens.append(("leaf", name, i, names[name]))
+        elif spelling and not (spelling[1:].isalpha()
+                               and text[j:j + 1].isalpha()):
+            entry = table[spelling]
+            if isinstance(entry, str):
+                raise ParseError(i, entry)
+            tag, tok, leaf = entry
+            if tag == "mathbf":
+                tok, leaf, j = _read_mathbf(text, i, j)
+                tag = "leaf"
+            tokens.append((tag, tok, i, leaf))
+        elif text[i] == "\\":
+            # no spelling, or a \word spelling running into a letter
+            j = i + 1
+            while j < len(text) and text[j].isalpha():
+                j += 1
+            raise ParseError(i, f"unknown token '{text[i:j]}'")
+        else:
+            raise ParseError(i, f"unknown token {c!r}")
+    tokens.append(("end", "", len(text), None))
     return tokens
 
 
-def _mathbf_token(letter: str, index: int | None, pos: int) -> _Token:
+# bold letter: the atom it builds and its index without a subscript
+_BOLD = {"i": (fm.nom, 0), "j": (fm.nom, 1), "m": (fm.cnom, 0),
+         "n": (fm.cnom, 1)}
+
+
+def _read_mathbf(text: str, pos: int, k: int) -> tuple[str, Formula, int]:
+    """Read ``\\mathbf x``, ``\\mathbf{x}`` and their subscripts from
+    text[k], just after the ``\\mathbf`` at pos; return (text, leaf, next)."""
+    while text[k:k + 1].isspace():
+        k += 1
+    braced = text[k:k + 1] == "{"
+    if braced:
+        k += 1
+    if not text[k:k + 1].isalpha():
+        raise ParseError(k, "expected letter after \\mathbf")
+    letter = text[k]
+    k += 1
+    index = None
+    if text[k:k + 1] == "_":
+        index, k = _read_subscript(text, k)
+    if braced:
+        if text[k:k + 1] != "}":
+            raise ParseError(k, "unterminated \\mathbf brace")
+        k += 1
+    if text[k:k + 1] == "_" and index is None:
+        index, k = _read_subscript(text, k)
+    tok = f"\\mathbf {letter}"
     if letter == "t":
         if index is not None:
             raise ParseError(pos, "\\mathbf t takes no subscript")
-        return _Token("const", "\\mathbf t", pos)
-    if letter == "i":
-        return _Token("nom", "\\mathbf i", pos, index=index or 0)
-    if letter == "j":
-        return _Token("nom", "\\mathbf j", pos, index=1 if index is None else index)
-    if letter == "m":
-        return _Token("cnom", "\\mathbf m", pos, index=index or 0)
-    if letter == "n":
-        return _Token("cnom", "\\mathbf n", pos, index=1 if index is None else index)
-    raise ParseError(pos, f"unknown bold atom '\\mathbf {letter}'")
+        return tok, fm.t(), k
+    if letter not in _BOLD:
+        raise ParseError(pos, f"unknown bold atom '{tok}'")
+    build, default = _BOLD[letter]
+    return tok, build(default if index is None else index), k
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], mode: SyntaxMode):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
-        self.mode = mode
-        self.pos = 0
-        self.ops = _op_tokens(mode)
-        self.op_by_token = {tok: op for op, tok in self.ops.items()}
-        self.const_by_token = {tok: c for c, tok in _CONST_TOKENS.items()}
-        self.prop_index: dict[str, int] = {}
+        self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        phi = self.parse_impl()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(tok.pos, f"unexpected token {tok.value!r}")
-        return phi
-
-    def _peek_op(self) -> str | None:
-        tok = self.peek()
-        if tok.kind == "op":
-            return self.op_by_token[tok.value]
-        return None
-
-    def parse_impl(self) -> Formula:
-        left = self.parse_or()
-        op = self._peek_op()
-        if op not in IMPL_OPS:
-            return left
-        chain_op = op
-        parts = [left]
-        while True:
-            op = self._peek_op()
-            if op not in IMPL_OPS:
-                break
-            if op != chain_op:
+    def implication(self) -> Formula:
+        """A right-associative chain of one implication operator."""
+        parts = [self.infix(_PREC[fm.OR])]
+        chain = self.tokens[self.i][0]
+        while self.tokens[self.i][0] in IMPL_OPS:
+            tag, _, pos, _ = self.tokens[self.i]
+            if tag != chain:
                 raise ParseError(
-                    self.peek().pos,
-                    "mixed implication operators require explicit parentheses",
-                )
-            self.advance()
-            parts.append(self.parse_or())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Formula(chain_op, (part, out))
+                    pos, "mixed implication operators require explicit parentheses")
+            self.i += 1
+            parts.append(self.infix(_PREC[fm.OR]))
+        out = parts.pop()
+        for part in reversed(parts):
+            out = Formula(chain, (part, out))
         return out
 
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self._peek_op() == fm.OR:
-            self.advance()
-            left = fm.disj(left, self.parse_and())
-        return left
+    def infix(self, floor: int) -> Formula:
+        """Left-associative \\lor, \\land and fusion binding at floor or
+        tighter: precedence climbing over _INFIX."""
+        left = self.unary()
+        while True:
+            op = self.tokens[self.i][0]
+            prec = _INFIX.get(op, 0)
+            if prec < floor:
+                return left
+            self.i += 1
+            left = Formula(op, (left, self.infix(prec + 1)))
 
-    def parse_and(self) -> Formula:
-        left = self.parse_fus()
-        while self._peek_op() == fm.AND:
-            self.advance()
-            left = fm.conj(left, self.parse_fus())
-        return left
-
-    def parse_fus(self) -> Formula:
-        left = self.parse_unary()
-        while self._peek_op() == fm.FUS:
-            self.advance()
-            left = fm.fus(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        op = self._peek_op()
-        if op in fm.UNARY_OPS:
-            self.advance()
-            return Formula(op, (self.parse_unary(),))
-        if tok.kind == "neg_classical":
-            self.advance()
-            return fm.himp(self.parse_unary(), fm.bot())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Formula:
-        out = self.parse_primary()
-        while self.peek().kind == "converse":
-            self.advance()
+    def unary(self) -> Formula:
+        """Prefix negations, then an atom or a parenthesized formula, then
+        postfix converses."""
+        tokens = self.tokens
+        prefixes = []
+        while tokens[self.i][0] in _PREFIX:
+            prefixes.append(tokens[self.i][0])
+            self.i += 1
+        tag, tok, pos, out = tokens[self.i]
+        self.i += 1
+        if tag == "(":
+            out = self.implication()
+            tag, _, pos, _ = tokens[self.i]
+            self.i += 1
+            if tag != ")":
+                raise ParseError(pos, "expected ')'")
+        elif tag != "leaf":
+            raise ParseError(pos, f"expected a formula, got {tok!r}"
+                             if tag != "end" else "unexpected end of input")
+        while tokens[self.i][0] == "converse":
+            self.i += 1
             out = fm.neg(fm.himp(out, fm.bot()))
+        for op in reversed(prefixes):
+            out = (fm.himp(out, fm.bot()) if op == "classical"
+                   else Formula(op, (out,)))
         return out
-
-    def parse_primary(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "lparen":
-            inner = self.parse_impl()
-            closing = self.advance()
-            if closing.kind != "rparen":
-                raise ParseError(closing.pos, "expected ')'")
-            return inner
-        if tok.kind == "const":
-            return Formula(self.const_by_token[tok.value])
-        if tok.kind == "ident":
-            if tok.value not in self.prop_index:
-                self.prop_index[tok.value] = len(self.prop_index)
-            return fm.var(self.prop_index[tok.value], tok.value)
-        if tok.kind == "nom":
-            return fm.nom(tok.index)
-        if tok.kind == "cnom":
-            return fm.cnom(tok.index)
-        raise ParseError(tok.pos, f"expected a formula, got {tok.value!r}"
-                         if tok.kind != "end" else "unexpected end of input")
 
 
 def parse(source: str, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> Formula:
@@ -366,7 +290,12 @@ def parse(source: str, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> Formula:
     Propositional variable indices are assigned in order of first occurrence
     of each identifier; the surface name is kept for display.
     """
-    return _Parser(_tokenize(source, mode), mode).parse()
+    parser = _Parser(_tokenize(source, mode, {}))
+    phi = parser.implication()
+    tag, tok, pos, _ = parser.tokens[parser.i]
+    if tag != "end":
+        raise ParseError(pos, f"unexpected token {tok!r}")
+    return phi
 
 
 def to_text(phi: Formula, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> str:
@@ -427,28 +356,31 @@ def formula_to_json(phi: Formula) -> dict:
     return {"id": _json_id(phi), "a": [formula_to_json(arg) for arg in phi.args]}
 
 
+_OP_BY_JSON_ID = {tok: op for op, tok in _RELEVANCE_OPS.items()}
+
+
 def formula_from_json(obj: dict) -> Formula:
-    op_by_token = {tok: op for op, tok in _RELEVANCE_OPS.items()}
-    const_by_token = {tok: c for c, tok in _CONST_TOKENS.items()}
-    prop_index: dict[str, int] = {}
+    """The formula of a JSON tree.  A connective needs its number of
+    arguments; any other id must read as one variable, nominal, co-nominal
+    or constant of the relevance notation.  Raises ValueError otherwise."""
+    names: dict[str, Formula] = {}
 
     def build(node: dict) -> Formula:
-        ident = node["id"]
-        args = tuple(build(a) for a in node.get("a", []))
-        if ident in op_by_token:
-            return Formula(op_by_token[ident], args)
-        if ident in const_by_token:
-            return Formula(const_by_token[ident])
-        if args:
-            raise ValueError(f"unknown connective id {ident!r}")
-        if ident.startswith("\\mathbf"):
-            leaf = parse(ident, SyntaxMode.RELEVANCE)
-            if leaf.op != fm.ATOM:
-                raise ValueError(f"unknown leaf id {ident!r}")
-            return leaf
-        # propositional variable: indices by first occurrence, as in parse()
-        if ident not in prop_index:
-            prop_index[ident] = len(prop_index)
-        return fm.var(prop_index[ident], ident)
+        if not (isinstance(node, dict) and isinstance(node.get("id"), str)
+                and isinstance(node.get("a", []), list)):
+            raise ValueError(f"malformed formula node {node!r}")
+        ident, args = node["id"], node.get("a", [])
+        op = _OP_BY_JSON_ID.get(ident)
+        if op is not None and len(args) == len(fm.POLARITY[op]):
+            return Formula(op, tuple(build(a) for a in args))
+        if op is not None or args:
+            raise ValueError(f"{ident!r} cannot take {len(args)} argument(s)")
+        try:
+            tokens = _tokenize(ident, SyntaxMode.RELEVANCE, names)
+        except ParseError:
+            tokens = []
+        if len(tokens) != 2 or tokens[0][0] != "leaf":
+            raise ValueError(f"unknown leaf id {ident!r}")
+        return tokens[0][3]
 
     return build(obj)

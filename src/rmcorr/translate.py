@@ -210,6 +210,8 @@ def tr_quasi(qi: QuasiInequality, supply: Optional[FreshSupply] = None) -> FONod
     """Closed first-order formula of a pure quasi-inequality: the conjunction
     of the translated premises implies the translated conclusion, universally
     closed over the world variables of its nominals and co-nominals."""
+    if not qi.is_pure():
+        raise PurityError(f"quasi-inequality is not pure: {qi!r}")
     supply = supply or FreshSupply(qi.atoms())
     free = [WVar("x", a.index) for a in qi.atoms(fm.NOM)]
     free += [WVar("y", a.index) for a in qi.atoms(fm.CNOM)]

@@ -84,9 +84,10 @@ def test_verify_rejects_nominals(capsys):
     assert out == ""
 
 
-# the shapes fail in formula.substitute, in the parser and in fo_simplify
+# negations and implications fail in fo_simplify, parentheses in the parser,
+# which recurses only on them
 DEEP = {"negations": "\\sim " * 200 + "p",
-        "parentheses": "(" * 200 + "p" + ")" * 200,
+        "parentheses": "(" * 1000 + "p" + ")" * 1000,
         "implications": " \\to ".join(["p"] * 400)}
 
 
@@ -99,6 +100,25 @@ def test_deeply_nested_input_exits_2(source, tmp_path, capsys):
     path.write_text(json.dumps({"name": "deep", "formula": source}) + "\n")
     code, out, err = run_cli(["--corpus", str(path)], capsys)
     assert (code, out, err) == (2, "", "error: input is nested too deeply\n")
+
+
+def test_parentheses_below_the_parser_limit_succeed(capsys):
+    code, out, _ = run_cli(["-i", "(" * 200 + "p" + ")" * 200], capsys)
+    assert code == 0
+    assert "Input: p" in out
+
+
+@pytest.mark.parametrize("source", ["p_\u00b2 \\to p", "\\mathbf j_\u00b9"])
+def test_non_ascii_subscript_is_a_parse_error(source, tmp_path, capsys):
+    # these used to end in a ValueError traceback from int() and exit 1
+    code, out, err = run_cli(["-i", source], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: expected digits in subscript")
+    path = tmp_path / "sub.jsonl"
+    path.write_text(json.dumps({"name": "sub", "formula": source}) + "\n")
+    code, out, err = run_cli(["--corpus", str(path)], capsys)
+    assert code == 2
+    assert out.startswith("sub\tparse-error\texpected digits in subscript")
 
 
 def test_nested_input_below_the_limit_succeeds(capsys):

@@ -65,6 +65,26 @@ def test_parse_errors():
         parse("")
 
 
+@pytest.mark.parametrize("source, offset", [
+    ("p_\u00b2 \\to p", 1), ("\\mathbf j_\u00b9", 9), ("p_\u0663", 1),
+    ("q \\land p_{\u0663}", 9)])
+def test_subscripts_take_ascii_digits_only(source, offset):
+    # a superscript digit used to crash in int(), and an Arabic-Indic
+    # digit made p_3
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.position, info.value.message) == (
+        offset, "expected digits in subscript")
+
+
+def test_deep_negation_chain_parses():
+    phi = parse("\\sim " * 5000 + "p")
+    depth = 0
+    while phi.op == fm.NEG:
+        phi, depth = phi.args[0], depth + 1
+    assert (depth, phi) == (5000, fm.var(0, "p"))
+
+
 def test_parse_nominals_and_conominals():
     assert parse(r"\mathbf i") == fm.nom(0)
     assert parse(r"\mathbf j_1") == fm.nom(1)
@@ -133,6 +153,39 @@ def test_json_round_trip_matches_dictionary_shape():
     assert formula_from_json(json.loads(json.dumps(obj))) == phi
 
 
+@pytest.mark.parametrize("obj", [
+    {"id": "\\circ"},
+    {"id": "\\circ", "a": [{"id": "p"}]},
+    {"id": "\\sim", "a": [{"id": "p"}, {"id": "q"}]},
+    {"id": "\\top", "a": [{"id": "p"}]},
+    {"id": "\\foo"},
+    {"id": "p q"},
+    {"id": "p_x"},
+    {"id": "\\sim"},
+    {"id": "("},
+    {"id": "\\mathbf x"},
+    {"id": "\\to", "a": [{"id": "p"}, {"a": []}]},
+    {"id": "\\to", "a": [{"id": "p"}, "q"]},
+    {"id": "\\to", "a": {"id": "p"}},
+    ["p"],
+])
+def test_json_rejects_malformed_trees(obj):
+    # these used to give fus(), drop or accept extra arguments, or read an
+    # unknown id as a variable
+    with pytest.raises(ValueError):
+        formula_from_json(obj)
+
+
+def test_json_leaves_read_as_surface_atoms():
+    obj = {"id": "\\lor", "a": [
+        {"id": "q"}, {"id": "\\land", "a": [
+            {"id": "\\mathbf j_{2}"}, {"id": "q", "a": []}]}]}
+    phi = formula_from_json(obj)
+    q = fm.var(0, "q")
+    assert phi == fm.disj(q, fm.conj(fm.nom(2), q))
+    assert formula_from_json({"id": "\\mathbf t"}) == fm.t()
+
+
 # round-trip property over a structured generator
 
 _names = st.sampled_from(["p", "q", "r", "s"])
@@ -174,3 +227,4 @@ def test_round_trip_relevance(spec):
     # so the round trip is exact
     phi = _build(spec, {})
     assert parse(to_text(phi, SyntaxMode.RELEVANCE), SyntaxMode.RELEVANCE) == phi
+    assert formula_from_json(formula_to_json(phi)) == phi

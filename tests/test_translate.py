@@ -129,6 +129,16 @@ def test_tr_rejects_variables():
         tr(Inequality(fm.neg(fm.var(0, "p")), m))
 
 
+def test_tr_quasi_names_the_impure_quasi_inequality():
+    # the error used to name an inner inequality over a fresh nominal
+    p = fm.var(0, "p")
+    qi = QuasiInequality((Inequality(i, m),), Inequality(i, fm.neg(p)))
+    with pytest.raises(PurityError) as info:
+        tr_quasi(qi)
+    assert str(info.value) == f"quasi-inequality is not pure: {qi.text()}"
+    assert "j_" not in str(info.value)
+
+
 def test_tr_total_on_random_pure_inequalities():
     rng = random.Random(7)
     leaves = [i, j1, m, n1, fm.t(), fm.top(), fm.bot()]
