@@ -188,8 +188,8 @@ def main(argv=None) -> int:
             return _run_corpus(args)
         return _run_single(args)
     except RecursionError:
-        # the rewriter and translator recurse on the formula tree, and the
-        # parser on parentheses
+        # substitution, the translator, the cleanup's map_up and the parser
+        # (on parentheses) recurse; the oracle compiles about 200 levels
         sys.stderr.write("error: input is nested too deeply\n")
         return EXIT_INPUT
 

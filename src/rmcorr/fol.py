@@ -9,8 +9,9 @@ the standard translation or by order expansion).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 
 # terms
@@ -127,6 +128,10 @@ class Exists(FONode):
 TRUE = TrueF()
 FALSE = FalseF()
 
+# De Morgan duality: meet and join, the quantifiers, and the constants
+DUAL: dict[type, type] = {And: Or, Or: And, Forall: Exists, Exists: Forall,
+                          TrueF: FalseF, FalseF: TrueF}
+
 
 def children(f: FONode) -> tuple[FONode, ...]:
     if isinstance(f, Not):
@@ -152,6 +157,14 @@ def rebuild(f: FONode, kids: tuple[FONode, ...]) -> FONode:
     if isinstance(f, Exists):
         return Exists(f.var, kids[0])
     return f
+
+
+def map_up(f: FONode, fn: Callable[[FONode], FONode]) -> FONode:
+    """fn applied bottom-up: to each node over its mapped children.  A node
+    whose children all map to themselves is passed to fn as it is."""
+    kids = children(f)
+    new = tuple(map_up(c, fn) for c in kids)
+    return fn(f if all(map(operator.is_, new, kids)) else rebuild(f, new))
 
 
 def walk(f: FONode) -> Iterator[FONode]:
@@ -224,13 +237,8 @@ def conjoin(parts: list[FONode]) -> FONode:
     return out
 
 
-def universal_closure(f: FONode, order: Optional[list[WVar]] = None) -> FONode:
-    """Universally quantify the free variables (x-family first, then y)."""
-    if order is None:
-        fv = free_vars(f)
-        order = sorted((v for v in fv if v.family == "x"), key=lambda v: v.index)
-        order += sorted((v for v in fv if v.family == "y"), key=lambda v: v.index)
-        order += sorted((v for v in fv if v.family == "z"), key=lambda v: v.index)
+def universal_closure(f: FONode, order: list[WVar]) -> FONode:
+    """Universally quantify the variables of `order`, the first outermost."""
     out = f
     for v in reversed(order):
         out = Forall(v, out)

@@ -163,20 +163,19 @@ def rres(a: Formula, b: Formula) -> Formula:
 
 # structural queries
 
-def subformulas(phi: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
-    """Yield (path, node) pairs in preorder; the path is a child-index tuple."""
-    stack = [((), phi)]
+def walk(phi: Formula) -> Iterator[Formula]:
+    """The nodes of phi in preorder."""
+    stack = [phi]
     while stack:
-        path, node = stack.pop()
-        yield path, node
-        for i in range(len(node.args) - 1, -1, -1):
-            stack.append((path + (i,), node.args[i]))
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.args))
 
 
 def atoms(phi: Formula, kind: Optional[str] = None) -> list[Atom]:
     """Atoms of phi in order of first occurrence, optionally of one kind."""
     seen: list[Atom] = []
-    for _, node in subformulas(phi):
+    for node in walk(phi):
         if node.op == ATOM and (kind is None or node.atom.kind == kind):
             if node.atom not in seen:
                 seen.append(node.atom)
@@ -185,15 +184,13 @@ def atoms(phi: Formula, kind: Optional[str] = None) -> list[Atom]:
 
 def is_pure(phi: Formula) -> bool:
     """True when phi contains no propositional variables."""
-    return not any(
-        node.op == ATOM and node.atom.kind == PROP for _, node in subformulas(phi)
-    )
+    return not any(node.op == ATOM and node.atom.kind == PROP for node in walk(phi))
 
 
 def in_base_language(phi: Formula) -> bool:
     """True when phi lies in the base relevance language (no extended ops,
     no nominals or co-nominals)."""
-    for _, node in subformulas(phi):
+    for node in walk(phi):
         if node.op not in BASE_OPS:
             return False
         if node.op == ATOM and node.atom.kind != PROP:

@@ -7,12 +7,17 @@ of the right side", one with a co-nominal m on the right "y_m is not in the
 extension of the left side"; any other falls back to "every nominal below
 the left side is below the right side".  The rules the two readings share
 are written once, for the nominal side, and read negated on the co-nominal
-side: meet and join swap, so do top and bottom and the quantifiers, and a
-literal gains or loses its negation.  The Routley-Meyer clause of each
-non-lattice connective is one entry of a table, read by the standard
-translation with fresh z variables and by the inequality translator with
-fresh nominals wherever a connective has no direct rule on its side; every
-such expansion is logged at debug level.
+side: meet and join swap, so do top and bottom and the quantifiers (the
+pairs of `fol.DUAL`), and a literal gains or loses its negation.  The
+Routley-Meyer clause of each non-lattice connective is one entry of a
+table, read by the standard translation with fresh z variables and by the
+inequality translator with fresh nominals wherever a connective has no
+direct rule on its side; every such expansion is logged at debug level.
+
+The cleanup passes are bottom-up maps with `fol.map_up`, which keeps each
+node whose children are unchanged: `fo_simplify` applies one node rule until
+a pass returns its input object, negating through `fol.DUAL`, and
+`expand_leq` and `order_as_equality` each rewrite the order atoms.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ def _is(phi: Formula, kind: str) -> bool:
 def _xvar(phi: Formula) -> WVar:
     return WVar("x", phi.atom.index)
 
+
+_LATTICE = {fm.AND: And, fm.OR: Or}
 
 # The Routley-Meyer clause of each connective but meet and join: its
 # quantifier, its number of bound worlds, whether its last literal is
@@ -91,8 +98,7 @@ def _clause(op: str, w: fol.Term, worlds: list[WVar],
     quantifier, _, negated, literals = _CLAUSES[op]
     *first, last = literals(read, w, *worlds)
     if not holds:
-        quantifier = Exists if quantifier is Forall else Forall
-        negated = not negated
+        quantifier, negated = fol.DUAL[quantifier], not negated
     return _bind(quantifier, worlds, first, Not(last) if negated else last)
 
 
@@ -156,9 +162,9 @@ def _reading(phi: Formula, at: Formula, holds: bool,
         return _literal(TRUE, holds)
     if op == fm.BOT:
         return _literal(FALSE, holds)
-    if op in (fm.AND, fm.OR):
+    if op in _LATTICE:
         # meet and join swap on the co-nominal side
-        connective = And if (op == fm.AND) == holds else Or
+        connective = _LATTICE[op] if holds else fol.DUAL[_LATTICE[op]]
         return connective(_reading(args[0], at, holds, supply),
                           _reading(args[1], at, holds, supply))
     if op == fm.NEG and (_is(args[0], fm.NOM) or _is(args[0], fm.CNOM)):
@@ -245,9 +251,8 @@ def _st(node: Formula, w: fol.Term, zs: Iterator[int]) -> FONode:
         return EqAtom(w, w)
     if op == fm.BOT:
         return Not(EqAtom(w, w))
-    if op in (fm.AND, fm.OR):
-        connective = And if op == fm.AND else Or
-        return connective(_st(node.args[0], w, zs), _st(node.args[1], w, zs))
+    if op in _LATTICE:
+        return _LATTICE[op](_st(node.args[0], w, zs), _st(node.args[1], w, zs))
     if op not in _CLAUSES:
         raise ValueError(f"no standard translation for {op!r}")
     worlds = [WVar("z", next(zs)) for _ in range(_CLAUSES[op][1])]
@@ -270,51 +275,35 @@ def _count_nots(f: FONode) -> int:
 
 
 def _smart_not(f: FONode) -> FONode:
-    if isinstance(f, fol.TrueF):
-        return FALSE
-    if isinstance(f, fol.FalseF):
-        return TRUE
+    """The negation of f, pushed through its dual connectives."""
     if isinstance(f, Not):
         return f.body
-    if isinstance(f, And):
-        return Or(_smart_not(f.left), _smart_not(f.right))
-    if isinstance(f, Or):
-        return And(_smart_not(f.left), _smart_not(f.right))
     if isinstance(f, Implies):
         return And(f.left, _smart_not(f.right))
-    if isinstance(f, Forall):
-        return Exists(f.var, _smart_not(f.body))
-    if isinstance(f, Exists):
-        return Forall(f.var, _smart_not(f.body))
-    return Not(f)
+    if type(f) not in fol.DUAL:
+        return Not(f)
+    return fol.DUAL[type(f)](*(_smart_not(v) if isinstance(v, FONode) else v
+                               for v in vars(f).values()))
+
+
+# the unit and the zero of meet and join
+_UNIT_ZERO = {And: (fol.TrueF, fol.FalseF), Or: (fol.FalseF, fol.TrueF)}
 
 
 def _simplify_node(f: FONode) -> FONode:
+    """f with one cleanup rule applied at its root, or f itself."""
     if isinstance(f, Not):
-        if isinstance(f.body, fol.TrueF):
-            return FALSE
-        if isinstance(f.body, fol.FalseF):
-            return TRUE
-        if isinstance(f.body, Not):
-            return f.body.body
+        if isinstance(f.body, (fol.TrueF, fol.FalseF, Not)):
+            return _smart_not(f.body)
         return f
-    if isinstance(f, And):
-        if isinstance(f.left, fol.TrueF):
+    if type(f) in _UNIT_ZERO:
+        unit, zero = _UNIT_ZERO[type(f)]
+        if isinstance(f.left, unit):
             return f.right
-        if isinstance(f.right, fol.TrueF):
+        if isinstance(f.right, unit):
             return f.left
-        if isinstance(f.left, fol.FalseF) or isinstance(f.right, fol.FalseF):
-            return FALSE
-        if f.left == f.right:
-            return f.left
-        return f
-    if isinstance(f, Or):
-        if isinstance(f.left, fol.FalseF):
-            return f.right
-        if isinstance(f.right, fol.FalseF):
-            return f.left
-        if isinstance(f.left, fol.TrueF) or isinstance(f.right, fol.TrueF):
-            return TRUE
+        if isinstance(f.left, zero) or isinstance(f.right, zero):
+            return zero()
         if f.left == f.right:
             return f.left
         return f
@@ -337,25 +326,18 @@ def _simplify_node(f: FONode) -> FONode:
         if isinstance(f.body, (fol.TrueF, fol.FalseF)):
             # frames have nonempty domains
             return f.body
-        return f
     return f
 
 
 def fo_simplify(f: FONode) -> FONode:
     """Cleanup: double-negation elimination, negation-lowering contraposition,
     constant absorption, and idempotent meets/joins, to a fixed point."""
-
     for _ in range(100):
-        nxt = _simplify_once(f)
-        if nxt == f:
+        nxt = fol.map_up(f, _simplify_node)
+        if nxt is f:
             return f
         f = nxt
     return f
-
-
-def _simplify_once(node: FONode) -> FONode:
-    kids = tuple(_simplify_once(c) for c in fol.children(node))
-    return _simplify_node(fol.rebuild(node, kids))
 
 
 def expand_leq(f: FONode) -> FONode:
@@ -365,20 +347,17 @@ def expand_leq(f: FONode) -> FONode:
     bound = [node.var for node in fol.walk(f)
              if isinstance(node, (Forall, Exists))]
     zs = [v.index for v in (*bound, *fol.free_vars(f)) if v.family == "z"]
-    return _expand_leq(f, itertools.count(max(zs) + 1 if zs else 0))
+    indices = itertools.count(max(zs) + 1 if zs else 0)
 
-
-def _expand_leq(node: FONode, indices: Iterator[int]) -> FONode:
-    if isinstance(node, LeqAtom):
+    def unfold(g: FONode) -> FONode:
+        if not isinstance(g, LeqAtom):
+            return g
         z = WVar("z", next(indices))
-        return Exists(z, And(OAtom(z), RAtom(z, node.a, node.b)))
-    kids = tuple(_expand_leq(c, indices) for c in fol.children(node))
-    return fol.rebuild(node, kids)
+        return Exists(z, And(OAtom(z), RAtom(z, g.a, g.b)))
+    return fol.map_up(f, unfold)
 
 
 def order_as_equality(f: FONode) -> FONode:
     """Relation-algebra reading: the derived order is equality."""
-    if isinstance(f, LeqAtom):
-        return EqAtom(f.a, f.b)
-    kids = tuple(order_as_equality(c) for c in fol.children(f))
-    return fol.rebuild(f, kids)
+    return fol.map_up(f, lambda g: EqAtom(g.a, g.b)
+                      if isinstance(g, LeqAtom) else g)

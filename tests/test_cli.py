@@ -84,9 +84,10 @@ def test_verify_rejects_nominals(capsys):
     assert out == ""
 
 
-# negations and implications fail in fo_simplify, parentheses in the parser,
-# which recurses only on them
-DEEP = {"negations": "\\sim " * 200 + "p",
+# negations fail in formula.substitute (from monotone_elim), implications in
+# fol.map_up (from fo_simplify), parentheses in the parser, which recurses
+# only on them
+DEEP = {"negations": "\\sim " * 1000 + "p",
         "parentheses": "(" * 1000 + "p" + ")" * 1000,
         "implications": " \\to ".join(["p"] * 400)}
 
@@ -100,6 +101,16 @@ def test_deeply_nested_input_exits_2(source, tmp_path, capsys):
     path.write_text(json.dumps({"name": "deep", "formula": source}) + "\n")
     code, out, err = run_cli(["--corpus", str(path)], capsys)
     assert (code, out, err) == (2, "", "error: input is nested too deeply\n")
+
+
+@pytest.mark.parametrize("source", ["\\sim " * 200 + "p", " \\to ".join(["p"] * 100)],
+                         ids=["negations", "implications"])
+def test_deep_chains_below_the_walker_limits_succeed(source, capsys):
+    # these exited 2 while fo_simplify compared whole trees with the
+    # recursive dataclass __eq__ on every pass
+    code, out, _ = run_cli(["-i", source], capsys)
+    assert code == 0
+    assert "Correspondent" in out
 
 
 def test_parentheses_below_the_parser_limit_succeed(capsys):

@@ -11,7 +11,11 @@ brute-force check of `universal_truth` and `complex_algebra_eval`.
 structure, kept verbatim as the reference for the constructive one, with
 the mode identities it used, which computed the operations by loops over
 the up-sets rather than reading the frame's tables, and in ra mode also
-required an antichain order.
+required an antichain order.  `ref_enumerate_frames` reads `ref_check_frame`,
+the frame check that tested the conditions triple by triple, kept verbatim
+as the reference for the one on masks: the two must agree on every
+structure with at most two worlds and on seeded random structures with
+three and four.
 """
 
 import itertools
@@ -198,6 +202,36 @@ _MODE_IDENTITIES = {"relevance": lambda f: True, "bi": _bi_identities_hold,
                     "ra": _ra_identities_hold}
 
 
+def ref_check_frame(f: RMFrame) -> bool:
+    """The six frame conditions for the derived order."""
+    n = f.n
+    for x in range(n):
+        if not f.leq(x, x):
+            return False
+    for x in range(n):
+        for y in range(n):
+            if not f.leq(x, y):
+                continue
+            # R y u v implies R x u v
+            if any(f._results[y][u] & ~f._results[x][u] for u in range(n)):
+                return False
+            if not f.leq(f.star[y], f.star[x]):
+                return False
+    for (u, y, v) in f.R:
+        for x in range(n):
+            if f.leq(x, y) and (u, x, v) not in f.R:
+                return False
+    for (u, v, x) in f.R:
+        for y in range(n):
+            if f.leq(x, y) and (u, v, y) not in f.R:
+                return False
+    for o in f.O:
+        for o2 in range(n):
+            if f.leq(o, o2) and o2 not in f.O:
+                return False
+    return True
+
+
 def ref_enumerate_frames(n: int, mode: str = "relevance"):
     """All valid frames on n worlds, lexicographic in (O, R, star).
 
@@ -219,7 +253,7 @@ def ref_enumerate_frames(n: int, mode: str = "relevance"):
             R = frozenset(t for i, t in enumerate(triples) if r_bits & (1 << i))
             for star in itertools.product(range(n), repeat=n):
                 f = RMFrame(n, O, R, star)
-                if check_frame(f) and identities_hold(f):
+                if ref_check_frame(f) and identities_hold(f):
                     yield f
 
 
@@ -230,6 +264,57 @@ def mode_frames():
     """Every frame with at most two worlds, per mode, in enumeration order."""
     return {mode: [f for n in (1, 2) for f in enumerate_frames(n, mode)]
             for mode in MODES}
+
+
+def _structures(n: int):
+    """Every structure (O, R, star) on n worlds."""
+    triples = list(itertools.product(range(n), repeat=3))
+    for o_bits in range(1 << n):
+        O = frozenset(w for w in range(n) if o_bits >> w & 1)
+        for r_bits in range(1 << len(triples)):
+            R = frozenset(t for i, t in enumerate(triples) if r_bits >> i & 1)
+            for star in itertools.product(range(n), repeat=n):
+                yield RMFrame(n, O, R, star)
+
+
+def _random_structures(count: int, seed: int):
+    """Structures on 3 and 4 worlds: one of 400 random valid frames with up
+    to three of its triples, normal worlds or star values changed, or, one
+    in five, a structure drawn at random."""
+    rng = random.Random(seed)
+    pool = [random_frame(rng, 3 + k % 2, density=(0.1, 0.3, 0.6)[k % 3])
+            for k in range(400)]
+    for k in range(count):
+        f = pool[rng.randrange(200) * 2 + k % 2]
+        n, W = f.n, range(f.n)
+        if k % 5 == 4:
+            yield RMFrame(n, {w for w in W if rng.random() < 0.5},
+                          {t for t in itertools.product(W, repeat=3)
+                           if rng.random() < rng.random()},
+                          tuple(rng.choice(W) for _ in W))
+            continue
+        O, R, star = set(f.O), set(f.R), list(f.star)
+        for _ in range(k % 5):
+            change = rng.randrange(3)
+            if change == 0:
+                R ^= {tuple(rng.choice(W) for _ in range(3))}
+            elif change == 1:
+                O ^= {rng.choice(W)}
+            else:
+                star[rng.choice(W)] = rng.choice(W)
+        yield RMFrame(n, O, R, star)
+
+
+def test_check_frame_matches_the_reference():
+    verdicts = []
+    for f in itertools.chain(_structures(1), _structures(2),
+                             _random_structures(20000, seed=1402)):
+        verdicts.append(check_frame(f))
+        assert verdicts[-1] == ref_check_frame(f), f
+    # 1 + 210 of the 4,100 small structures are frames; of the random ones,
+    # a fair share of either kind
+    assert sum(verdicts[:4100]) == 211
+    assert 2000 < sum(verdicts[4100:]) < 18000
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -322,7 +407,7 @@ def test_extension_matches_reference_on_extended_random_formulas(mode_frames):
     ops = set()
     for _ in range(40):
         phi = random_formula(rng, depth=4, n_vars=2, extended=True)
-        ops |= {node.op for _, node in fm.subformulas(phi)}
+        ops |= {node.op for node in fm.walk(phi)}
         _assert_extensions_agree(frames, phi)
     assert {fm.NEG_FLAT, fm.NEG_SHARP, fm.HIMP, fm.COIMP, fm.RRES} <= ops
 

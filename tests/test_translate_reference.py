@@ -1,6 +1,7 @@
 """The signed-reading translator against the two hand-written readings
-it replaced, and the clause table against the standard translation's
-per-connective branches.
+it replaced, the clause table against the standard translation's
+per-connective branches, and the cleanup passes over `fol.DUAL` and
+`fol.map_up` against the recursive ones they replaced.
 
 `ref_tr`, `_tr` and their helpers below are the earlier inequality
 translator of `rmcorr.translate`, and `ref_st` with `_st` the earlier
@@ -14,6 +15,12 @@ on every goal of those derivations with the supply the pipeline seeds, and
 language.  Where the earlier `tr_quasi` raised on an impure input, naming
 an inner inequality, the current one raises a `PurityError` naming the
 quasi-inequality.
+
+`ref_fo_simplify`, `ref_expand_leq` and `ref_order_as_equality` with their
+helpers are the earlier cleanup passes, kept verbatim.  On every
+translated and simplified correspondent of those derivations, on the
+standard translations of their input formulas, and on seeded random
+first-order trees, the current passes must give equal formulas.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Iterator, Optional
 
 import pytest
 
-from rmcorr import fol
+from rmcorr import fol, translate
 from rmcorr import formula as fm
 from rmcorr.calculus import FreshSupply, Inequality, QuasiInequality
 from rmcorr.fol import (FALSE, TRUE, And, EqAtom, Exists, FONode, Forall,
@@ -34,7 +41,9 @@ from rmcorr.fol import (FALSE, TRUE, And, EqAtom, Exists, FONode, Forall,
                         Star, WVar)
 from rmcorr.formula import Formula
 from rmcorr.pipeline import correspondent
-from rmcorr.translate import PurityError, st, st_inequality, tr, tr_quasi
+from rmcorr.translate import (PurityError, expand_leq, fo_simplify,
+                              order_as_equality, st, st_inequality, tr,
+                              tr_quasi)
 
 from helpers import random_formula
 
@@ -316,6 +325,128 @@ def ref_st_inequality(ineq: Inequality) -> FONode:
 
 
 
+# cleanup passes
+
+def _count_nots(f: FONode) -> int:
+    return sum(1 for g in fol.walk(f) if isinstance(g, Not))
+
+
+def _smart_not(f: FONode) -> FONode:
+    if isinstance(f, fol.TrueF):
+        return FALSE
+    if isinstance(f, fol.FalseF):
+        return TRUE
+    if isinstance(f, Not):
+        return f.body
+    if isinstance(f, And):
+        return Or(_smart_not(f.left), _smart_not(f.right))
+    if isinstance(f, Or):
+        return And(_smart_not(f.left), _smart_not(f.right))
+    if isinstance(f, Implies):
+        return And(f.left, _smart_not(f.right))
+    if isinstance(f, Forall):
+        return Exists(f.var, _smart_not(f.body))
+    if isinstance(f, Exists):
+        return Forall(f.var, _smart_not(f.body))
+    return Not(f)
+
+
+def _simplify_node(f: FONode) -> FONode:
+    if isinstance(f, Not):
+        if isinstance(f.body, fol.TrueF):
+            return FALSE
+        if isinstance(f.body, fol.FalseF):
+            return TRUE
+        if isinstance(f.body, Not):
+            return f.body.body
+        return f
+    if isinstance(f, And):
+        if isinstance(f.left, fol.TrueF):
+            return f.right
+        if isinstance(f.right, fol.TrueF):
+            return f.left
+        if isinstance(f.left, fol.FalseF) or isinstance(f.right, fol.FalseF):
+            return FALSE
+        if f.left == f.right:
+            return f.left
+        return f
+    if isinstance(f, Or):
+        if isinstance(f.left, fol.FalseF):
+            return f.right
+        if isinstance(f.right, fol.FalseF):
+            return f.left
+        if isinstance(f.left, fol.TrueF) or isinstance(f.right, fol.TrueF):
+            return TRUE
+        if f.left == f.right:
+            return f.left
+        return f
+    if isinstance(f, Implies):
+        if isinstance(f.left, fol.TrueF):
+            return f.right
+        if isinstance(f.left, fol.FalseF) or isinstance(f.right, fol.TrueF):
+            return TRUE
+        if isinstance(f.right, fol.FalseF):
+            return _smart_not(f.left)
+        if f.left == f.right:
+            return TRUE
+        if isinstance(f.right, Not):
+            # contrapose when it strictly reduces the number of negations
+            candidate = Implies(f.right.body, _smart_not(f.left))
+            if _count_nots(candidate) < _count_nots(f):
+                return candidate
+        return f
+    if isinstance(f, (Forall, Exists)):
+        if isinstance(f.body, (fol.TrueF, fol.FalseF)):
+            # frames have nonempty domains
+            return f.body
+        return f
+    return f
+
+
+def ref_fo_simplify(f: FONode) -> FONode:
+    """Cleanup: double-negation elimination, negation-lowering contraposition,
+    constant absorption, and idempotent meets/joins, to a fixed point."""
+
+    for _ in range(100):
+        nxt = _simplify_once(f)
+        if nxt == f:
+            return f
+        f = nxt
+    return f
+
+
+def _simplify_once(node: FONode) -> FONode:
+    kids = tuple(_simplify_once(c) for c in fol.children(node))
+    return _simplify_node(fol.rebuild(node, kids))
+
+
+def ref_expand_leq(f: FONode) -> FONode:
+    """Unfold the derived order into its definition from O and R; used when a
+    target format should not carry a primitive order symbol.  The new z
+    variables are numbered above every z in f, bound or free."""
+    bound = [node.var for node in fol.walk(f)
+             if isinstance(node, (Forall, Exists))]
+    zs = [v.index for v in (*bound, *fol.free_vars(f)) if v.family == "z"]
+    return _expand_leq(f, itertools.count(max(zs) + 1 if zs else 0))
+
+
+def _expand_leq(node: FONode, indices: Iterator[int]) -> FONode:
+    if isinstance(node, LeqAtom):
+        z = WVar("z", next(indices))
+        return Exists(z, And(OAtom(z), RAtom(z, node.a, node.b)))
+    kids = tuple(_expand_leq(c, indices) for c in fol.children(node))
+    return fol.rebuild(node, kids)
+
+
+def ref_order_as_equality(f: FONode) -> FONode:
+    """Relation-algebra reading: the derived order is equality."""
+    if isinstance(f, LeqAtom):
+        return EqAtom(f.a, f.b)
+    kids = tuple(ref_order_as_equality(c) for c in fol.children(f))
+    return fol.rebuild(f, kids)
+
+
+
 # -- input sets ----------------------------------------------------------------
 
 LEAVES = [fm.nom(0), fm.nom(1), fm.cnom(0), fm.cnom(1), fm.t(), fm.top(),
@@ -372,6 +503,39 @@ def _pure_inequalities(results) -> list[Inequality]:
                     if ineq.is_pure():
                         pure.setdefault(ineq.text(), ineq)
     return list(pure.values())
+
+
+# x, y and z variables, each z free in some trees and bound in others
+FO_VARS = [X0, Y1, WVar("x", 1), *(WVar("z", k) for k in range(4))]
+
+
+def _term(rng: random.Random) -> fol.Term:
+    v = rng.choice(FO_VARS)
+    return Star(v) if rng.random() < 0.2 else v
+
+
+def _random_fo(rng: random.Random, depth: int) -> FONode:
+    """Seeded random first-order tree over every node kind, with constants,
+    equal operands, implications into negations and quantifiers over
+    constants."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([
+            lambda: TRUE, lambda: FALSE,
+            lambda: RAtom(_term(rng), _term(rng), _term(rng)),
+            lambda: OAtom(_term(rng)), lambda: LeqAtom(_term(rng), _term(rng)),
+            lambda: EqAtom(_term(rng), _term(rng)),
+            lambda: PVarAtom(rng.randrange(2), _term(rng))])()
+    kind = rng.choice([Not, And, Or, Implies, Forall, Exists])
+    if kind is Not:
+        return Not(_random_fo(rng, depth - 1))
+    if kind in (Forall, Exists):
+        body = (rng.choice([TRUE, FALSE]) if rng.random() < 0.15
+                else _random_fo(rng, depth - 1))
+        return kind(rng.choice(FO_VARS[2:]), body)
+    left = _random_fo(rng, depth - 1)
+    right = rng.choice([lambda: left, lambda: Not(_random_fo(rng, depth - 1)),
+                        lambda: _random_fo(rng, depth - 1)])()
+    return kind(left, right)
 
 
 @pytest.fixture(scope="module")
@@ -471,3 +635,52 @@ def test_expanded_connectives_by_side(translate, caplog):
                 assert caplog.records[0].args[0] == phi.op
                 expanded.add((side, phi.op))
     assert expanded == EXPANDED
+
+
+def _assert_cleanup_matches(formulas):
+    assert formulas
+    for f in formulas:
+        assert fo_simplify(f) == ref_fo_simplify(f), f
+        assert expand_leq(f) == ref_expand_leq(f), f
+        assert order_as_equality(f) == ref_order_as_equality(f), f
+
+
+def test_cleanup_matches_on_the_correspondents(derivations):
+    _assert_cleanup_matches([fo for res in derivations for g in res.goals
+                             for fo in (g.fo_translated, g.fo) if fo is not None])
+
+
+def test_cleanup_matches_on_standard_translations(derivations):
+    _assert_cleanup_matches(
+        [g for res in derivations
+         for g in (st(res.formula, X0), st_inequality(Inequality(fm.t(), res.formula)))])
+
+
+def test_fo_simplify_runs_to_a_fixed_point():
+    p, q = PVarAtom(0, X0), OAtom(Y1)
+    f = Implies(Implies(p, Not(p)), Not(q))
+    # contraposing gives q -> p & p, which only the next pass shrinks
+    assert fo_simplify(f) == ref_fo_simplify(f) == Implies(q, p)
+
+
+def test_cleanup_matches_on_random_first_order_trees():
+    rng = random.Random(1401)
+    trees = [_random_fo(rng, 5) for _ in range(20000)]
+    _assert_cleanup_matches(trees)
+    for f in trees[:2000]:
+        assert translate._smart_not(f) == _smart_not(f), f
+    nodes = [g for f in trees for g in fol.walk(f)]
+    # every node kind and each special case the passes treat
+    assert {type(g) for g in nodes} == {
+        fol.TrueF, fol.FalseF, RAtom, OAtom, LeqAtom, EqAtom, PVarAtom, Not,
+        And, Or, Implies, Forall, Exists}
+    assert any(isinstance(g, (And, Or, Implies)) and g.left == g.right
+               for g in nodes)
+    assert any(isinstance(g, Implies) and isinstance(g.right, Not) for g in nodes)
+    assert any(isinstance(g, (Forall, Exists))
+               and isinstance(g.body, (fol.TrueF, fol.FalseF)) for g in nodes)
+    zs = [v for f in trees for v in fol.free_vars(f) if v.family == "z"]
+    bound = [g.var for g in nodes if isinstance(g, (Forall, Exists))]
+    assert zs and bound
+    # the fixed point takes more than one pass on some trees
+    assert any(ref_fo_simplify(f) != _simplify_once(f) for f in trees)
