@@ -59,11 +59,8 @@ class Inequality:
                           fm.substitute(self.rhs, a, psi))
 
     def atoms(self, kind: Optional[str] = None) -> list[Atom]:
-        out = fm.atoms(self.lhs, kind)
-        for a in fm.atoms(self.rhs, kind):
-            if a not in out:
-                out.append(a)
-        return out
+        return list(dict.fromkeys(fm.atoms(self.lhs, kind)
+                                  + fm.atoms(self.rhs, kind)))
 
     def signs(self, a: Atom) -> list[int]:
         """Inequality-level signs of every occurrence of a."""
@@ -106,12 +103,8 @@ class QuasiInequality:
     conclusion: Inequality
 
     def atoms(self, kind: Optional[str] = None) -> list[Atom]:
-        out: list[Atom] = []
-        for ineq in (*self.premises, self.conclusion):
-            for a in ineq.atoms(kind):
-                if a not in out:
-                    out.append(a)
-        return out
+        return list(dict.fromkeys(a for ineq in (*self.premises, self.conclusion)
+                                  for a in ineq.atoms(kind)))
 
     def substitute(self, a: Atom, psi: Formula) -> "QuasiInequality":
         return QuasiInequality(
@@ -128,9 +121,10 @@ class QuasiInequality:
             return f"{parts} \\quad\\Longrightarrow\\quad {self.conclusion.text(mode)}"
         return self.conclusion.text(mode)
 
-    def to_json(self) -> dict:
-        return {"premises": [p.to_json() for p in self.premises],
-                "conclusion": self.conclusion.to_json()}
+    def to_json(self, encode=None) -> dict:  # encode: one inequality's JSON
+        encode = encode or Inequality.to_json
+        return {"premises": [encode(p) for p in self.premises],
+                "conclusion": encode(self.conclusion)}
 
     def __repr__(self) -> str:
         return self.text()
@@ -168,13 +162,13 @@ class TraceStep:
     fresh: tuple[Atom, ...] = ()
     result: Optional[QuasiInequality] = None
 
-    def to_json(self) -> dict:
+    def to_json(self, encode=None) -> dict:
         return {
             "rule": self.rule,
             "premise": self.premise,
             "params": {k: json_value(v) for k, v in self.params.items()},
             "fresh": [json_value(a) for a in self.fresh],
-            "result": None if self.result is None else self.result.to_json(),
+            "result": None if self.result is None else self.result.to_json(encode),
         }
 
 
@@ -378,13 +372,16 @@ def adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
 # ---------------------------------------------------------------------------
 # Ackermann rules
 
-def ackermann(qi: QuasiInequality, p: Atom, polarity: str) -> QuasiInequality:
+def ackermann(qi: QuasiInequality, p: Atom, polarity: str, *,
+              tables: Optional[list[dict[Atom, list[int]]]] = None) -> QuasiInequality:
     """Eliminate p given exactly one solved premise: alpha <= p for '+',
     p <= alpha for '-'.
 
     Side conditions, checked mechanically: p does not occur in alpha; every
     other premise is negative ('+') / positive ('-') in p; the conclusion is
-    positive ('+') / negative ('-') in p.
+    positive ('+') / negative ('-') in p.  They are read off `tables`, the
+    sign tables of the premises (the solved one's is not read) and then of
+    the conclusion, which the search passes and replay leaves to be built.
     """
     if p.kind != fm.PROP:
         raise NotApplicable("Ackermann elimination targets propositional variables")
@@ -397,15 +394,15 @@ def ackermann(qi: QuasiInequality, p: Atom, polarity: str) -> QuasiInequality:
         raise NotApplicable("need exactly one solved premise")
     k = solved[0]
     alpha = qi.premises[k].lhs if polarity == "+" else qi.premises[k].rhs
-    if fm.occurrences(alpha, p):
+    if any(node.op == fm.ATOM and node.atom == p for node in fm.walk(alpha)):
         raise NotApplicable("solved bound still contains the variable")
+    if tables is None:
+        tables = [ineq.sign_table() for ineq in (*qi.premises, qi.conclusion)]
     want = -1 if polarity == "+" else 1
-    for idx, prem in enumerate(qi.premises):
-        if idx == k:
-            continue
-        if any(s != want for s in prem.signs(p)):
+    for idx, table in enumerate(tables[:-1]):
+        if idx != k and any(s != want for s in table.get(p, ())):
             raise NotApplicable("context premise has a blocking occurrence")
-    if any(s != -want for s in qi.conclusion.signs(p)):
+    if any(s != -want for s in tables[-1].get(p, ())):
         raise NotApplicable("conclusion has a blocking occurrence")
     rest = qi.premises[:k] + qi.premises[k + 1:]
     return QuasiInequality(

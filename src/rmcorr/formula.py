@@ -7,7 +7,9 @@ two adjoints, lattice meet and join, fusion, relevant implication, Heyting
 implication, co-implication and the right residual of fusion.
 
 Everything here is immutable and hashable, so formulas can be shared freely
-between premises, trace snapshots and parallel workers.
+between premises, trace snapshots and parallel workers.  Each node stores
+the dataclass hash, computed once when it is built; equality tests identity,
+then the stored hashes, then the fields, with a stack instead of recursion.
 """
 
 from __future__ import annotations
@@ -58,13 +60,36 @@ POLARITY = {
 BASE_OPS = frozenset({ATOM, T, TOP, BOT, NEG, AND, OR, FUS, IMP})
 
 
-@dataclass(frozen=True, order=True)
+_set = object.__setattr__  # the fields of a frozen node are set once
+
+
+@dataclass(frozen=True, order=True, init=False, slots=True)
 class Atom:
     """Variable-like leaf; identity is (kind, index), never the display name."""
 
     kind: str
     index: int
     name: Optional[str] = field(default=None, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, kind: str, index: int, name: Optional[str] = None):
+        _set(self, "kind", kind)
+        _set(self, "index", index)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((kind, index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.index == other.index
+                                 and self.kind == other.kind)
+
+    def __reduce__(self):  # a hash is only valid in the process that made it
+        return Atom, (self.kind, self.index, self.name)
 
     def display(self) -> str:
         if self.kind == PROP:
@@ -77,11 +102,43 @@ class Atom:
         return f"Atom({self.kind},{self.index})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Formula:
     op: str
     args: tuple["Formula", ...] = ()
     atom: Optional[Atom] = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, op: str, args: tuple["Formula", ...] = (),
+                 atom: Optional[Atom] = None):
+        _set(self, "op", op)
+        _set(self, "args", args)
+        _set(self, "atom", atom)
+        _set(self, "_hash", hash((op, args, atom)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Formula:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a._hash != b._hash or a.op != b.op or a.atom != b.atom
+                    or len(a.args) != len(b.args)):
+                return False
+            stack.extend(zip(a.args, b.args))
+        return True
+
+    def __reduce__(self):
+        return Formula, (self.op, self.args, self.atom)
 
     def __repr__(self) -> str:
         if self.op == ATOM:
@@ -174,12 +231,9 @@ def walk(phi: Formula) -> Iterator[Formula]:
 
 def atoms(phi: Formula, kind: Optional[str] = None) -> list[Atom]:
     """Atoms of phi in order of first occurrence, optionally of one kind."""
-    seen: list[Atom] = []
-    for node in walk(phi):
-        if node.op == ATOM and (kind is None or node.atom.kind == kind):
-            if node.atom not in seen:
-                seen.append(node.atom)
-    return seen
+    return list(dict.fromkeys(
+        node.atom for node in walk(phi)
+        if node.op == ATOM and (kind is None or node.atom.kind == kind)))
 
 
 def is_pure(phi: Formula) -> bool:

@@ -47,12 +47,13 @@ class PreprocessEvent:
     after: tuple[Inequality, ...]
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
+    def to_json(self, encode=None) -> dict:
+        encode = encode or Inequality.to_json
         return {
             "kind": self.kind,
             "index": self.index,
-            "before": self.before.to_json(),
-            "after": [i.to_json() for i in self.after],
+            "before": encode(self.before),
+            "after": [encode(i) for i in self.after],
             "params": {k: ca.json_value(v) for k, v in self.params.items()},
         }
 
@@ -138,8 +139,8 @@ class FailureInfo:
     attempted: list[list[str]]  # the first MAX_ATTEMPT_LOG dead ends
     dead_ends: int  # every dead end, logged or not
 
-    def to_json(self) -> dict:
-        return {"stuck": self.stuck.to_json(), "attempted": self.attempted,
+    def to_json(self, encode=None) -> dict:
+        return {"stuck": self.stuck.to_json(encode), "attempted": self.attempted,
                 "dead_ends": self.dead_ends}
 
 
@@ -147,12 +148,11 @@ def _signed_name(p: Atom, polarity: str) -> str:
     return f"{polarity}{p.name if p.name is not None else f'p_{p.index}'}"
 
 
-def _candidate_vars(tables: list[dict[Atom, list[int]]],
-                    conclusion: dict[Atom, list[int]]) -> list[Atom]:
+def _candidate_vars(tables: list[dict[Atom, list[int]]]) -> list[Atom]:
     """Propositional variables in order of first occurrence scanning the
     premises' sign tables from the most recently produced backwards, then the
-    conclusion's.  This is the order the first-success search follows."""
-    return list(dict.fromkeys(a for table in (*reversed(tables), conclusion)
+    conclusion's, the last one: the order the first-success search follows."""
+    return list(dict.fromkeys(a for table in (*reversed(tables[:-1]), tables[-1])
                               for a in table if a.kind == fm.PROP))
 
 
@@ -226,9 +226,10 @@ def _solver_move(host: Formula, side: str, first: int):
 def _try_eliminate_one(qi: QuasiInequality, tables: list[dict[Atom, list[int]]],
                        p: Atom, polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
     """Solve the one premise holding p with the given polarity for p and
-    apply Ackermann; tables are the premises' sign tables."""
+    apply Ackermann; tables are the sign tables of qi's premises and then of
+    its conclusion, which Ackermann reads: solving rewrites premise k alone."""
     want = 1 if polarity == "+" else -1
-    holders = [k for k, table in enumerate(tables) if want in table.get(p, ())]
+    holders = [k for k, table in enumerate(tables[:-1]) if want in table.get(p, ())]
     if len(holders) != 1:
         return None
     k = holders[0]
@@ -239,7 +240,7 @@ def _try_eliminate_one(qi: QuasiInequality, tables: list[dict[Atom, list[int]]],
         return None
     qi2, steps = solved
     try:
-        out = ca.ackermann(qi2, p, polarity)
+        out = ca.ackermann(qi2, p, polarity, tables=tables)
     except NotApplicable:
         return None
     steps.append(TraceStep(f"ackermann-{'right' if polarity == '+' else 'left'}",
@@ -253,8 +254,8 @@ def _search(state: QuasiInequality, failed: dict, cap: int):
     hit = failed.get(state)
     if hit is not None:
         return hit
-    tables = [prem.sign_table() for prem in state.premises]
-    variables = _candidate_vars(tables, state.conclusion.sign_table())
+    tables = [ineq.sign_table() for ineq in (*state.premises, state.conclusion)]
+    variables = _candidate_vars(tables)
     if not variables:
         return state, [], []
     dead_ends, log = 0, []
@@ -358,33 +359,40 @@ class CorrespondenceResult:
         return None
 
 
+def _solve_goal(ineq: Inequality, mode: SyntaxMode) -> GoalResult:
+    supply = FreshSupply.for_qi(ca.goal(ineq))
+    res = GoalResult(initial=ineq)
+    qi, steps = approximate(ineq, supply)
+    res.approximated = qi
+    res.steps.extend(steps)
+    outcome = eliminate(qi)
+    if isinstance(outcome, FailureInfo):
+        res.failure = outcome
+        return res
+    pure_qi, order, steps = outcome
+    res.pure = pure_qi
+    res.order = order
+    res.steps.extend(steps)
+    simp, steps = simplify(pure_qi)
+    res.simplified = simp
+    res.steps.extend(steps)
+    res.fo_translated = translate.tr_quasi(simp, supply)
+    res.fo = translate.fo_simplify(res.fo_translated)
+    if mode is SyntaxMode.RELATION_ALGEBRA:
+        res.fo_translated = translate.order_as_equality(res.fo_translated)
+        res.fo = translate.order_as_equality(res.fo)
+    return res
+
+
 def correspondent(phi: Formula,
                   mode: SyntaxMode = SyntaxMode.RELEVANCE) -> CorrespondenceResult:
-    """Run the whole pipeline on one formula."""
+    """Run the whole pipeline on one formula.  A goal's result depends on
+    the goal alone, so a goal equal to an earlier one shares its
+    GoalResult instead of being run again."""
     goals, events = preprocess(phi)
-    results: list[GoalResult] = []
+    done: dict[Inequality, GoalResult] = {}
     for ineq in goals:
-        supply = FreshSupply.for_qi(ca.goal(ineq))
-        res = GoalResult(initial=ineq)
-        qi, steps = approximate(ineq, supply)
-        res.approximated = qi
-        res.steps.extend(steps)
-        outcome = eliminate(qi)
-        if isinstance(outcome, FailureInfo):
-            res.failure = outcome
-            results.append(res)
-            continue
-        pure_qi, order, steps = outcome
-        res.pure = pure_qi
-        res.order = order
-        res.steps.extend(steps)
-        simp, steps = simplify(pure_qi)
-        res.simplified = simp
-        res.steps.extend(steps)
-        res.fo_translated = translate.tr_quasi(simp, supply)
-        res.fo = translate.fo_simplify(res.fo_translated)
-        if mode is SyntaxMode.RELATION_ALGEBRA:
-            res.fo_translated = translate.order_as_equality(res.fo_translated)
-            res.fo = translate.order_as_equality(res.fo)
-        results.append(res)
-    return CorrespondenceResult(phi, mode, results, events)
+        if ineq not in done:
+            done[ineq] = _solve_goal(ineq, mode)
+    return CorrespondenceResult(phi, mode, [done[ineq] for ineq in goals],
+                                events)

@@ -262,30 +262,41 @@ def render_report(result, fmt: OutputFormat = OutputFormat.TEX,
 
 
 def result_to_json(result, trace: bool = False) -> dict:
+    """The JSON report of one pipeline result.  A trace's snapshots share
+    most premise objects, so each distinct inequality object is encoded once
+    per call (the result keeps them alive: no id is reused) and shared."""
     from .syntax import formula_to_json
+
+    memo: dict[int, dict] = {}
+
+    def encode(ineq) -> dict:
+        if id(ineq) not in memo:
+            memo[id(ineq)] = ineq.to_json()
+        return memo[id(ineq)]
 
     goals = []
     for g in result.goals:
         entry = {
-            "initial": g.initial.to_json(),
+            "initial": encode(g.initial),
             "approximated": None if g.approximated is None
-            else g.approximated.to_json(),
+            else g.approximated.to_json(encode),
             "order": g.order,
-            "pure": None if g.pure is None else g.pure.to_json(),
-            "simplified": None if g.simplified is None else g.simplified.to_json(),
+            "pure": None if g.pure is None else g.pure.to_json(encode),
+            "simplified": None if g.simplified is None
+            else g.simplified.to_json(encode),
             "fo": None if g.fo is None else fo_to_json(g.fo),
             "fo_tex": None if g.fo is None else render(g.fo, OutputFormat.TEX),
-            "failure": None if g.failure is None else g.failure.to_json(),
+            "failure": None if g.failure is None else g.failure.to_json(encode),
         }
         if trace:
-            entry["trace"] = [s.to_json() for s in g.steps]
+            entry["trace"] = [s.to_json(encode) for s in g.steps]
         goals.append(entry)
     out = {
         "status": result.status,
         "formula": formula_to_json(result.formula),
         "mode": result.mode.value,
         "goals": goals,
-        "preprocess": [e.to_json() for e in result.preprocess_events],
+        "preprocess": [e.to_json(encode) for e in result.preprocess_events],
         "fo": None if result.fo is None else fo_to_json(result.fo),
         "fo_tex": None if result.fo is None
         else render(result.fo, OutputFormat.TEX),

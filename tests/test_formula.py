@@ -1,4 +1,8 @@
 import gc
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +20,47 @@ def test_atom_equality_ignores_display_name():
     assert Atom(fm.PROP, 0, "p") == Atom(fm.PROP, 0, "renamed")
     assert Atom(fm.PROP, 0) != Atom(fm.NOM, 0)
     assert Atom(fm.NOM, 1) != Atom(fm.NOM, 2)
+
+
+def test_hash_is_the_dataclass_hash_and_equality_is_by_value():
+    # the stored hash is the value the dataclass computed, so sets and dicts
+    # of atoms and formulas keep their order
+    phi = parse(r"(p \to \sim q) \circ \mathbf t \land \mathbf i")
+    for node in fm.walk(phi):
+        assert hash(node) == hash((node.op, node.args, node.atom))
+    renamed = Atom(fm.PROP, 0, "renamed")
+    assert hash(p) == hash(renamed) == hash((fm.PROP, 0)) and p == renamed
+    assert fm.var(0, "p") == fm.var(0, "renamed")
+    assert hash(fm.var(0, "p")) == hash(fm.var(0, "renamed"))
+    for other in (None, 0, "p", p, (phi.op, phi.args, phi.atom), [phi]):
+        assert phi != other and not phi == other
+    assert p != (fm.PROP, 0) and p != fm.var(0, "p")
+
+
+def test_deep_formulas_compare_and_hash_without_recursion():
+    chain = "\\sim " * 5000 + "p"
+    a, b = parse(chain), parse(chain)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != parse("\\sim " * 5000 + "\\mathbf t")
+    assert a != parse("\\sim " * 4999 + "p")
+
+
+def test_unpickled_formulas_hash_in_their_own_process():
+    # a stored hash is only valid in the process that computed it: another
+    # string hash seed must still find the formula in a set of its own
+    phi = parse(r"(p \to q) \circ \sim \mathbf j_1")
+    code = ("import pickle, sys; phi = pickle.load(sys.stdin.buffer); "
+            "assert hash(phi) == hash((phi.op, phi.args, phi.atom)); "
+            "assert hash(phi.args[0].args[0].atom) == hash(('prop', 0)); "
+            "print(phi in {phi.args[0]} | {pickle.loads(pickle.dumps(phi))})")
+    src = os.path.join(os.path.dirname(fm.__file__), os.pardir)
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", code],
+                             input=pickle.dumps(phi), capture_output=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": src}, check=True)
+        assert out.stdout == b"True\n"
 
 
 def test_occurrence_base_case():
@@ -125,6 +170,24 @@ _ops = st.deferred(lambda: st.one_of(
                                "rres"]), _ops, _ops).map(
         lambda t: fm.Formula(t[0], (t[1], t[2]))),
 ))
+
+
+def _rebuilt(phi):
+    return fm.Formula(phi.op, tuple(map(_rebuilt, phi.args)),
+                      phi.atom and Atom(phi.atom.kind, phi.atom.index))
+
+
+def _ref_equal(a, b):
+    return (a.op == b.op and a.atom == b.atom and len(a.args) == len(b.args)
+            and all(map(_ref_equal, a.args, b.args)))
+
+
+@given(_ops, _ops)
+def test_equality_is_structural(phi, psi):
+    copy = _rebuilt(phi)
+    assert copy is not phi and copy == phi and hash(copy) == hash(phi)
+    assert (phi == psi) == _ref_equal(phi, psi) == (psi == phi)
+    assert (phi != psi) == (not _ref_equal(phi, psi))
 
 
 @given(_ops)

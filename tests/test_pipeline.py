@@ -193,6 +193,61 @@ def test_eliminate_searches_each_failed_state_once(ladder, calls, dead_ends,
     assert len(ackermann) <= calls
 
 
+@pytest.mark.parametrize("ladder, bound", [
+    (chain_ladder(3), 1000), (fusion_ladder(5), 700)],
+    ids=["chain-3", "fusion-5"])
+def test_search_builds_each_state_sign_tables_once(ladder, bound,
+                                                   monkeypatch):
+    # one table per premise and conclusion of each state the search
+    # expands, which Ackermann reads: 895 on chain-3 and 656 on fusion-5;
+    # an Ackermann that rebuilt every premise's table made 3,655 and 2,536
+    (goal,), _ = preprocess(parse(ladder))
+    state, _ = approximate(goal)
+    calls = []
+    sign_table = Inequality.sign_table
+    monkeypatch.setattr(Inequality, "sign_table",
+                        lambda self: calls.append(self) or sign_table(self))
+    assert isinstance(eliminate(state), FailureInfo)
+    assert 0 < len(calls) <= bound
+
+
+def _criterion_7():
+    rng = random.Random(271828)  # the seed of acceptance criterion 7
+    return [random_formula(rng, depth=6, n_vars=4) for _ in range(1000)]
+
+
+def test_correspondent_approximates_each_distinct_goal_once(monkeypatch):
+    # 249 of criterion 7's goals repeat an earlier goal of their formula
+    calls = []
+    run = pipeline.approximate
+    monkeypatch.setattr(pipeline, "approximate",
+                        lambda *args: calls.append(args) or run(*args))
+    goals = sum(len(correspondent(phi).goals) for phi in _criterion_7())
+    assert (len(calls), goals) == (2238, 2487)
+
+
+def test_duplicate_goals_give_the_json_of_separate_runs():
+    # each goal run on its own, as before goals were shared
+    mode = SyntaxMode.RELEVANCE
+    shared = 0
+    for phi in _criterion_7() + [parse(r"(p \to q) \land (p \to q)")]:
+        res = correspondent(phi, mode)
+        distinct = {id(g) for g in res.goals}
+        if len(distinct) == len(res.goals):
+            continue
+        shared += len(res.goals) - len(distinct)
+        # one result object per distinct goal
+        assert len({g.initial for g in res.goals}) == len(distinct)
+        alone = pipeline.CorrespondenceResult(
+            phi, mode, [pipeline._solve_goal(g.initial, mode)
+                        for g in res.goals], res.preprocess_events)
+        assert (result_to_json(res, trace=True)
+                == result_to_json(alone, trace=True)), phi
+        assert render_report(res, trace=True) == render_report(alone,
+                                                               trace=True)
+    assert shared == 249 + 1
+
+
 def test_simplify_example_two():
     (goal,), _ = preprocess(parse(r"A \to (\sim A \to B)"))
     state, _ = approximate(goal)

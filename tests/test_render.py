@@ -5,8 +5,10 @@ import pytest
 from rmcorr import fol
 from rmcorr.fol import (And, Exists, Forall, Implies, LeqAtom, Not, OAtom,
                         RAtom, Star, WVar)
+from rmcorr.calculus import Inequality
 from rmcorr.pipeline import correspondent
-from rmcorr.render import OutputFormat, fo_to_json, render, render_report
+from rmcorr.render import (OutputFormat, fo_to_json, render, render_report,
+                           result_to_json)
 from rmcorr.syntax import parse
 
 from tptp_checker import TPTPError, check_tptp
@@ -94,6 +96,31 @@ def test_report_json_mode():
     assert obj["status"] == "success"
     assert obj["goals"][0]["order"] == ["+p", "+r", "+q"]
     assert obj["goals"][0]["trace"][0]["rule"] == "first-approximation"
+
+
+def test_json_report_encodes_each_inequality_object_once(corpus_runs,
+                                                         monkeypatch):
+    # the shared encodings read as every snapshot encoded in full
+    failed = correspondent(parse(r"((p \to p) \to q) \to q"))
+    assert failed.failure is not None
+    encode = Inequality.to_json
+    calls = []
+    monkeypatch.setattr(Inequality, "to_json",
+                        lambda self: calls.append(self) or encode(self))
+    for res in [res for _, res in corpus_runs.values()] + [failed]:
+        calls.clear()
+        report = result_to_json(res, trace=True)
+        assert len(calls) == len({id(ineq) for ineq in calls})
+        with monkeypatch.context() as m:
+            m.setattr(Inequality, "to_json", encode)
+            assert report["preprocess"] == [e.to_json()
+                                            for e in res.preprocess_events]
+            for g, entry in zip(res.goals, report["goals"]):
+                assert entry["trace"] == [s.to_json() for s in g.steps]
+                assert entry["initial"] == g.initial.to_json()
+                for key in ("approximated", "pure", "simplified", "failure"):
+                    state = getattr(g, key)
+                    assert entry[key] == (state and state.to_json())
 
 
 def test_tptp_checker_rejects_garbage():

@@ -6,7 +6,8 @@ depth-first search it replaced.
 `ref_approximation`, `ref_simplification`, `ref_residuation`,
 `ref_adjunction` and `ref_find_split` (with `ref_find_split_in`) below are
 the earlier rule bodies of `rmcorr.calculus`, one case per rule, direction
-or connective, kept verbatim as a reference; `ref_solver_move` is the
+or connective, kept verbatim as a reference, and `ref_ackermann` is the
+earlier Ackermann rule, which built every premise's sign table itself; `ref_solver_move` is the
 earlier premise solver's choice of move in `rmcorr.pipeline`.
 `ref_preprocess`, `ref_approximate` and `ref_simplify` are the earlier
 fixed-point loops of `rmcorr.pipeline`, kept verbatim but for calling those
@@ -27,7 +28,9 @@ current search must give the same order and steps, or the same stuck
 state, attempted orders and dead-end count, also with a shorter attempt
 log.  On every premise that the approximation and elimination phases reach
 on those four sets, residuation, adjunction, the split search and the
-solver's move must give what the reference gives.
+solver's move must give what the reference gives, and on every Ackermann
+call of the search on them, Ackermann must, with the search's sign tables
+and without them.
 """
 
 import itertools
@@ -244,6 +247,42 @@ def ref_adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
             raise NotApplicable("neg-right adjunction shape mismatch")
         return _replace(qi, k, (new,))
     raise NotApplicable(f"unknown adjunction {which!r}")
+
+
+def ref_ackermann(qi: QuasiInequality, p: Atom, polarity: str) -> QuasiInequality:
+    """Eliminate p given exactly one solved premise: alpha <= p for '+',
+    p <= alpha for '-'.
+
+    Side conditions, checked mechanically: p does not occur in alpha; every
+    other premise is negative ('+') / positive ('-') in p; the conclusion is
+    positive ('+') / negative ('-') in p.
+    """
+    if p.kind != fm.PROP:
+        raise NotApplicable("Ackermann elimination targets propositional variables")
+    target = fm.atom(p)
+    if polarity == "+":
+        solved = [k for k, pr in enumerate(qi.premises) if pr.rhs == target]
+    else:
+        solved = [k for k, pr in enumerate(qi.premises) if pr.lhs == target]
+    if len(solved) != 1:
+        raise NotApplicable("need exactly one solved premise")
+    k = solved[0]
+    alpha = qi.premises[k].lhs if polarity == "+" else qi.premises[k].rhs
+    if fm.occurrences(alpha, p):
+        raise NotApplicable("solved bound still contains the variable")
+    want = -1 if polarity == "+" else 1
+    for idx, prem in enumerate(qi.premises):
+        if idx == k:
+            continue
+        if any(s != want for s in prem.signs(p)):
+            raise NotApplicable("context premise has a blocking occurrence")
+    if any(s != -want for s in qi.conclusion.signs(p)):
+        raise NotApplicable("conclusion has a blocking occurrence")
+    rest = qi.premises[:k] + qi.premises[k + 1:]
+    return QuasiInequality(
+        tuple(pr.substitute(p, alpha) for pr in rest),
+        qi.conclusion.substitute(p, alpha),
+    )
 
 
 def ref_find_split_in(phi: Formula, sign: int, path: tuple[int, ...]):
@@ -794,3 +833,64 @@ def test_galois_tables_match_the_written_out_rules(reached_premises):
                           ("neg-right", fm.NEG), ("neg-right", fm.NEG_SHARP)})
     assert splits == {"lhs", "rhs", None}
     assert moves == _move_sites()
+
+
+def _raised(rule, *args, **kwargs):
+    try:
+        return rule(*args, **kwargs)
+    except NotApplicable as exc:
+        return NotApplicable, str(exc)
+
+
+def _blocked(qi, p, polarity, tables):
+    """Ackermann calls like the search's whose side conditions fail: the
+    solved bound also holds p, or the conclusion has p on either side (the
+    search's conclusions never hold p)."""
+    k = next(k for k, prem in enumerate(qi.premises)
+             if (prem.rhs if polarity == "+" else prem.lhs) == fm.atom(p))
+    prem = qi.premises[k]
+    bound = Inequality(fm.conj(prem.lhs, fm.atom(p)), prem.rhs)
+    if polarity == "-":
+        bound = Inequality(prem.lhs, fm.disj(prem.rhs, fm.atom(p)))
+    yield _replace(qi, k, (bound,)), tables
+    concl = qi.conclusion
+    for new in (Inequality(fm.atom(p), concl.rhs),
+                Inequality(concl.lhs, fm.atom(p))):
+        yield (QuasiInequality(qi.premises, new),
+               tables[:-1] + [new.sign_table()])
+
+
+def test_ackermann_matches_the_reference_on_the_search_calls(approximated,
+                                                              monkeypatch):
+    # every call the search makes, with the sign tables it passes and, as
+    # replay makes it, without them, and the same calls with a blocked side
+    # condition; and without tables, every atom of each state the search
+    # called it on, at both polarities
+    calls = []
+    ackermann = ca.ackermann
+
+    def recorded(qi, p, polarity, **kwargs):
+        calls.append((qi, p, polarity, kwargs["tables"]))
+        return ackermann(qi, p, polarity, **kwargs)
+
+    monkeypatch.setattr(ca, "ackermann", recorded)
+    for qi in approximated:
+        eliminate(qi)
+    monkeypatch.undo()
+    assert calls
+    outcomes = {}
+    for qi, p, polarity, tables in calls:
+        for state, signs in [(qi, tables), *_blocked(qi, p, polarity, tables)]:
+            ref = _raised(ref_ackermann, state, p, polarity)
+            assert _raised(ca.ackermann, state, p, polarity,
+                           tables=signs) == ref, (state, p, polarity)
+            assert _raised(ca.ackermann, state, p, polarity) == ref
+            outcomes[state, p, polarity] = ref[1] if type(ref) is tuple else None
+        for a, pol in itertools.product(qi.atoms(), "+-"):
+            if (qi, a, pol) not in outcomes:
+                ref = _raised(ref_ackermann, qi, a, pol)
+                assert _raised(ca.ackermann, qi, a, pol) == ref, (qi, a, pol)
+                outcomes[qi, a, pol] = ref[1] if type(ref) is tuple else None
+    assert {None, "solved bound still contains the variable",
+            "conclusion has a blocking occurrence",
+            "need exactly one solved premise"} <= set(outcomes.values())
