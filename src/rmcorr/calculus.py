@@ -55,8 +55,12 @@ class Inequality:
     rhs: Formula
 
     def substitute(self, a: Atom, psi: Formula) -> "Inequality":
-        return Inequality(fm.substitute(self.lhs, a, psi),
-                          fm.substitute(self.rhs, a, psi))
+        """self when neither side changes, so search states share premises."""
+        lhs = fm.substitute(self.lhs, a, psi)
+        rhs = fm.substitute(self.rhs, a, psi)
+        if lhs is self.lhs and rhs is self.rhs:
+            return self
+        return Inequality(lhs, rhs)
 
     def atoms(self, kind: Optional[str] = None) -> list[Atom]:
         return list(dict.fromkeys(fm.atoms(self.lhs, kind)

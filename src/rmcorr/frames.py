@@ -4,10 +4,11 @@ stay capped); evaluation of formulas; the brute-force correspondence checker.
 
 Worlds are 0..n-1 and sets of worlds are bitmasks, so the complex-algebra
 operations are a handful of integer operations per application.  A frame
-tabulates each operation over all masks on first use, and formulas of both
-languages are compiled once, each to the source of one Python expression
-over the frame's values and tables, so checking a formula on many frames
-and valuations repeats no tree walk and no operation.  CPython compiles no
+tabulates each operation over all masks on first use, and each distinct
+formula of either language is compiled once, to the source of one Python
+expression over the frame's values and tables, so checking a formula on
+many frames and valuations repeats no tree walk and no operation.  Frame
+validity of phi is t <= phi in the complex algebra.  CPython compiles no
 source nested more than about 200 deep: a formula nested deeper raises
 RecursionError.
 """
@@ -398,15 +399,6 @@ def _bind(params: str, expr: str, extras) -> Callable[[RMFrame], Callable]:
         raise RecursionError("formula is nested too deeply to compile") from None
 
 
-def _quantified(quantifier: str, expr: str, ranges,
-                extras: dict[str, None]) -> str:
-    """expr under all or any over the (name, range) pairs, in order; the
-    ranges are added to `extras`."""
-    extras.update(dict.fromkeys(values for _, values in ranges))
-    loops = "".join(f" for {name} in {values}" for name, values in ranges)
-    return f"{quantifier}({expr}{loops})" if loops else expr
-
-
 _CONSTANTS = {fm.T: "o", fm.TOP: "full", fm.BOT: "0"}
 _LATTICE = {fm.AND: "&", fm.OR: "|"}
 
@@ -430,64 +422,28 @@ def _emit(phi: Formula, names: dict[Atom, str], extras: dict[str, None]) -> str:
     return f"t_{op}[{args[0]} << n | {args[1]}]"
 
 
-class _ProgramCache:
-    """Programs compiled by `_bind`, keyed by the identity of their formula
-    (plus any further key), the oldest dropped beyond `size`.  Each entry
-    holds its formula, so an id stays that formula's while the entry lives;
-    equal but distinct formulas compile separately, and no formula is
-    hashed.  An entry also keeps its program bound to the last frame it ran
-    on, since callers evaluate one formula on one frame many times in a row."""
-
-    def __init__(self, compile_fn, size: int = 4096):
-        self.compile_fn = compile_fn
-        self.size = size
-        self.entries: dict[tuple, list] = {}
-
-    def __call__(self, f: RMFrame, formula, *key):
-        """(the program bound to f, the compiler's side result)."""
-        k = (id(formula), *key)
-        entry = self.entries.get(k)
-        if entry is None:
-            if len(self.entries) >= self.size:
-                del self.entries[next(iter(self.entries))]
-            bind, info = self.compile_fn(formula, *key)
-            # formula, bind, side result, last frame, bind(last frame)
-            entry = self.entries[k] = [formula, bind, info, None, None]
-        if entry[3] is not f:
-            entry[3], entry[4] = f, entry[1](f)
-        return entry[4], entry[2]
-
-
-def _compile_program(phi: Formula, valid: bool):
-    """(bind, the atoms of phi in order of first occurrence).  The program
-    maps the atoms' masks to the mask of phi; if `valid`, it takes nothing
-    and decides frame validity: all(phi & o == o for v0 in U ...)."""
+def _compile_program(phi: Formula):
+    """(bind, the atoms of phi in order of first occurrence): the program
+    maps the atoms' masks to the mask of phi."""
     atoms = tuple(fm.atoms(phi))
     names = {a: f"v{i}" for i, a in enumerate(atoms)}
     extras: dict[str, None] = {}
     expr = _emit(phi, names, extras)
-    if not valid:
-        return _bind(", ".join(names.values()), expr, extras), atoms
-    bad = [a for a in atoms if a.kind != fm.PROP]
-    if bad:
-        raise ValueError(f"frame validity is defined for variable-only "
-                         f"formulas; found {bad[0]!r}")
-    valid_expr = _quantified("all", f"{expr} & o == o",
-                             [(name, "U") for name in names.values()], extras)
-    return _bind("", valid_expr, extras), atoms
+    return _bind(", ".join(names.values()), expr, extras), atoms
 
 
-_program = _ProgramCache(_compile_program)
+# equal objects share a program, which each call binds to its frame
+_program = functools.lru_cache(maxsize=4096)(_compile_program)
 
 
 def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
     """Mask of worlds where phi holds."""
-    ev, atoms = _program(f, phi, False)
+    bind, atoms = _program(phi)
     try:
         values = [valuation[a] for a in atoms]
     except KeyError as exc:
         raise ValueError(f"unassigned atom {exc.args[0]!r}") from None
-    return ev(*values)
+    return bind(f)(*values)
 
 
 def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
@@ -496,11 +452,20 @@ def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
     return bool(extension(f, valuation, phi) & (1 << w))
 
 
+def _validity(compile_quasi, phi: Formula):
+    """`compile_quasi`'s bind for t <= phi: phi's validity on a frame."""
+    bind, atoms = compile_quasi(Inequality(fm.t(), phi), ())
+    bad = [a for a in atoms if a.kind != fm.PROP]
+    if bad:
+        raise ValueError(f"frame validity is defined for variable-only "
+                         f"formulas; found {bad[0]!r}")
+    return bind
+
+
 def frame_valid(f: RMFrame, phi: Formula) -> bool:
     """Frame validity: truth at every normal world under every assignment of
     up-sets to the propositional variables."""
-    valid, _ = _program(f, phi, True)
-    return valid()
+    return _validity(_quasi_program, phi)(f)()
 
 
 # First-order formulas print as Python expressions through the printer of
@@ -545,12 +510,11 @@ _PYTHON = _Syntax(
 _PY_NODES = {*_PYTHON.atoms, *_PYTHON.connectives, *_PYTHON.quantifiers}
 
 
-def _compile_fo(g: fol.FONode, free: tuple[str, ...],
-                preds: Optional[tuple[int, ...]]):
-    """Compile g for the values of the variables named `free`, then the
-    masks of the predicates `preds` (None: no valuation); returns (bind,
-    None).  Every node, variable and predicate index is checked before any
-    source is built."""
+def _check_fo(g: fol.FONode) -> None:
+    """Refuse g unless every node, variable and predicate index is one that
+    a program can name.  Run on every evaluation, before any source is
+    built or shared: an equal formula need not pass, as
+    WVar("x", True) == WVar("x", 1)."""
     for node in fol.walk(g):
         if type(node) not in _PY_NODES:
             raise ValueError(f"unknown first-order node {node!r}")
@@ -559,11 +523,17 @@ def _compile_fo(g: fol.FONode, free: tuple[str, ...],
                 raise ValueError(f"not a predicate index: {value!r}")
             if key != "index" and not isinstance(value, fol.FONode):
                 _py_term(value)
+
+
+def _compile_fo(g: fol.FONode, free: tuple[str, ...],
+                preds: Optional[tuple[int, ...]]):
+    """bind for g, passed by `_check_fo`, over the values of the variables
+    named `free`, then the masks of predicates `preds` (None: no valuation)."""
     params = [*free, *(f"p{i}" for i in preds or ())]
-    return _bind(", ".join(params), _print(g, _PYTHON, 0), ()), None
+    return _bind(", ".join(params), _print(g, _PYTHON, 0), ())
 
 
-_fo_program = _ProgramCache(_compile_fo)
+_fo_program = functools.lru_cache(maxsize=4096)(_compile_fo)
 
 
 def _truth(program, values, has_masks: bool) -> bool:
@@ -594,16 +564,19 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
                 masks.setdefault(a.index, val)
         preds = tuple(masks)
         values += masks.values()
-    ev, _ = _fo_program(f, g, tuple(map(_py_var, env)), preds)
-    return _truth(ev, values, preds is not None)
+    free = tuple(map(_py_var, env))
+    _check_fo(g)
+    return _truth(_fo_program(g, free, preds)(f), values, preds is not None)
 
 
 def _compile_quasi(obj, given: tuple[Atom, ...]):
     """Compile a (quasi-)inequality for the masks of the atoms `given`,
     closed universally over its other atoms; returns (bind, those atoms).
-    The program is `not (<fixed parts> and any(<other parts> for ...))`: a
-    counterexample makes each premise hold and the conclusion fail, and
-    the parts that mention no closed-over atom are tested once per call."""
+    The program is `<fixed parts> or not any(<other parts> for ...)`: the
+    inequalities that mention no closed-over atom are tested once per call
+    (a premise failing or the conclusion holding decides it), and a
+    counterexample makes each other premise hold and the conclusion fail.
+    No bracket encloses the whole: CPython's nesting ceiling counts it."""
     if isinstance(obj, Inequality):
         obj = QuasiInequality((), obj)
     elif not isinstance(obj, QuasiInequality):
@@ -612,22 +585,25 @@ def _compile_quasi(obj, given: tuple[Atom, ...]):
     names = {a: f"v{i}" for i, a in enumerate(given + missing)}
     extras: dict[str, None] = {}
     fixed, moving = [], []
-    for ineq, holds in [*((p, "not ") for p in obj.premises),
-                        (obj.conclusion, "")]:
-        part = (f"{holds}{_emit(ineq.lhs, names, extras)}"
-                f" & ~{_emit(ineq.rhs, names, extras)} & full")
-        closes = any(a in missing for a in ineq.atoms())
-        (moving if closes else fixed).append(part)
+    for ineq, premise in [*((p, True) for p in obj.premises),
+                          (obj.conclusion, False)]:
+        # the worlds where lhs is not below rhs, for admissible masks
+        outside = (f"{_emit(ineq.lhs, names, extras)}"
+                   f" & ~{_emit(ineq.rhs, names, extras)}")
+        if any(a in missing for a in ineq.atoms()):
+            moving.append(f"not {outside}" if premise else outside)
+        else:
+            fixed.append(f"{outside} != 0" if premise else f"not {outside}")
     if moving:
-        fixed.append(_quantified("any", " and ".join(moving),
-                                 [(names[a], _RANGES.get(a.kind, "C"))
-                                  for a in missing], extras))
+        ranges = {names[a]: _RANGES.get(a.kind, "C") for a in missing}
+        extras.update(dict.fromkeys(ranges.values()))
+        loops = "".join(f" for {name} in {r}" for name, r in ranges.items())
+        fixed.append(f"not any({' and '.join(moving)}{loops})")
     params = ", ".join(names[a] for a in given)
-    return _bind(params, f"not ({' and '.join(fixed)})", extras), missing
+    return _bind(params, " or ".join(fixed), extras), missing
 
 
-# each object meets many valuations in a row; many are built for one call
-_quasi_program = _ProgramCache(_compile_quasi, 256)
+_quasi_program = functools.lru_cache(maxsize=256)(_compile_quasi)
 
 
 def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
@@ -636,18 +612,18 @@ def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
     for a, val in valuation.items():
         if val not in admissible_values(f, a):
             raise ValueError(f"valuation of {a!r} is out of range")
-    holds, missing = _quasi_program(f, obj, tuple(valuation))
+    bind, missing = _quasi_program(obj, tuple(valuation))
     if missing:
         raise ValueError(f"unassigned atom {missing[0]!r}")
-    return holds(*valuation.values())
+    return bind(f)(*valuation.values())
 
 
 def universal_truth(f: RMFrame, qi, partial: Optional[dict[Atom, int]] = None) -> bool:
     """Truth of a (quasi-)inequality under all admissible extensions of a
-    partial valuation."""
+    partial valuation, itself admissible."""
     partial = partial or {}
-    holds, _ = _quasi_program(f, qi, tuple(partial))
-    return holds(*partial.values())
+    bind, _ = _quasi_program(qi, tuple(partial))
+    return bind(f)(*partial.values())
 
 
 @dataclass
@@ -685,8 +661,9 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     # compiled here rather than through the program caches: a check runs
     # long enough to amortise compilation, and cached programs would only
     # hold memory across the checks of a batch
-    valid, _ = _compile_program(phi, True)
-    fo, _ = _compile_fo(g, (), None)
+    valid = _validity(_compile_quasi, phi)
+    _check_fo(g)
+    fo = _compile_fo(g, (), None)
     checked = 0
     for size in range(1, n + 1):
         classes, total = _frame_family(size, mode)

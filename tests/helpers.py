@@ -85,8 +85,8 @@ def step_equivalent(frame: RMFrame, before: QuasiInequality,
     shared = tuple(a for a in dict.fromkeys(candidates) if a in both)
     # universal_truth(frame, qi, dict(zip(shared, combo))) for every combo,
     # with each program bound once rather than looked up per valuation
-    old = _quasi_program(frame, before, shared)[0]
-    new = [_quasi_program(frame, qi, shared)[0] for qi in afters]
+    old = _quasi_program(before, shared)[0](frame)
+    new = [_quasi_program(qi, shared)[0](frame) for qi in afters]
     for combo in itertools.product(*(admissible_values(frame, a)
                                      for a in shared)):
         if old(*combo) != all(holds(*combo) for holds in new):

@@ -83,6 +83,15 @@ def test_sign_table_is_atoms_with_their_signs(corpus_entries):
     assert seen  # some atom occurs more than once
 
 
+def test_substituting_an_absent_atom_returns_the_same_inequality():
+    ineq = Inequality(parse(r"p \circ q"), parse(r"\sim p"))
+    assert ineq.substitute(Atom(fm.PROP, 9), fm.bot()) is ineq
+    out = ineq.substitute(Q, fm.bot())
+    assert out is not ineq
+    assert out == Inequality(parse(r"p \circ \bot"), parse(r"\sim p"))
+    assert out.rhs is ineq.rhs
+
+
 def test_monotone_positive_variable_becomes_bottom():
     state = qi(concl=r"A <= \sim A \to B")
     b = Atom(fm.PROP, 1, "B")

@@ -7,6 +7,9 @@ import pytest
 from rmcorr import cli
 from rmcorr.cli import main
 from rmcorr.frames import CorrespondenceReport, enumerate_frames
+from rmcorr.pipeline import correspondent
+from rmcorr.render import OutputFormat, render_report
+from rmcorr.syntax import parse
 
 B2 = r"(p \to q) \land (q \to r) \to (p \to r)"
 
@@ -179,6 +182,24 @@ def test_corpus_expected_mismatch_sets_disagree_exit(tmp_path, capsys):
     assert "expected-mismatch" in out
 
 
+@pytest.mark.parametrize("entries, exit_code", [
+    ([("parse", r"p \to", None), ("fail", r"((p \to p) \to q) \to q", None)], 2),
+    ([("fail", r"((p \to p) \to q) \to q", None),
+      ("mismatch", r"p \to p", "wrong")], 3),
+    ([("mismatch", r"p \to p", "wrong"), ("parse", r"p \to", None)], 3),
+    ([("ok", B2, None), ("fail", r"((p \to p) \to q) \to q", None)], 1),
+], ids=["parse+failure", "failure+mismatch", "mismatch+parse", "ok+failure"])
+def test_corpus_exit_code_is_the_highest_of_its_entries(entries, exit_code,
+                                                        tmp_path, capsys):
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("".join(
+        json.dumps({"name": name, "formula": formula, "expected_fo": fo}) + "\n"
+        for name, formula, fo in entries))
+    code, out, _ = run_cli(["--corpus", str(path)], capsys)
+    assert code == exit_code
+    assert len(out.splitlines()) == len(entries)
+
+
 def test_json_format_and_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(["-i", B2, "--format", "json", "--trace",
@@ -192,11 +213,17 @@ def test_json_format_and_out_file(tmp_path, capsys):
 def test_json_report_carries_the_verification(capsys):
     # the verdict used to follow the JSON document as a text line, so the
     # output was not valid JSON
-    code, out, _ = run_cli(["-i", B2, "--format", "json", "--verify", "2"],
-                           capsys)
-    assert code == 0
-    assert json.loads(out)["verification"] == {
-        "agree": True, "frames_checked": 211, "counterexample": None}
+    verdict = {"agree": True, "frames_checked": 211, "counterexample": None}
+    for trace in (False, True):
+        code, out, _ = run_cli(["-i", B2, "--format", "json", "--verify", "2"]
+                               + ["--trace"] * trace, capsys)
+        assert code == 0
+        assert json.loads(out)["verification"] == verdict
+        # the bytes of the report without --verify, the verdict added
+        plain = json.loads(render_report(correspondent(parse(B2)),
+                                         OutputFormat.JSON, trace=trace))
+        assert out == json.dumps(dict(plain, verification=verdict), indent=2,
+                                 sort_keys=True) + "\n"
 
 
 def test_json_report_carries_a_disagreement(monkeypatch, capsys):

@@ -163,18 +163,30 @@ BAD_VARS = [WVar("w", 0), WVar("x", "0"), WVar("x", -1), WVar("x", True),
             WVar("x0 or __import__('os').system('exit 1') or x", 0)]
 
 
+def _bad_var_cases(v):
+    x = WVar("x", 0)
+    return [(OAtom(v), {}), (fol.Or(fol.TRUE, OAtom(v)), {}),
+            (Forall(v, OAtom(x)), {x: 0}), (fol.TRUE, {v: 0}),
+            (fol.RAtom(x, fol.Star(v), x), {x: 0})]
+
+
 @pytest.mark.parametrize("bad", BAD_VARS, ids=repr)
 def test_only_program_made_names_reach_eval(bad, monkeypatch):
     # a variable that is not x, y or z with an int index >= 0 is refused
-    # before any source is compiled, even on a branch never reached
+    # before any source is compiled, even on a branch never reached.  The
+    # valid twins run first: WVar("x", True) == WVar("x", 1), so a program
+    # shared by equal formulas must not let a twin skip the refusal
+    for g, env in _bad_var_cases(WVar("x", 1)):
+        try:
+            eval_fo(ONE_POINT, g, env)
+        except ValueError as exc:
+            assert str(exc) == "unbound variable x1"
+
     def no_eval(*args):
         raise AssertionError("source was compiled")
     monkeypatch.setattr(frames, "eval", no_eval, raising=False)
     x = WVar("x", 0)
-    cases = [(OAtom(bad), {}), (fol.Or(fol.TRUE, OAtom(bad)), {}),
-             (Forall(bad, OAtom(x)), {x: 0}), (fol.TRUE, {bad: 0}),
-             (fol.RAtom(x, fol.Star(bad), x), {x: 0})]
-    for g, env in cases:
+    for g, env in _bad_var_cases(bad):
         with pytest.raises(ValueError, match="not a world variable"):
             eval_fo(ONE_POINT, g, env)
     with pytest.raises(ValueError, match="not a predicate index"):
@@ -183,6 +195,42 @@ def test_only_program_made_names_reach_eval(bad, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError, match="not a world variable"):
         correspondence_check(parse(r"p \to p"), Forall(bad, OAtom(bad)), 1)
+
+
+CACHES = (frames._program, frames._fo_program, frames._quasi_program)
+
+
+def test_equal_objects_share_one_program():
+    # each pair is equal but built twice; a cache keyed by identity compiled
+    # both
+    for cache in CACHES:
+        cache.cache_clear()
+    source = r"(p \to q) \circ \sim^\flat p"
+    f = random_frame(random.Random(3), 2)
+    v = {fm.Atom(fm.PROP, 0): f.full, fm.Atom(fm.PROP, 1): 0}
+    x = WVar("x", 0)
+    qi = lambda: QuasiInequality((Inequality(fm.nom(0), parse("p")),),
+                                 Inequality(fm.nom(0), parse(source)))
+    checks = [lambda: extension(f, v, parse(source)),
+              lambda: eval_fo(f, Forall(x, fol.Or(OAtom(x), LeqAtom(x, x)))),
+              lambda: frame_valid(f, parse(source)),
+              lambda: universal_truth(f, qi()),
+              lambda: complex_algebra_eval(f, v, Inequality(parse(source),
+                                                            parse("p")))]
+    for check in checks:
+        assert check() == check()
+    assert [c.cache_info().misses for c in CACHES] == [1, 1, 3]
+    assert [c.cache_info().hits for c in CACHES] == [1, 1, 3]
+
+
+def test_correspondence_check_leaves_the_program_caches_alone():
+    # a check compiles its two programs itself, so a batch of checks keeps
+    # no program alive
+    for cache in CACHES:
+        cache.cache_clear()
+    phi = parse(r"(p \to q) \land (q \to r) \to (p \to r)")
+    assert correspondence_check(phi, correspondent(phi).fo, 2).agree
+    assert [c.cache_info().currsize for c in CACHES] == [0, 0, 0]
 
 
 def test_complex_algebra_eval_validates_valuation():
