@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .corpus import BUNDLED, load_corpus
-from .frames import MAX_WORLDS, BudgetError, correspondence_check
+from .frames import MAX_WORLDS, correspondence_check
 from .pipeline import correspondent
 from .render import OutputFormat, render, render_report, result_to_json
 from .syntax import ParseError, SyntaxMode, parse
@@ -22,9 +22,6 @@ EXIT_OK = 0
 EXIT_ELIMINATION = 1
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
-
-_MODES = {"relevance": SyntaxMode.RELEVANCE, "bi": SyntaxMode.BI,
-          "ra": SyntaxMode.RELATION_ALGEBRA}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--corpus", metavar="NAME",
                      help=f"run a corpus; '{BUNDLED}' is shipped, otherwise "
                           "a path to a JSONL corpus file")
-    ap.add_argument("--syntax", choices=sorted(_MODES), default="relevance")
+    ap.add_argument("--syntax", choices=sorted(m.value for m in SyntaxMode),
+                    default="relevance")
     ap.add_argument("--format", choices=[f.value for f in OutputFormat],
                     default="tex")
     ap.add_argument("--verify", type=int, default=0, metavar="N",
@@ -72,7 +70,7 @@ def _emit(text: str, out: str | None, code: int) -> int:
 
 
 def _run_single(args) -> int:
-    mode = _MODES[args.syntax]
+    mode = SyntaxMode(args.syntax)
     if args.input is not None:
         source = args.input
     else:
@@ -92,7 +90,7 @@ def _run_single(args) -> int:
         try:
             rep = correspondence_check(phi, result.fo, args.verify,
                                        mode=args.syntax)
-        except (BudgetError, ValueError) as exc:
+        except ValueError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_INPUT
     fmt = OutputFormat(args.format)
@@ -117,7 +115,7 @@ def _run_single(args) -> int:
 
 
 def _run_corpus(args) -> int:
-    mode = _MODES[args.syntax]
+    mode = SyntaxMode(args.syntax)
     fmt = OutputFormat(args.format)
     try:
         entries = load_corpus(args.corpus)
@@ -152,7 +150,7 @@ def _run_corpus(args) -> int:
             try:
                 rep = correspondence_check(phi, result.fo, args.verify,
                                            mode=args.syntax)
-            except (BudgetError, ValueError) as exc:
+            except ValueError as exc:
                 sys.stderr.write(f"error: {entry.name}: {exc}\n")
                 return EXIT_INPUT
             if not rep.agree:

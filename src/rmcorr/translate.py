@@ -40,7 +40,7 @@ __all__ = ["PurityError", "tr", "tr_quasi", "st", "st_inequality",
 
 
 class PurityError(ValueError):
-    """Raised when the inequality translator meets a propositional variable."""
+    """Raised when the inequality translator is given an impure input."""
 
 
 def _is(phi: Formula, kind: str) -> bool:
@@ -129,8 +129,6 @@ def tr(ineq: Inequality, supply: Optional[FreshSupply] = None) -> FONode:
 
 def _tr(ineq: Inequality, supply: FreshSupply) -> FONode:
     L, R = ineq.lhs, ineq.rhs
-    if _is(L, fm.PROP) or _is(R, fm.PROP):
-        raise PurityError(f"inequality is not pure: {ineq!r}")
     if _is(L, fm.NOM):
         return _reading(R, L, True, supply)
     if _is(R, fm.CNOM):
@@ -152,9 +150,6 @@ def _reading(phi: Formula, at: Formula, holds: bool,
     w = WVar("x" if holds else "y", at.atom.index)
     op, args = phi.op, phi.args
     if op == fm.ATOM:
-        if phi.atom.kind == fm.PROP:
-            ineq = Inequality(at, phi) if holds else Inequality(phi, at)
-            raise PurityError(f"inequality is not pure: {ineq!r}")
         return _literal(_st_atom(phi.atom, w), holds)
     if op == fm.T:
         return _literal(OAtom(w), holds)
@@ -317,10 +312,11 @@ def _simplify_node(f: FONode) -> FONode:
         if f.left == f.right:
             return TRUE
         if isinstance(f.right, Not):
-            # contrapose when it strictly reduces the number of negations
-            candidate = Implies(f.right.body, _smart_not(f.left))
-            if _count_nots(candidate) < _count_nots(f):
-                return candidate
+            # contrapose when it strictly reduces the number of negations:
+            # the right side loses its Not, the left side must not gain one
+            left = _smart_not(f.left)
+            if _count_nots(left) <= _count_nots(f.left):
+                return Implies(f.right.body, left)
         return f
     if isinstance(f, (Forall, Exists)):
         if isinstance(f.body, (fol.TrueF, fol.FalseF)):

@@ -56,11 +56,12 @@ def _local_rewrite(before: QuasiInequality, afters):
     return None
 
 
-def step_equivalent(frame: RMFrame, before: QuasiInequality,
-                    afters: tuple[QuasiInequality, ...]) -> bool:
-    """Before and after states must have the same truth value under every
+def step_checker(before: QuasiInequality,
+                 afters: tuple[QuasiInequality, ...]):
+    """The check of one rule application, as a function of the frame:
+    before and after states must have the same truth value under every
     admissible assignment of their shared atoms, closing universally over
-    the atoms private to either side.
+    the atoms private to either side.  Atoms and programs are prepared once.
 
     Single-premise rewrites are decided locally: the old premise must equal
     the existential closure of the new ones over the fresh atoms, which
@@ -83,15 +84,18 @@ def step_equivalent(frame: RMFrame, before: QuasiInequality,
     else:
         candidates = atoms
     shared = tuple(a for a in dict.fromkeys(candidates) if a in both)
-    # universal_truth(frame, qi, dict(zip(shared, combo))) for every combo,
-    # with each program bound once rather than looked up per valuation
-    old = _quasi_program(before, shared)[0](frame)
-    new = [_quasi_program(qi, shared)[0](frame) for qi in afters]
-    for combo in itertools.product(*(admissible_values(frame, a)
-                                     for a in shared)):
-        if old(*combo) != all(holds(*combo) for holds in new):
-            return False
-    return True
+    old = _quasi_program(before, shared)[0]
+    new = [_quasi_program(qi, shared)[0] for qi in afters]
+
+    def check(frame: RMFrame) -> bool:
+        # universal_truth(frame, qi, dict(zip(shared, combo))) for every
+        # combo, with each program bound once rather than per valuation
+        combos = list(itertools.product(*(admissible_values(frame, a)
+                                          for a in shared)))
+        afters_hold = map(all, zip(*(itertools.starmap(bind(frame), combos)
+                                     for bind in new)))
+        return list(itertools.starmap(old(frame), combos)) == list(afters_hold)
+    return check
 
 
 def random_formula(rng: random.Random, depth: int, n_vars: int,

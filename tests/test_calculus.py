@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from rmcorr import calculus as ca
@@ -7,10 +5,8 @@ from rmcorr import formula as fm
 from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
                              QuasiInequality, TraceStep)
 from rmcorr.formula import Atom
-from rmcorr.pipeline import approximate, correspondent, preprocess
+from rmcorr.pipeline import approximate, preprocess
 from rmcorr.syntax import parse
-
-from helpers import random_formula
 
 P = Atom(fm.PROP, 0, "p")
 Q = Atom(fm.PROP, 1, "q")
@@ -399,13 +395,11 @@ def test_trace_replay_reproduces_final_state():
     assert replayed == simp
 
 
-def test_trace_replay_reproduces_every_goal(corpus_runs):
+def test_trace_replay_reproduces_every_goal(corpus_runs, criterion_7_runs):
     # every goal of the corpus and of criterion 7's formulas replays to its
     # simplified state, or to its approximated one when elimination failed
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
     results = [result for _, result in corpus_runs.values()]
-    results += [correspondent(random_formula(rng, depth=6, n_vars=4))
-                for _ in range(1000)]
+    results += criterion_7_runs
     rules = set()
     for g in (g for result in results for g in result.goals):
         end = g.simplified if g.succeeded else g.approximated

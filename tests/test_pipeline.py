@@ -52,15 +52,15 @@ def test_preprocess_non_implication_gets_unit_bound():
     assert texts(goals) == [r"\mathbf t \le \bot", r"\mathbf t \le \bot"]
 
 
-def test_preprocess_applies_each_monotone_elimination_it_calls(monkeypatch):
+def test_preprocess_applies_each_monotone_elimination_it_calls(
+        criterion_7, monkeypatch):
     # preprocess reads the one-sided variables off the goal's sign table; it
     # used to try every variable and polarity: on criterion 7's formulas that
     # was 9,614 calls for 3,840 eliminations
     calls = count_calls(monkeypatch, "monotone_elim")
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
     applied = 0
-    for _ in range(1000):
-        _, events = preprocess(random_formula(rng, depth=6, n_vars=4))
+    for phi in criterion_7:
+        _, events = preprocess(phi)
         applied += sum(e.kind == "monotone" for e in events)
     assert len(calls) == applied == 3840
 
@@ -124,15 +124,14 @@ def test_approximate_visits_each_premise_once_per_rewrite(monkeypatch):
                                                  + len(steps))
 
 
-def test_approximate_applies_each_rule_it_calls(monkeypatch):
+def test_approximate_applies_each_rule_it_calls(criterion_7, monkeypatch):
     # approximate reads the rule off the premise; it used to call all six
     # rules on every premise it visited: on criterion 7's formulas that was
     # 175,765 calls for 11,322 steps
     calls = count_calls(monkeypatch, "approximation")
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
     applied = 0
-    for _ in range(1000):
-        for goal in preprocess(random_formula(rng, depth=6, n_vars=4))[0]:
+    for phi in criterion_7:
+        for goal in preprocess(phi)[0]:
             before = len(calls)
             _, steps = approximate(goal)
             n = sum(s.rule.startswith("approx-") for s in steps)
@@ -211,27 +210,24 @@ def test_search_builds_each_state_sign_tables_once(ladder, bound,
     assert 0 < len(calls) <= bound
 
 
-def _criterion_7():
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
-    return [random_formula(rng, depth=6, n_vars=4) for _ in range(1000)]
-
-
-def test_correspondent_approximates_each_distinct_goal_once(monkeypatch):
+def test_correspondent_approximates_each_distinct_goal_once(criterion_7,
+                                                            monkeypatch):
     # 249 of criterion 7's goals repeat an earlier goal of their formula
     calls = []
     run = pipeline.approximate
     monkeypatch.setattr(pipeline, "approximate",
                         lambda *args: calls.append(args) or run(*args))
-    goals = sum(len(correspondent(phi).goals) for phi in _criterion_7())
+    goals = sum(len(correspondent(phi).goals) for phi in criterion_7)
     assert (len(calls), goals) == (2238, 2487)
 
 
-def test_duplicate_goals_give_the_json_of_separate_runs():
+def test_duplicate_goals_give_the_json_of_separate_runs(criterion_7_runs):
     # each goal run on its own, as before goals were shared
     mode = SyntaxMode.RELEVANCE
     shared = 0
-    for phi in _criterion_7() + [parse(r"(p \to q) \land (p \to q)")]:
-        res = correspondent(phi, mode)
+    for res in criterion_7_runs + [
+            correspondent(parse(r"(p \to q) \land (p \to q)"), mode)]:
+        phi = res.formula
         distinct = {id(g) for g in res.goals}
         if len(distinct) == len(res.goals):
             continue

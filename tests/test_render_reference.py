@@ -28,7 +28,6 @@ from rmcorr import fol
 from rmcorr import translate
 from rmcorr.fol import (And, EqAtom, Exists, FONode, Forall, Implies, LeqAtom,
                         Not, OAtom, Or, PVarAtom, RAtom, Star, WVar)
-from rmcorr.pipeline import correspondent
 from rmcorr.render import OutputFormat, fo_to_json, render
 
 from helpers import random_formula
@@ -281,11 +280,10 @@ def ref_fo_to_json(f: FONode) -> dict:
 
 # -- input sets ----------------------------------------------------------------
 
-def _correspondents(formulas):
+def _correspondents(results):
     """Every goal's correspondent before and after cleanup, and the result's."""
     out = []
-    for phi in formulas:
-        res = correspondent(phi)
+    for res in results:
         out += [g.fo_translated for g in res.goals if g.fo_translated is not None]
         out += [g.fo for g in res.goals if g.fo is not None]
         if res.fo is not None:
@@ -293,17 +291,16 @@ def _correspondents(formulas):
     return list(dict.fromkeys(out))
 
 
-def _corpus(corpus_runs):
-    return _correspondents(phi for phi, _ in corpus_runs.values())
+def _corpus(request):
+    runs = request.getfixturevalue("corpus_runs").values()
+    return _correspondents(res for _, res in runs)
 
 
-def _criterion_7(corpus_runs):
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
-    return _correspondents(random_formula(rng, depth=6, n_vars=4)
-                           for _ in range(1000))
+def _criterion_7(request):
+    return _correspondents(request.getfixturevalue("criterion_7_runs"))
 
 
-def _standard_translations(corpus_runs):
+def _standard_translations(request):
     rng = random.Random(161803)
     x = WVar("x", 0)
     out = []
@@ -316,7 +313,7 @@ def _standard_translations(corpus_runs):
 X0, X1 = WVar("x", 0), WVar("x", 1)
 
 
-def _shapes(corpus_runs):
+def _shapes(request):
     """Each connective and quantifier directly below each one, in every
     operand position, over every kind of atom, open and closed: every
     binding level shows here."""
@@ -337,8 +334,8 @@ SETS = {"corpus": _corpus, "criterion-7": _criterion_7,
 
 
 @pytest.fixture(scope="module", params=list(SETS))
-def fo_formulas(request, corpus_runs):
-    return SETS[request.param](corpus_runs)
+def fo_formulas(request):
+    return SETS[request.param](request)
 
 
 def _outcome(render_fn, *args, **kwargs):

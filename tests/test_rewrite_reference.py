@@ -584,35 +584,24 @@ def ref_eliminate(qi: QuasiInequality):
 
 # -- input sets ----------------------------------------------------------------
 
-def _criterion_7():
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
-    return [random_formula(rng, depth=6, n_vars=4) for _ in range(1000)]
+SETS = ["corpus", "criterion-7", "extended"]
 
 
-def _extended():
+@pytest.fixture(scope="module")
+def input_sets(corpus_entries, criterion_7):
+    """The formulas of each set in SETS, and the failing ladders."""
     rng = random.Random(161803)
-    return [random_formula(rng, depth=6, n_vars=4, extended=True)
-            for _ in range(300)]
+    return {"corpus": [parse(e.formula) for e in corpus_entries],
+            "criterion-7": criterion_7,
+            "extended": [random_formula(rng, depth=6, n_vars=4, extended=True)
+                         for _ in range(300)],
+            "ladders": ([parse(fusion_ladder(k)) for k in range(6)]
+                        + [parse(chain_ladder(k)) for k in range(4)])}
 
 
-def _ladders():
-    return ([parse(fusion_ladder(k)) for k in range(6)]
-            + [parse(chain_ladder(k)) for k in range(4)])
-
-
-SETS = {"corpus": None, "criterion-7": _criterion_7, "extended": _extended}
-
-
-def _make(name, corpus_entries):
-    make = {**SETS, "ladders": _ladders}[name]
-    if make is None:
-        return [parse(e.formula) for e in corpus_entries]
-    return make()
-
-
-@pytest.fixture(scope="module", params=list(SETS))
-def formulas(request, corpus_entries):
-    return _make(request.param, corpus_entries)
+@pytest.fixture(scope="module", params=SETS)
+def formulas(request, input_sets):
+    return input_sets[request.param]
 
 
 def _run(phi, pre, approx, simp):
@@ -729,9 +718,9 @@ def test_rule_schemata_match_the_written_out_rules(formulas):
 
 
 @pytest.fixture(scope="module", params=[*SETS, "ladders"])
-def approximated(request, corpus_entries):
+def approximated(request, input_sets):
     return [approximate(ineq)[0]
-            for phi in _make(request.param, corpus_entries)
+            for phi in input_sets[request.param]
             for ineq in preprocess(phi)[0]]
 
 
@@ -759,7 +748,7 @@ def test_memoised_search_matches_the_plain_search(approximated, cap,
 
 
 @pytest.fixture(scope="module")
-def reached_premises(corpus_entries):
+def reached_premises(input_sets):
     """The distinct premises of every state that the approximation phase
     and the elimination search reach on all four sets, failed branches
     included: the search's states are recorded as residuation, adjunction
@@ -775,8 +764,7 @@ def reached_premises(corpus_entries):
     with pytest.MonkeyPatch.context() as mp:
         for name in ("residuation", "adjunction", "ackermann"):
             mp.setattr(ca, name, recording(getattr(ca, name)))
-        for phi in itertools.chain.from_iterable(
-                _make(name, corpus_entries) for name in [*SETS, "ladders"]):
+        for phi in itertools.chain.from_iterable(input_sets.values()):
             for ineq in preprocess(phi)[0]:
                 qi, steps = approximate(ineq)
                 states.extend(step.result for step in steps)

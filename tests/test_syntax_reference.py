@@ -462,11 +462,8 @@ def test_parse_matches_on_the_corpus(mode, corpus_entries):
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-def test_parse_matches_on_criterion_7(mode):
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
-    texts = [to_text(random_formula(rng, depth=6, n_vars=4))
-             for _ in range(1000)]
-    _assert_parse_matches(texts, mode)
+def test_parse_matches_on_criterion_7(mode, criterion_7):
+    _assert_parse_matches([to_text(phi) for phi in criterion_7], mode)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])

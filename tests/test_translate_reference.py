@@ -40,12 +40,10 @@ from rmcorr.fol import (FALSE, TRUE, And, EqAtom, Exists, FONode, Forall,
                         Implies, LeqAtom, Not, OAtom, Or, PVarAtom, RAtom,
                         Star, WVar)
 from rmcorr.formula import Formula
-from rmcorr.pipeline import correspondent
 from rmcorr.translate import (PurityError, expand_leq, fo_simplify,
                               order_as_equality, st, st_inequality, tr,
                               tr_quasi)
 
-from helpers import random_formula
 
 logger = logging.getLogger(__name__)
 
@@ -539,12 +537,9 @@ def _random_fo(rng: random.Random, depth: int) -> FONode:
 
 
 @pytest.fixture(scope="module")
-def derivations(corpus_runs):
+def derivations(corpus_runs, criterion_7_runs):
     """The bundled corpus's pipeline results and criterion 7's."""
-    rng = random.Random(271828)  # the seed of acceptance criterion 7
-    criterion_7 = [correspondent(random_formula(rng, depth=6, n_vars=4))
-                   for _ in range(1000)]
-    return [res for _, res in corpus_runs.values()] + criterion_7
+    return [res for _, res in corpus_runs.values()] + criterion_7_runs
 
 
 def _outcome(fn, *args):
