@@ -308,3 +308,22 @@ def test_bi_mode_frames_have_commutative_associative_fusion():
 def test_frame_json_round_trip():
     f = frame(2, {0}, {(0, 0, 0), (0, 1, 1)}, (1, 0))
     assert RMFrame.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("O, R, star, message", [
+    # a star value, a star of the wrong length, a normal world and a triple
+    # outside the worlds: each used to raise IndexError in check_frame or
+    # be taken silently
+    ({0}, {(0, 0, 0), (0, 1, 1)}, (0, 5), "world 5 is not one of the 2 worlds"),
+    ({0}, {(0, 0, 0), (0, 1, 1)}, (0,), "star has 1 entries for 2 worlds"),
+    ({3}, {(0, 0, 0), (0, 1, 1)}, (0, 1), "world 3 is not one of the 2 worlds"),
+    ({0}, {(0, 0, 0), (0, 1, 1), (0, 2, 1)}, (0, 1),
+     "world 2 is not one of the 2 worlds"),
+])
+def test_frame_refuses_worlds_outside_its_range(O, R, star, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        frame(2, O, R, star)
+    obj = {"n": 2, "O": sorted(O), "R": [list(t) for t in sorted(R)],
+           "star": list(star)}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RMFrame.from_json(obj)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from rmcorr import fol
+from rmcorr import fol, frames
 from rmcorr import formula as fm
 from rmcorr.calculus import Inequality, QuasiInequality
 from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
@@ -658,13 +658,75 @@ def test_correspondence_check_count_and_first_counterexample(mode_frames):
         assert 2 + family.index(rep.counterexample) < rep.frames_checked
 
 
-def test_correspondence_check_matches_reference_in_bi_and_ra(corpus_runs,
-                                                            mode_frames):
+def test_correspondence_check_matches_reference_in_every_mode(corpus_runs,
+                                                             mode_frames):
     for phi, res in corpus_runs.values():
-        for mode in ("bi", "ra"):
+        for mode in MODES:
             rep = correspondence_check(phi, res.fo, 2, mode)
             assert ((rep.agree, rep.counterexample, rep.frames_checked)
                     == _reference_report(phi, res.fo, mode_frames[mode]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_class_frames_of_one_o_and_r_are_consecutive(mode):
+    # a star-free check evaluates a class frame only when its (O, R) differs
+    # from the last one evaluated, so each (O, R) must make one run
+    for n in range(1, MAX_WORLDS + 1):
+        keys = [(f.O, f.R) for _, f in _frame_family(n, mode)[0]]
+        runs = [key for key, _ in itertools.groupby(keys)]
+        assert len(runs) == len(set(runs))
+
+
+def _evaluated(monkeypatch, phi, g):
+    """The number of class frames that each mode's check at n <= 2
+    evaluates, counted by the calls of `frames._truth`."""
+    calls = []
+    truth_of = frames._truth
+
+    def truth(*args):
+        calls.append(args)
+        return truth_of(*args)
+
+    monkeypatch.setattr(frames, "_truth", truth)
+    counts = []
+    for mode in MODES:
+        calls.clear()
+        assert correspondence_check(phi, g, 2, mode).agree
+        counts.append(len(calls))
+    return tuple(counts)
+
+
+def test_star_free_check_evaluates_one_frame_per_o_and_r(monkeypatch):
+    assert _evaluated(monkeypatch, parse(r"p \to p"), fol.TRUE) == (31, 10, 4)
+
+
+def test_a_star_in_phi_evaluates_every_class_frame(monkeypatch):
+    # an identity instance, valid on every frame
+    phi = parse(r"\sim\sim p \to \sim\sim p")
+    assert _evaluated(monkeypatch, phi, fol.TRUE) == (110, 32, 4)
+
+
+def test_a_star_in_g_evaluates_every_class_frame(monkeypatch):
+    # x0* = x0*, true on every frame
+    g = Forall(X0, EqAtom(Star(X0), Star(X0)))
+    assert _evaluated(monkeypatch, parse(r"p \to p"), g) == (110, 32, 4)
+
+
+def test_starred_wrong_candidates_keep_the_reference_report(mode_frames):
+    # outside ra mode the last two fail first on a class frame past the
+    # first of its (O, R), the star only in phi and only in g: a check that
+    # skipped that frame would report a later one; g says there is one
+    # world or a world that star moves
+    moved = Or(Forall(X0, Forall(X1, EqAtom(X0, X1))),
+               Exists(X0, Not(EqAtom(Star(X0), X0))))
+    cases = [(r"p \to p", Forall(X0, EqAtom(Star(X0), X0))),
+             (r"\sim\sim p \to p", Forall(X0, OAtom(X0))),
+             (r"p \to p", moved)]
+    for phi, g in cases:
+        for mode in MODES:
+            rep = correspondence_check(parse(phi), g, 2, mode)
+            assert ((rep.agree, rep.counterexample, rep.frames_checked)
+                    == _reference_report(parse(phi), g, mode_frames[mode]))
 
 
 def test_unknown_mode_is_rejected():
