@@ -16,6 +16,7 @@ occurrences flip once more, since premises sit in antecedent position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Optional
 
 from . import formula as fm
@@ -49,33 +50,53 @@ class NotApplicable(Exception):
     """Raised when a rule's shape or side conditions are not met."""
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # the fields of a frozen object are set once
+_SINGLE = {1: (1,), -1: (-1,)}  # the signs of an atom that occurs once
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Inequality:
+    """lhs <= rhs, with its dataclass hash stored and its sign table kept."""
+
     lhs: Formula
     rhs: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+    _table: Optional[dict] = field(init=False, repr=False, compare=False)
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((lhs, rhs)))
+        _set(self, "_table", None)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # a hash is only valid in the process that made it
+        return Inequality, (self.lhs, self.rhs)
 
     def substitute(self, a: Atom, psi: Formula) -> "Inequality":
-        """self when neither side changes, so search states share premises."""
-        lhs = fm.substitute(self.lhs, a, psi)
-        rhs = fm.substitute(self.rhs, a, psi)
-        if lhs is self.lhs and rhs is self.rhs:
+        """self when a does not occur, so search states share premises."""
+        if a not in self.sign_table():
             return self
-        return Inequality(lhs, rhs)
+        return Inequality(fm.substitute(self.lhs, a, psi),
+                          fm.substitute(self.rhs, a, psi))
 
     def atoms(self, kind: Optional[str] = None) -> list[Atom]:
-        return list(dict.fromkeys(fm.atoms(self.lhs, kind)
-                                  + fm.atoms(self.rhs, kind)))
+        return [a for a in self.sign_table() if kind is None or a.kind == kind]
 
-    def signs(self, a: Atom) -> list[int]:
+    def signs(self, a: Atom) -> tuple[int, ...]:
         """Inequality-level signs of every occurrence of a."""
-        return self.sign_table().get(a, [])
+        return self.sign_table().get(a, ())
 
-    def sign_table(self) -> dict[Atom, list[int]]:
-        """Every atom, in order of first occurrence, with the
-        inequality-level signs of its occurrences, from one walk over both
-        sides: an occurrence on the left side has the opposite of its sign
-        in that formula."""
-        table: dict[Atom, list[int]] = {}
+    def sign_table(self) -> dict[Atom, tuple[int, ...]]:
+        """Every atom, in order of first occurrence, with the inequality-level
+        signs of its occurrences, from one walk over both sides: an occurrence
+        on the left side has the opposite of its sign in that formula.  Built
+        on the first call and kept, so callers must not mutate it."""
+        if self._table is not None:
+            return self._table
+        table: dict = {}
         stack = [(self.rhs, 1), (self.lhs, -1)]
         while stack:
             node, sign = stack.pop()
@@ -85,10 +106,13 @@ class Inequality:
             pol = fm.POLARITY.get(node.op, ())
             for i in range(len(node.args) - 1, -1, -1):
                 stack.append((node.args[i], sign * pol[i]))
+        for a, signs in table.items():
+            table[a] = _SINGLE[signs[0]] if len(signs) == 1 else tuple(signs)
+        _set(self, "_table", table)
         return table
 
     def is_pure(self) -> bool:
-        return fm.is_pure(self.lhs) and fm.is_pure(self.rhs)
+        return not any(a.kind == fm.PROP for a in self.sign_table())
 
     def text(self, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> str:
         return f"{to_text(self.lhs, mode)} \\le {to_text(self.rhs, mode)}"
@@ -101,20 +125,34 @@ class Inequality:
         return self.text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class QuasiInequality:
     premises: tuple[Inequality, ...]
     conclusion: Inequality
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, premises: tuple[Inequality, ...], conclusion: Inequality):
+        _set(self, "premises", premises)
+        _set(self, "conclusion", conclusion)
+        _set(self, "_hash", hash((premises, conclusion)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return QuasiInequality, (self.premises, self.conclusion)
 
     def atoms(self, kind: Optional[str] = None) -> list[Atom]:
         return list(dict.fromkeys(a for ineq in (*self.premises, self.conclusion)
                                   for a in ineq.atoms(kind)))
 
     def substitute(self, a: Atom, psi: Formula) -> "QuasiInequality":
-        return QuasiInequality(
-            tuple(p.substitute(a, psi) for p in self.premises),
-            self.conclusion.substitute(a, psi),
-        )
+        """self when a does not occur."""
+        premises = tuple(p.substitute(a, psi) for p in self.premises)
+        conclusion = self.conclusion.substitute(a, psi)
+        if conclusion is self.conclusion and all(map(is_, premises, self.premises)):
+            return self
+        return QuasiInequality(premises, conclusion)
 
     def is_pure(self) -> bool:
         return all(p.is_pure() for p in self.premises) and self.conclusion.is_pure()
@@ -140,10 +178,12 @@ def goal(ineq: Inequality) -> QuasiInequality:
 
 
 class FreshSupply:
-    """Deterministic fresh-atom source; never reuses an index it has seen."""
+    """Deterministic fresh-atom source; never reuses an index it has seen.
+    Every index below a kind's cursor is used, so `fresh` resumes there."""
 
     def __init__(self, seen: Iterable[Atom] = ()):
         self.used: set[Atom] = set(seen)
+        self._next: dict[str, int] = {}
 
     @classmethod
     def for_qi(cls, qi: QuasiInequality) -> "FreshSupply":
@@ -153,8 +193,9 @@ class FreshSupply:
         self.used.update(atoms)
 
     def fresh(self, kind: str) -> Atom:
-        a = fm.fresh_atom(kind, self.used)
+        a = fm.fresh_atom(kind, self.used, self._next.get(kind, 0))
         self.used.add(a)
+        self._next[kind] = a.index + 1
         return a
 
 
@@ -245,7 +286,7 @@ def first_approximation(qi: QuasiInequality, supply: FreshSupply,
 # rule -> (connective, the side it is on, the argument named, the fresh
 # atom's kind).  A connective on the left sits below a co-nominal, one on
 # the right above a nominal.
-_APPROX_SCHEMA = {
+APPROX_SCHEMA = {
     "imp-left": (fm.IMP, "lhs", 0, fm.NOM),
     "imp-right": (fm.IMP, "lhs", 1, fm.CNOM),
     "fus-left": (fm.FUS, "rhs", 0, fm.NOM),
@@ -253,7 +294,12 @@ _APPROX_SCHEMA = {
     "neg-left": (fm.NEG, "lhs", 0, fm.NOM),
     "neg-right": (fm.NEG, "rhs", 0, fm.CNOM),
 }
-APPROX_RULES = tuple(_APPROX_SCHEMA)
+APPROX_RULES = tuple(APPROX_SCHEMA)
+# (side, connective) -> its rules, in APPROX_RULES order
+_APPROX_BY_SHAPE = {
+    (side, op): tuple(rule for rule, row in APPROX_SCHEMA.items()
+                      if row[:2] == (op, side))
+    for op, side, _, _ in APPROX_SCHEMA.values()}
 
 
 def _sides(ineq: Inequality, side: str) -> tuple[Formula, Formula]:
@@ -270,7 +316,7 @@ def _oriented(side: str, this: Formula, other: Formula) -> Inequality:
 def _fits(prem: Inequality, rule: str) -> bool:
     """Whether prem has rule's shape and the argument to name is neither a
     nominal nor a co-nominal."""
-    op, side, i, _ = _APPROX_SCHEMA[rule]
+    op, side, i, _ = APPROX_SCHEMA[rule]
     host, bound = _sides(prem, side)
     return (host.op == op
             and _is_atom_kind(bound, fm.CNOM if side == "lhs" else fm.NOM)
@@ -278,8 +324,11 @@ def _fits(prem: Inequality, rule: str) -> bool:
 
 
 def approximation_rule(prem: Inequality) -> Optional[str]:
-    """The first rule of APPROX_RULES that applies to prem, or None."""
-    return next((rule for rule in APPROX_RULES if _fits(prem, rule)), None)
+    """The first rule of APPROX_RULES that applies to prem, or None.  A rule
+    on the left needs a co-nominal on the right, so one side has them all."""
+    rules = (_APPROX_BY_SHAPE.get(("lhs", prem.lhs.op))
+             or _APPROX_BY_SHAPE.get(("rhs", prem.rhs.op), ()))
+    return next((rule for rule in rules if _fits(prem, rule)), None)
 
 
 def approximation(qi: QuasiInequality, k: int, rule: str, supply: FreshSupply,
@@ -291,9 +340,9 @@ def approximation(qi: QuasiInequality, k: int, rule: str, supply: FreshSupply,
     rewritten premise keeps its position; the naming premise is inserted
     directly after it.
     """
-    if rule not in _APPROX_SCHEMA or not _fits(qi.premises[k], rule):
+    if rule not in APPROX_SCHEMA or not _fits(qi.premises[k], rule):
         raise NotApplicable(f"approximation rule {rule!r} does not apply")
-    op, side, i, kind = _APPROX_SCHEMA[rule]
+    op, side, i, kind = APPROX_SCHEMA[rule]
     if fresh is None:
         fresh = supply.fresh(kind)
     else:
@@ -377,7 +426,7 @@ def adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
 # Ackermann rules
 
 def ackermann(qi: QuasiInequality, p: Atom, polarity: str, *,
-              tables: Optional[list[dict[Atom, list[int]]]] = None) -> QuasiInequality:
+              tables: Optional[list[dict[Atom, tuple[int, ...]]]] = None) -> QuasiInequality:
     """Eliminate p given exactly one solved premise: alpha <= p for '+',
     p <= alpha for '-'.
 
@@ -385,7 +434,7 @@ def ackermann(qi: QuasiInequality, p: Atom, polarity: str, *,
     other premise is negative ('+') / positive ('-') in p; the conclusion is
     positive ('+') / negative ('-') in p.  They are read off `tables`, the
     sign tables of the premises (the solved one's is not read) and then of
-    the conclusion, which the search passes and replay leaves to be built.
+    the conclusion, which the search passes; replay reads the kept tables.
     """
     if p.kind != fm.PROP:
         raise NotApplicable("Ackermann elimination targets propositional variables")
@@ -435,8 +484,9 @@ def simplification(qi: QuasiInequality, which: str) -> QuasiInequality:
         if this != named:
             continue
         rest = qi.premises[:k] + qi.premises[k + 1:]
-        if (any(a in r.atoms() for r in rest) or a in fm.atoms(other)
-                or a in fm.atoms(kept)):
+        # a stands once on that side of prem and of the conclusion
+        if (len(prem.signs(a)) > 1 or len(qi.conclusion.signs(a)) > 1
+                or any(a in r.sign_table() for r in rest)):
             continue
         return QuasiInequality(rest, _oriented(side, other, kept))
     raise NotApplicable(f"no eligible premise for {which} simplification")

@@ -293,10 +293,9 @@ def substitute(phi: Formula, a: Atom, psi: Formula) -> Formula:
     return Formula(phi.op, new_args)
 
 
-def fresh_atom(kind: str, used: set[Atom]) -> Atom:
-    """Least-index atom of the given kind not present in `used`."""
-    taken = {a.index for a in used if a.kind == kind}
-    i = 0
-    while i in taken:
-        i += 1
-    return Atom(kind, i)
+def fresh_atom(kind: str, used: set[Atom], start: int = 0) -> Atom:
+    """Least-index atom of the given kind, from `start` on, not in `used`."""
+    a = Atom(kind, start)
+    while a in used:
+        a = Atom(kind, a.index + 1)
+    return a

@@ -126,10 +126,9 @@ def approximate(ineq: Inequality,
         if rule is None:
             k += 1
             continue
-        used_before = set(supply.used)
-        qi = ca.approximation(qi, k, rule, supply)
-        steps.append(TraceStep(f"approx-{rule}", k, {},
-                               tuple(supply.used - used_before), qi))
+        fresh = supply.fresh(ca.APPROX_SCHEMA[rule][3])
+        qi = ca.approximation(qi, k, rule, supply, fresh=fresh)
+        steps.append(TraceStep(f"approx-{rule}", k, {}, (fresh,), qi))
     return qi, steps
 
 
@@ -148,7 +147,7 @@ def _signed_name(p: Atom, polarity: str) -> str:
     return f"{polarity}{p.name if p.name is not None else f'p_{p.index}'}"
 
 
-def _candidate_vars(tables: list[dict[Atom, list[int]]]) -> list[Atom]:
+def _candidate_vars(tables: list[dict[Atom, tuple[int, ...]]]) -> list[Atom]:
     """Propositional variables in order of first occurrence scanning the
     premises' sign tables from the most recently produced backwards, then the
     conclusion's, the last one: the order the first-success search follows."""
@@ -223,7 +222,7 @@ def _solver_move(host: Formula, side: str, first: int):
     return None
 
 
-def _try_eliminate_one(qi: QuasiInequality, tables: list[dict[Atom, list[int]]],
+def _try_eliminate_one(qi: QuasiInequality, tables: list[dict[Atom, tuple[int, ...]]],
                        p: Atom, polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
     """Solve the one premise holding p with the given polarity for p and
     apply Ackermann; tables are the sign tables of qi's premises and then of

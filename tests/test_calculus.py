@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from rmcorr import calculus as ca
@@ -62,19 +67,21 @@ def canon_ineq(i: Inequality) -> Inequality:
 
 
 def test_sign_table_is_atoms_with_their_signs(corpus_entries):
-    # one walk gives the atoms in the order of atoms(), each with the signs
-    # of its occurrences in the formulas, negated on the left side
+    # one walk gives the atoms in order of first occurrence, which atoms()
+    # reads off the table, each with the signs of its occurrences in the
+    # formulas, negated on the left side
     seen = 0
     for entry in corpus_entries:
         for goal in preprocess(parse(entry.formula))[0]:
             state, _ = approximate(goal)
             for ineq in (goal, *state.premises, state.conclusion):
                 table = ineq.sign_table()
-                assert list(table) == ineq.atoms(), ineq
+                first = dict.fromkeys(fm.atoms(ineq.lhs) + fm.atoms(ineq.rhs))
+                assert list(table) == ineq.atoms() == list(first), ineq
                 for a, signs in table.items():
                     lhs = [-s for _, s in fm.occurrences(ineq.lhs, a)]
                     rhs = [s for _, s in fm.occurrences(ineq.rhs, a)]
-                    assert signs == lhs + rhs, (ineq, a)
+                    assert list(signs) == lhs + rhs, (ineq, a)
                 seen += any(len(signs) > 1 for signs in table.values())
     assert seen  # some atom occurs more than once
 
@@ -86,6 +93,72 @@ def test_substituting_an_absent_atom_returns_the_same_inequality():
     assert out is not ineq
     assert out == Inequality(parse(r"p \circ \bot"), parse(r"\sim p"))
     assert out.rhs is ineq.rhs
+
+
+def test_substituting_an_absent_atom_returns_the_same_objects():
+    # the sign table, built with a stack, says that p is absent, so nothing
+    # is walked or rebuilt, even below a 5,000-deep side
+    deep = fm.var(1, "q")
+    for _ in range(5000):
+        deep = fm.neg(deep)
+    prem = Inequality(fm.nom(1), deep)
+    state = QuasiInequality((prem, Inequality(fm.nom(2), fm.atom(Q))),
+                            ineq(r"\mathbf i <= \mathbf m"))
+    assert prem.substitute(P, fm.bot()) is prem
+    assert state.substitute(P, fm.bot()) is state
+    assert prem.signs(Atom(fm.PROP, 1)) == (1,)
+
+
+def test_inequalities_pickle_with_a_rebuilt_hash_and_table():
+    # the stored hash and the kept table are rebuilt where the object is
+    # loaded; a string hash seed of its own must still find it in a set
+    state = qi(r"\mathbf j_1 <= p \to q", r"q \circ p <= \mathbf n_1",
+               concl=r"\mathbf i <= \mathbf m")
+    prem = state.premises[1]
+    table = prem.sign_table()
+    assert hash(prem) == hash((prem.lhs, prem.rhs))
+    assert hash(state) == hash((state.premises, state.conclusion))
+    for obj, field in ((prem, "lhs"), (state, "conclusion")):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and copy is not obj and hash(copy) == hash(obj)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        assert not hasattr(obj, "__dict__")
+    copy = pickle.loads(pickle.dumps(prem))
+    assert copy.sign_table() == table and copy.sign_table() is not table
+    code = ("import pickle, sys; qi = pickle.load(sys.stdin.buffer); "
+            "prem = qi.premises[1]; "
+            "assert hash(qi) == hash((qi.premises, qi.conclusion)); "
+            "assert hash(prem) == hash((prem.lhs, prem.rhs)); "
+            "assert [list(s) for s in prem.sign_table().values()] == [[-1], [-1], [1]]; "
+            "print(qi in {qi.premises[0]} | {pickle.loads(pickle.dumps(qi))})")
+    src = os.path.join(os.path.dirname(fm.__file__), os.pardir)
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", code],
+                             input=pickle.dumps(state), capture_output=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": src}, check=True)
+        assert out.stdout == b"True\n"
+
+
+def test_fresh_supply_issues_the_least_free_atoms():
+    # the supply goes on from the last index it issued, and issues what
+    # fm.fresh_atom gives on a growing set of used atoms
+    def j(i):
+        return Atom(fm.NOM, i)
+
+    used = {j(0), j(2)}
+    supply = FreshSupply(used)
+    for noted, want in ((None, j(1)), (None, j(3)), (j(5), j(4)), (None, j(6))):
+        if noted is not None:
+            supply.note([noted])
+            used.add(noted)
+        least = fm.fresh_atom(fm.NOM, used)
+        used.add(least)
+        assert supply.fresh(fm.NOM) == least == want
+    assert supply.fresh(fm.CNOM) == Atom(fm.CNOM, 0)
+    assert supply.used == used | {Atom(fm.CNOM, 0)}
+    assert fm.fresh_atom(fm.NOM, {j(0), j(2)}, start=2) == j(3)
 
 
 def test_monotone_positive_variable_becomes_bottom():
@@ -289,6 +362,18 @@ def test_ackermann_side_condition_on_conclusion():
     state = qi(r"p <= \mathbf n_1", concl=r"\mathbf i <= p \to \mathbf m")
     out = ca.ackermann(state, P, "-")
     assert out.conclusion == ineq(r"\mathbf i <= \mathbf n_1 \to \mathbf m")
+
+
+def test_ackermann_keeps_every_premise_without_the_variable():
+    state = qi(r"\mathbf j_1 <= p", r"\mathbf j_2 <= q",
+               r"\mathbf i <= p \to q", r"q <= \mathbf n_1",
+               concl=r"\mathbf i <= \mathbf m")
+    out = ca.ackermann(state, P, "+")
+    assert out.premises[0] is state.premises[1]
+    assert out.premises[2] is state.premises[3]
+    assert out.conclusion is state.conclusion
+    assert out.premises[1] == Inequality(fm.nom(0),
+                                         fm.imp(fm.nom(1), fm.atom(Q)))
 
 
 def test_ackermann_requires_variable_free_bound():

@@ -193,21 +193,50 @@ def test_eliminate_searches_each_failed_state_once(ladder, calls, dead_ends,
 
 
 @pytest.mark.parametrize("ladder, bound", [
-    (chain_ladder(3), 1000), (fusion_ladder(5), 700)],
+    (chain_ladder(3), 142), (fusion_ladder(5), 76)],
     ids=["chain-3", "fusion-5"])
 def test_search_builds_each_state_sign_tables_once(ladder, bound,
                                                    monkeypatch):
-    # one table per premise and conclusion of each state the search
-    # expands, which Ackermann reads: 895 on chain-3 and 656 on fusion-5;
-    # an Ackermann that rebuilt every premise's table made 3,655 and 2,536
+    # an inequality builds its table on the first call and keeps it, and a
+    # premise carried from state to state is one object, so the search,
+    # Ackermann and substitution share its table: 142 built on chain-3 and
+    # 76 on fusion-5, where one table per premise and conclusion of each
+    # state expanded made 895 and 656, and an Ackermann that rebuilt every
+    # premise's table 3,655 and 2,536
     (goal,), _ = preprocess(parse(ladder))
     state, _ = approximate(goal)
-    calls = []
+    built = []
     sign_table = Inequality.sign_table
     monkeypatch.setattr(Inequality, "sign_table",
-                        lambda self: calls.append(self) or sign_table(self))
+                        lambda self: (self._table is None and built.append(self))
+                        or sign_table(self))
     assert isinstance(eliminate(state), FailureInfo)
-    assert 0 < len(calls) <= bound
+    assert 0 < len(built) <= bound
+    assert len(set(map(id, built))) == len(built)  # each object once
+
+
+def test_approximation_steps_record_what_the_step_added_to_the_supply(
+        criterion_7):
+    # each step records the one atom its rule drew from the supply, all
+    # that the step adds to supply.used: the least index of the rule's kind
+    # not used before the step
+    steps_seen = 0
+    for phi in criterion_7:
+        for goal in preprocess(phi)[0]:
+            supply = ca.FreshSupply.for_qi(ca.goal(goal))
+            used = set(supply.used)
+            _, steps = approximate(goal, supply)
+            used.update(steps[0].fresh)
+            for step in steps[1:]:
+                if step.rule.startswith("approx-"):
+                    kind = ca.APPROX_SCHEMA[step.rule[len("approx-"):]][3]
+                    assert step.fresh == (fm.fresh_atom(kind, used),), goal
+                    used.update(step.fresh)
+                    steps_seen += 1
+                else:
+                    assert step.fresh == ()
+            assert supply.used == used
+    assert steps_seen > 5000
 
 
 def test_correspondent_approximates_each_distinct_goal_once(criterion_7,
