@@ -50,10 +50,11 @@ class NotApplicable(Exception):
     """Raised when a rule's shape or side conditions are not met."""
 
 
-_set = object.__setattr__  # the fields of a frozen object are set once
+_set = fm._set  # the fields of a frozen object are set once
 _SINGLE = {1: (1,), -1: (-1,)}  # the signs of an atom that occurs once
 
 
+@fm._frozen
 @dataclass(frozen=True, init=False, slots=True)
 class Inequality:
     """lhs <= rhs, with its dataclass hash stored and its sign table kept."""
@@ -125,6 +126,7 @@ class Inequality:
         return self.text()
 
 
+@fm._frozen
 @dataclass(frozen=True, init=False, slots=True)
 class QuasiInequality:
     premises: tuple[Inequality, ...]

@@ -14,7 +14,7 @@ then the stored hashes, then the fields, with a stack instead of recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Optional
 
 # atom kinds
@@ -63,6 +63,17 @@ BASE_OPS = frozenset({ATOM, T, TOP, BOT, NEG, AND, OR, FUS, IMP})
 _set = object.__setattr__  # the fields of a frozen node are set once
 
 
+def _frozen(cls):
+    """Make assigning or deleting any attribute of a frozen slotted dataclass
+    raise FrozenInstanceError.  The methods that dataclass makes call super()
+    with the class from before the slots, a TypeError for a non-field name."""
+    def refuse(self, name: str, *value) -> None:
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, order=True, init=False, slots=True)
 class Atom:
     """Variable-like leaf; identity is (kind, index), never the display name."""
@@ -102,6 +113,7 @@ class Atom:
         return f"Atom({self.kind},{self.index})"
 
 
+@_frozen
 @dataclass(frozen=True, init=False, slots=True)
 class Formula:
     op: str

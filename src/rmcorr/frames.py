@@ -2,25 +2,28 @@
 star map, built on their order (210 of 4,096 structures on two worlds; three
 stay capped); evaluation of formulas; the brute-force correspondence checker.
 
-Worlds are 0..n-1 and sets of worlds are bitmasks, so the complex-algebra
-operations are a handful of integer operations per application.  A frame
-tabulates each operation over all masks on first use, and each distinct
-formula of either language is compiled once, to the source of one Python
-expression over the frame's values and tables, so checking a formula on
-many frames and valuations repeats no tree walk and no operation.  Frame
-validity of phi is t <= phi in the complex algebra.  Only negations and
-Star terms read the star, so a check of a pair without them evaluates one
-frame per (O, R).  CPython compiles no source nested more than about 200
-deep: a formula nested deeper raises RecursionError.
+Worlds are 0..n-1 and sets of worlds are bitmasks.  A frame is the masks of
+its normal worlds and rows R a b, and its star; O and R are views of them.
+Each complex-algebra operation is a union or a meet over the worlds of its
+arguments, so a frame tabulates it on first use by the subset recurrence,
+one | or & per entry.  Each distinct formula of either language compiles
+once, to the source of one Python expression over the frame's values and
+tables; a correspondence check compiles frame validity (t <= phi) and the
+first-order candidate into one program, bound once per frame.  Only
+negations and Star terms read the star, so a check of a pair without them
+evaluates one frame per (O, R).  CPython compiles no source nested more
+than about 200 deep: a formula nested deeper raises RecursionError.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import fol
 from . import formula as fm
@@ -54,53 +57,42 @@ class BudgetError(ValueError):
 
 
 class RMFrame:
-    """Candidate frame (W, O, R, star); validity is a separate check.
+    """Candidate frame (W, O, R, star), kept as masks; validity is a separate
+    check.  The order u <= v is derived: some normal world o has R o u v."""
 
-    The order u <= v is derived: some normal world o has R o u v.
-    """
+    __slots__ = ("n", "o_mask", "_results", "star", "_key", "full", "up",
+                 "down", "_upsets", "_tables")
 
-    __slots__ = ("n", "O", "R", "star", "full", "o_mask", "up", "down",
-                 "_results", "_upsets", "_tables")
-
-    def __init__(self, n: int, O: frozenset[int], R: frozenset[tuple[int, int, int]],
-                 star: tuple[int, ...]):
-        self.n = n
-        self.O = frozenset(O)
-        self.R = frozenset(R)
-        self.star = tuple(star)
-        if len(self.star) != n:
-            raise ValueError(f"star has {len(self.star)} entries for {n} worlds")
-        for w in itertools.chain(self.O, *self.R, self.star):
+    def __init__(self, n: int, O: Iterable[int], R: Iterable[tuple], star: Iterable[int]):
+        O, R, star = tuple(O), tuple(R), tuple(star)
+        if len(star) != n:
+            raise ValueError(f"star has {len(star)} entries for {n} worlds")
+        for w in itertools.chain(O, *R, star):
             if w not in range(n):
                 raise ValueError(f"world {w!r} is not one of the {n} worlds")
-        self.full = (1 << n) - 1
-        self.o_mask = _mask(self.O)
-        # derived order: up[w] = mask of {v : w <= v}, down[v] = mask of
-        # {u : u <= v}
-        self.up = [0] * n
-        self.down = [0] * n
-        for (o, u, v) in self.R:
-            if o in self.O:
-                self.up[u] |= 1 << v
-                self.down[v] |= 1 << u
-        # _results[a][b] = mask of {c : R a b c}
-        self._results: list[list[int]] = [[0] * n for _ in range(n)]
-        for (a, b, c) in self.R:
-            self._results[a][b] |= 1 << c
-        self._upsets: Optional[list[int]] = None
-        self._tables: dict[str, tuple[int, ...]] = {}
+        results = [[0] * n for _ in range(n)]
+        for (a, b, c) in R:
+            results[a][b] |= 1 << c
+        _frame(n, _mask(O), tuple(map(tuple, results)), star, self)
+
+    @property
+    def O(self) -> frozenset[int]:
+        return frozenset(w for w in range(self.n) if self.o_mask >> w & 1)
+
+    @property
+    def R(self) -> frozenset[tuple[int, int, int]]:
+        W = range(self.n)
+        return frozenset((a, b, c) for a in W for b in W for c in W
+                         if self._results[a][b] >> c & 1)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RMFrame)
-                and (self.n, self.O, self.R, self.star)
-                == (other.n, other.O, other.R, other.star))
+        return isinstance(other, RMFrame) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.n, self.O, self.R, self.star))
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        return (f"RMFrame(n={self.n}, O={sorted(self.O)}, "
-                f"R={sorted(self.R)}, star={self.star})")
+        return f"RMFrame(n={self.n}, O={sorted(self.O)}, R={sorted(self.R)}, star={self.star})"
 
     def leq(self, u: int, v: int) -> bool:
         return bool(self.up[u] >> v & 1)
@@ -108,8 +100,7 @@ class RMFrame:
     def upsets(self) -> list[int]:
         """All order-up-closed masks, ascending."""
         if self._upsets is None:
-            self._upsets = [S for S in range(self.full + 1)
-                            if self.is_upset(S)]
+            self._upsets = [S for S in range(self.full + 1) if self.is_upset(S)]
         return self._upsets
 
     def table(self, op: str) -> tuple[int, ...]:
@@ -119,56 +110,12 @@ class RMFrame:
         between frames."""
         t = self._tables.get(op)
         if t is None:
-            fn = _OPERATIONS[op]
-            masks = range(self.full + 1)
-            if op in fm.UNARY_OPS:
-                t = tuple(fn(self, Y) for Y in masks)
-            else:
-                t = tuple(fn(self, Y, Z) for Y in masks for Z in masks)
+            t = tuple(_operation(self, op))
             t = self._tables[op] = _TABLES.setdefault(t, t)
         return t
 
     def is_upset(self, S: int) -> bool:
         return not any(S >> w & 1 and self.up[w] & ~S for w in range(self.n))
-
-    # complex-algebra operations on masks
-
-    def op_neg(self, Y: int) -> int:
-        return _mask(x for x in range(self.n) if not Y >> self.star[x] & 1)
-
-    def op_negflat(self, Y: int) -> int:
-        # left adjoint of negation: the up-closure of the starred complement
-        # (equals the pointwise star image when star is an involution)
-        return _union(self.up[self.star[v]] for v in range(self.n)
-                      if not Y >> v & 1)
-
-    def op_negsharp(self, Y: int) -> int:
-        # right adjoint of negation: the largest up-set avoiding star[Y]
-        hit = _mask(self.star[v] for v in range(self.n) if Y >> v & 1)
-        return _mask(w for w in range(self.n) if not self.up[w] & hit)
-
-    def op_fus(self, Y: int, Z: int) -> int:
-        W = range(self.n)
-        return _union(self._results[y][z] for y in W if Y >> y & 1
-                      for z in W if Z >> z & 1)
-
-    def op_imp(self, Y: int, Z: int) -> int:
-        # x qualifies when every R x y z with y in Y has z in Z
-        W = range(self.n)
-        return _mask(x for x in W if not any(
-            Y >> y & 1 and self._results[x][y] & ~Z for y in W))
-
-    def op_rres(self, Y: int, Z: int) -> int:
-        # w qualifies when every R v w u with v in Y has u in Z
-        W = range(self.n)
-        return _mask(w for w in W if not any(
-            Y >> v & 1 and self._results[v][w] & ~Z for v in W))
-
-    def op_coimp(self, Y: int, Z: int) -> int:
-        return _mask(w for w in range(self.n) if self.down[w] & Y & ~Z)
-
-    def op_himp(self, Y: int, Z: int) -> int:
-        return _mask(w for w in range(self.n) if not self.up[w] & Y & ~Z)
 
     def to_json(self) -> dict:
         return {"n": self.n, "O": sorted(self.O),
@@ -177,29 +124,94 @@ class RMFrame:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RMFrame":
-        return cls(obj["n"], frozenset(obj["O"]),
-                   frozenset(tuple(t) for t in obj["R"]), tuple(obj["star"]))
+        return cls(obj["n"], obj["O"], map(tuple, obj["R"]), obj["star"])
 
 
-_OPERATIONS = {
-    fm.NEG: RMFrame.op_neg, fm.NEG_FLAT: RMFrame.op_negflat,
-    fm.NEG_SHARP: RMFrame.op_negsharp, fm.FUS: RMFrame.op_fus,
-    fm.IMP: RMFrame.op_imp, fm.RRES: RMFrame.op_rres,
-    fm.COIMP: RMFrame.op_coimp, fm.HIMP: RMFrame.op_himp,
-}
+def _frame(n: int, o_mask: int, results: tuple[tuple[int, ...], ...],
+           star: tuple[int, ...], f: Optional[RMFrame] = None) -> RMFrame:
+    """The frame of these masks, unchecked: f, or a new one, filled in.
+    results[a][b] is the mask of {c : R a b c}, and the masks are the key
+    that equality and hashing read."""
+    f = object.__new__(RMFrame) if f is None else f
+    f.n, f.o_mask, f._results, f.star = n, o_mask, results, star
+    f._key = n, o_mask, results, star
+    f.full = (1 << n) - 1
+    W = range(n)  # the derived order: up[w] = {v : w <= v}, down[v] = {u : u <= v}
+    f.up = [_union(results[o][u] for o in W if o_mask >> o & 1) for u in W]
+    f.down = [_mask(u for u in W if f.up[u] >> v & 1) for v in W]
+    f._upsets, f._tables = None, {}
+    return f
+
+
+_OR, _AND = operator.or_, operator.and_
 # operation tables by content, shared by every frame that has them
 _TABLES: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def _union(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+    return functools.reduce(_OR, masks, 0)
 
 
 def _mask(worlds) -> int:
     return _union(1 << w for w in worlds)
+
+
+def _subsets(unit, op, gen: Sequence[int]) -> list[int]:
+    """[unit op gen[w] op ... over the worlds w of Y, for every mask Y]: one
+    op per entry, as the masks with top world w extend those below by gen[w]."""
+    t = [unit]
+    for g in gen:
+        t += [op(x, g) for x in t]
+    return t
+
+
+def _binary(unit: int, op, pieces: Sequence[Sequence[int]], outside: bool = False) -> list[int]:
+    """The table of unit op pieces[y][z] op ... over y in Y and z in Z (z
+    outside Z when `outside`): the recurrence over Y per z, then over Z per Y."""
+    W = range(len(pieces))
+    cols = [_subsets(unit, op, [pieces[y][z] for y in W]) for z in W]
+    rows = (_subsets(unit, op, [col[Y] for col in cols]) for Y in range(len(cols[0])))
+    return [entry for row in rows for entry in (row[::-1] if outside else row)]
+
+
+def _operation(f: RMFrame, op: str) -> list[int]:
+    """The table of `op` on f: a union or a meet over the worlds of each
+    argument, or over those outside it, whose table is read backwards."""
+    W, masks, full, res, up, down = range(f.n), range(f.full + 1), f.full, f._results, f.up, f.down
+    if op == fm.NEG:  # meet over y in Y of {x : star x is not y}
+        return _subsets(full, _AND, [_mask(x for x in W if f.star[x] != y) for y in W])
+    if op == fm.NEG_FLAT:  # union over v outside Y of up[star v]
+        return _subsets(0, _OR, [up[s] for s in f.star])[::-1]
+    if op == fm.NEG_SHARP:  # meet over v in Y of {w : not w <= star v}
+        return _subsets(full, _AND, [full & ~down[s] for s in f.star])
+    if op == fm.FUS:  # union over y in Y and z in Z of {x : R y z x}
+        return _binary(0, _OR, res)
+    if op in (fm.IMP, fm.RRES):
+        # meet over y in Y and c outside Z of {x : not R x y c} (imp) or of
+        # {x : not R y x c} (rres)
+        rows = [[res[x][y] for x in W] for y in W] if op == fm.IMP else res
+        return _binary(full, _AND, [[full & ~_mask(x for x in W if row[x] >> c & 1)
+                                     for c in W] for row in rows], outside=True)
+    if op in (fm.COIMP, fm.HIMP):
+        # over u in Y - Z: the union of up[u], the meet of {w : not w <= u}
+        per = (_subsets(0, _OR, up) if op == fm.COIMP
+               else _subsets(full, _AND, [full & ~d for d in down]))
+        return [per[Y & ~Z] for Y in masks for Z in masks]
+    raise ValueError(f"unknown connective {op!r}")
+
+
+_OPERATIONS = (*fm.UNARY_OPS, fm.FUS, fm.IMP, fm.RRES, fm.COIMP, fm.HIMP)
+
+
+def _reader(op: str):
+    """RMFrame's method op_<op>: the operation, read off its table."""
+    if op in fm.UNARY_OPS:
+        return lambda f, Y: f.table(op)[Y]
+    return lambda f, Y, Z: f.table(op)[Y << f.n | Z]
+
+
+for _op in _OPERATIONS:
+    setattr(RMFrame, f"op_{_op}", _reader(_op))
 
 
 def _shrinks(up: Sequence[int], seq: Sequence[int]) -> bool:
@@ -264,7 +276,6 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
         raise BudgetError(f"exhaustive enumeration is capped at {MAX_WORLDS} worlds")
     if mode not in _MODE_IDENTITIES:
         raise ValueError(f"unknown frame mode {mode!r}")
-    identities_hold = _MODE_IDENTITIES[mode]
     W, masks = range(n), range(1 << n)
     found = []  # (O, R, stars), R's bit a * n * n + b * n + c for R a b c
     for up in ([tuple(1 << w for w in W)] if mode == "ra"  # up[w] = {v : w <= v}
@@ -280,42 +291,36 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
         for O, R in itertools.product(upsets[1:], itertools.product(slices, repeat=n)):
             if _shrinks(up, R) and _union(R[o] for o in W if O >> o & 1) == order:
                 found.append((O, _union(r << a * n * n for a, r in enumerate(R)), stars))
-    triples = list(itertools.product(W, repeat=3))
-    for o_bits, r_bits, stars in sorted(found):
-        O = frozenset(w for w in W if o_bits >> w & 1)
-        R = frozenset(t for i, t in enumerate(triples) if r_bits >> i & 1)
+    for o_mask, r_bits, stars in sorted(found):
+        results = tuple(tuple(r_bits >> (a * n + b) * n & masks[-1] for b in W) for a in W)
         for star in stars:
-            f = RMFrame(n, O, R, star)
-            if identities_hold(f):
+            f = _frame(n, o_mask, results, star)
+            if _MODE_IDENTITIES[mode](f):
                 yield f
 
 
-def _relabel(f: RMFrame, perm: tuple[int, ...]) -> RMFrame:
-    """The isomorphic copy of f whose world w is perm[w]."""
-    star = [0] * f.n
-    for x in range(f.n):
-        star[perm[x]] = perm[f.star[x]]
-    return RMFrame(f.n, frozenset(perm[w] for w in f.O),
-                   frozenset((perm[a], perm[b], perm[c]) for (a, b, c) in f.R),
-                   tuple(star))
+def _relabel(f: RMFrame, perm: tuple[int, ...]) -> tuple:
+    """The key (`RMFrame._key`) of the copy of f whose world w is perm[w]."""
+    W = range(f.n)
+    image, back = _subsets(0, _OR, [1 << p for p in perm]), [perm.index(v) for v in W]
+    return (f.n, image[f.o_mask],
+            tuple(tuple(image[f._results[back[a]][back[b]]] for b in W) for a in W),
+            tuple(perm[f.star[back[x]]] for x in W))
 
 
 @functools.lru_cache(maxsize=None)
-def _frame_family(n: int, mode: str
-                  ) -> tuple[tuple[tuple[int, RMFrame], ...], int]:
+def _frame_family(n: int, mode: str) -> tuple[tuple[tuple[int, RMFrame], ...], int]:
     """One frame per isomorphism class of `enumerate_frames(n, mode)`: the
     first member of each class, in that order, with its 1-based position
     there; and the number of frames it yields.  Enumerated once per process
     on first use."""
-    perms = list(itertools.permutations(range(n)))
-    # only the representatives are kept: a frame starts a new class when no
-    # copy of it is one
-    reps: set[RMFrame] = set()
-    classes = []
-    total = 0
+    # a frame starts a new class when no other copy of it (enumeration
+    # yields each frame once) is among the representatives' keys
+    perms = list(itertools.permutations(range(n)))[1:]
+    reps, classes, total = set(), [], 0
     for total, f in enumerate(enumerate_frames(n, mode), 1):
         if not any(_relabel(f, p) in reps for p in perms):
-            reps.add(f)
+            reps.add(f._key)
             classes.append((total, f))
     return tuple(classes), total
 
@@ -325,35 +330,29 @@ def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
     conditions, and reject if the star map refuses to be antitone."""
     if n < 1:
         raise ValueError("need at least one world")
+    W = range(n)
     for _ in range(200):
-        star = tuple(rng.randrange(n) for _ in range(n))
-        O = {rng.randrange(n)}
-        for w in range(n):
-            if rng.random() < density:
-                O.add(w)
-        R = {t for t in itertools.product(range(n), repeat=3)
-             if rng.random() < density}
+        star = tuple(rng.randrange(n) for _ in W)
+        O = {rng.randrange(n), *(w for w in W if rng.random() < density)}
+        R = {t for t in itertools.product(W, repeat=3) if rng.random() < density}
         # make the order reflexive, then grow R and O until conditions 2-4
         # and 6 hold
-        f = RMFrame(n, frozenset(O), frozenset(R), star)
-        R |= {(min(O), x, x) for x in range(n) if not f.leq(x, x)}
+        f = RMFrame(n, O, R, star)
+        R |= {(min(O), x, x) for x in W if not f.leq(x, x)}
         while True:
-            f = RMFrame(n, frozenset(O), frozenset(R), star)
-            order = [(x, y) for x in range(n) for y in range(n) if f.leq(x, y)]
+            f = RMFrame(n, O, R, star)
+            order = [(x, y) for x in W for y in W if f.leq(x, y)]
             grown = {(x, b, c) for (x, y) in order for (a, b, c) in R if a == y}
             grown |= {(a, x, c) for (x, y) in order for (a, b, c) in R if b == y}
             grown |= {(a, b, y) for (x, y) in order for (a, b, c) in R if c == x}
             up = {y for (x, y) in order if x in O}
             if grown <= R and up <= O:
                 break
-            R |= grown
-            O |= up
+            R, O = R | grown, O | up
         if check_frame(f):
             return f
     # dense fallback is always valid
-    return RMFrame(n, frozenset(range(n)),
-                   frozenset(itertools.product(range(n), repeat=3)),
-                   tuple(range(n)))
+    return RMFrame(n, W, itertools.product(W, repeat=3), W)
 
 
 # ---------------------------------------------------------------------------
@@ -374,31 +373,29 @@ def _admissible(f: RMFrame, kind: str) -> list[int]:
 
 
 # A formula compiles to the source of one Python expression over the values
-# of a frame f, each read off f by the source next to its name: the number
-# of worlds, the masks of all and of the normal worlds, the worlds,
-# res[a][b] (the mask of {c : R a b c}), up[w] and the star map ...
-_FRAME = {"n": "f.n", "full": "f.full", "o": "f.o_mask", "W": "range(f.n)",
-          "res": "f._results", "up": "f.up", "star": "f.star"}
-# ... and those of the following that the expression reads: the admissible
-# values of each kind of atom (C also for any other kind), and the table of
-# each connective
+# of a frame f that it names, each read off f by the source next to it: the
+# number of worlds, the masks of all and of the normal worlds, the worlds,
+# res[a][b] (the mask of {c : R a b c}), up[w], the star map, the admissible
+# values of each kind of atom (C also for any other kind) and the tables
 _RANGES = {fm.PROP: "U", fm.NOM: "N", fm.CNOM: "C"}
-_EXTRAS = {**{name: f"admissible(f, {kind!r})"
-              for kind, name in _RANGES.items()},
+_VALUES = {"n": "f.n", "full": "f.full", "o": "f.o_mask", "W": "range(f.n)",
+           "res": "f._results", "up": "f.up", "star": "f.star",
+           **{name: f"admissible(f, {kind!r})" for kind, name in _RANGES.items()},
            **{f"t_{op}": f"f.table({op!r})" for op in _OPERATIONS}}
 # a program calls nothing but these; every other name is its own
 _GLOBALS = {"__builtins__": {"all": all, "any": any, "range": range},
             "admissible": _admissible}
 
 
-def _bind(params: str, expr: str, extras) -> Callable[[RMFrame], Callable]:
+def _bind(params: Sequence[str], expr: str) -> Callable[[RMFrame], Callable]:
     """Compile a program, the only place where generated source is compiled:
     bind(f) -> the function of `params` on frame f, evaluated once as
-    `lambda f: (lambda <values>: lambda <params>: <expr>)(<values of f>)`."""
-    values = {**_FRAME, **{name: _EXTRAS[name] for name in extras}}
+    `lambda f: lambda <params>, <value>=<value of f>, ...: <expr>` over the
+    values that expr names, so no bracket encloses expr."""
+    values = [f"{name}={_VALUES[name]}" for name in
+              dict.fromkeys(re.findall(r"\w+", expr)) if name in _VALUES]
     try:
-        return eval(f"lambda f: (lambda {', '.join(values)}: "
-                    f"lambda {params}: {expr})({', '.join(values.values())})",
+        return eval(f"lambda f: lambda {', '.join([*params, *values])}: {expr}",
                     _GLOBALS)
     except (SyntaxError, MemoryError):
         # CPython's parser refuses source nested about 200 deep with these
@@ -409,9 +406,8 @@ _CONSTANTS = {fm.T: "o", fm.TOP: "full", fm.BOT: "0"}
 _LATTICE = {fm.AND: "&", fm.OR: "|"}
 
 
-def _emit(phi: Formula, names: dict[Atom, str], extras: dict[str, None]) -> str:
-    """Source of the mask of phi, whose atoms are named by `names`; the
-    table of each connective that it reads is added to `extras`."""
+def _emit(phi: Formula, names: dict[Atom, str]) -> str:
+    """Source of the mask of phi, whose atoms are named by `names`."""
     op = phi.op
     if op == fm.ATOM:
         return names[phi.atom]
@@ -419,27 +415,22 @@ def _emit(phi: Formula, names: dict[Atom, str], extras: dict[str, None]) -> str:
         return _CONSTANTS[op]
     if op not in _LATTICE and op not in _OPERATIONS:
         raise ValueError(f"unknown connective {op!r}")
-    args = [_emit(arg, names, extras) for arg in phi.args]
+    args = [_emit(arg, names) for arg in phi.args]
     if op in _LATTICE:
         return f"({args[0]} {_LATTICE[op]} {args[1]})"
-    extras[f"t_{op}"] = None
     if op in fm.UNARY_OPS:
         return f"t_{op}[{args[0]}]"
     return f"t_{op}[{args[0]} << n | {args[1]}]"
 
 
-def _compile_program(phi: Formula):
+# equal objects share a program, which each call binds to its frame
+@functools.lru_cache(maxsize=4096)
+def _program(phi: Formula):
     """(bind, the atoms of phi in order of first occurrence): the program
     maps the atoms' masks to the mask of phi."""
     atoms = tuple(fm.atoms(phi))
     names = {a: f"v{i}" for i, a in enumerate(atoms)}
-    extras: dict[str, None] = {}
-    expr = _emit(phi, names, extras)
-    return _bind(", ".join(names.values()), expr, extras), atoms
-
-
-# equal objects share a program, which each call binds to its frame
-_program = functools.lru_cache(maxsize=4096)(_compile_program)
+    return _bind(list(names.values()), _emit(phi, names)), atoms
 
 
 def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
@@ -459,13 +450,14 @@ def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
 
 
 def _validity(compile_quasi, phi: Formula):
-    """`compile_quasi`'s bind for t <= phi: phi's validity on a frame."""
-    bind, atoms = compile_quasi(Inequality(fm.t(), phi), ())
+    """`compile_quasi`'s program (or source) for t <= phi: phi's validity
+    on a frame."""
+    program, atoms = compile_quasi(Inequality(fm.t(), phi), ())
     bad = [a for a in atoms if a.kind != fm.PROP]
     if bad:
         raise ValueError(f"frame validity is defined for variable-only "
                          f"formulas; found {bad[0]!r}")
-    return bind
+    return program
 
 
 def frame_valid(f: RMFrame, phi: Formula) -> bool:
@@ -531,20 +523,17 @@ def _check_fo(g: fol.FONode) -> None:
                 _py_term(value)
 
 
-def _compile_fo(g: fol.FONode, free: tuple[str, ...],
+@functools.lru_cache(maxsize=4096)
+def _fo_program(g: fol.FONode, free: tuple[str, ...],
                 preds: Optional[tuple[int, ...]]):
     """bind for g, passed by `_check_fo`, over the values of the variables
     named `free`, then the masks of predicates `preds` (None: no valuation)."""
-    params = [*free, *(f"p{i}" for i in preds or ())]
-    return _bind(", ".join(params), _print(g, _PYTHON, 0), ())
-
-
-_fo_program = functools.lru_cache(maxsize=4096)(_compile_fo)
+    return _bind([*free, *(f"p{i}" for i in preds or ())], _print(g, _PYTHON, 0))
 
 
 def _truth(program, values, has_masks: bool) -> bool:
-    """Run a first-order program on the values of its parameters;
-    `has_masks` tells whether its predicates were given masks."""
+    """Run a program that reads a first-order formula on the values of its
+    parameters; `has_masks` tells whether its predicates were given masks."""
     try:
         return bool(program(*values))
     except NameError as exc:
@@ -560,24 +549,21 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
             valuation: Optional[dict[Atom, int]] = None) -> bool:
     """Classical satisfaction over the frame signature.  The optional
     valuation interprets the unary predicates of standard translations."""
-    env = env or {}
-    values = list(env.values())
-    preds = None
-    if valuation is not None:
-        masks: dict[int, int] = {}
-        for a, val in valuation.items():
-            if a.kind == fm.PROP and _is_index(a.index):
-                masks.setdefault(a.index, val)
-        preds = tuple(masks)
-        values += masks.values()
+    env, masks = env or {}, {}
+    for a, val in (valuation or {}).items():
+        if a.kind == fm.PROP and _is_index(a.index):
+            masks.setdefault(a.index, val)
+    preds = None if valuation is None else tuple(masks)
+    values = [*env.values(), *masks.values()]
     free = tuple(map(_py_var, env))
     _check_fo(g)
     return _truth(_fo_program(g, free, preds)(f), values, preds is not None)
 
 
-def _compile_quasi(obj, given: tuple[Atom, ...]):
-    """Compile a (quasi-)inequality for the masks of the atoms `given`,
-    closed universally over its other atoms; returns (bind, those atoms).
+def _quasi_source(obj, given: tuple[Atom, ...]):
+    """The source of a (quasi-)inequality for the masks of the atoms
+    `given`, closed universally over its other atoms: ((params, expr),
+    those atoms).
     The program is `<fixed parts> or not any(<other parts> for ...)`: the
     inequalities that mention no closed-over atom are tested once per call
     (a premise failing or the conclusion holding decides it), and a
@@ -589,27 +575,27 @@ def _compile_quasi(obj, given: tuple[Atom, ...]):
         raise TypeError(f"cannot evaluate {obj!r}")
     missing = tuple(a for a in obj.atoms() if a not in given)
     names = {a: f"v{i}" for i, a in enumerate(given + missing)}
-    extras: dict[str, None] = {}
     fixed, moving = [], []
     for ineq, premise in [*((p, True) for p in obj.premises),
                           (obj.conclusion, False)]:
         # the worlds where lhs is not below rhs, for admissible masks
-        outside = (f"{_emit(ineq.lhs, names, extras)}"
-                   f" & ~{_emit(ineq.rhs, names, extras)}")
+        outside = f"{_emit(ineq.lhs, names)} & ~{_emit(ineq.rhs, names)}"
         if any(a in missing for a in ineq.atoms()):
             moving.append(f"not {outside}" if premise else outside)
         else:
             fixed.append(f"{outside} != 0" if premise else f"not {outside}")
     if moving:
-        ranges = {names[a]: _RANGES.get(a.kind, "C") for a in missing}
-        extras.update(dict.fromkeys(ranges.values()))
-        loops = "".join(f" for {name} in {r}" for name, r in ranges.items())
+        loops = "".join(f" for {names[a]} in {_RANGES.get(a.kind, 'C')}"
+                        for a in missing)
         fixed.append(f"not any({' and '.join(moving)}{loops})")
-    params = ", ".join(names[a] for a in given)
-    return _bind(params, " or ".join(fixed), extras), missing
+    return ([names[a] for a in given], " or ".join(fixed)), missing
 
 
-_quasi_program = functools.lru_cache(maxsize=256)(_compile_quasi)
+@functools.lru_cache(maxsize=256)
+def _quasi_program(obj, given: tuple[Atom, ...]):
+    """(bind, the atoms closed over) for `_quasi_source(obj, given)`."""
+    source, missing = _quasi_source(obj, given)
+    return _bind(*source), missing
 
 
 def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
@@ -639,12 +625,9 @@ class CorrespondenceReport:
     frames_checked: int
 
     def to_json(self) -> dict:
-        return {
-            "agree": self.agree,
-            "frames_checked": self.frames_checked,
-            "counterexample": None if self.counterexample is None
-            else self.counterexample.to_json(),
-        }
+        f = self.counterexample
+        return {"agree": self.agree, "frames_checked": self.frames_checked,
+                "counterexample": None if f is None else f.to_json()}
 
 
 def correspondence_check(phi: Formula, g: fol.FONode, n: int,
@@ -658,20 +641,21 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     first member: the report names it with its position among all frames,
     and an agreeing report counts all frames, not classes.  A pair that
     reads no star gets the verdicts of its (O, R), so only the first class
-    frame of each (O, R) is evaluated.  Both formulas are compiled once;
-    each size and mode is enumerated once per process."""
+    frame of each (O, R) is evaluated.  Both formulas are compiled into one
+    program, which says whether the verdicts differ and is bound once per
+    evaluated frame; each size and mode is enumerated once per process."""
     if n < 1:
         raise ValueError("need at least one world")
     if n > MAX_WORLDS:
         raise BudgetError(f"correspondence checking is capped at {MAX_WORLDS} worlds")
     if fol.free_vars(g):
         raise ValueError("the first-order formula must be closed")
-    # compiled here rather than through the program caches: a check runs
-    # long enough to amortise compilation, and cached programs would only
-    # hold memory across the checks of a batch
-    valid = _validity(_compile_quasi, phi)
+    # compiled here, as the caches would only hold memory across a batch;
+    # the brackets take the nesting level that `_bind` no longer spends, so
+    # the ceiling is that of frame_valid
+    _, valid = _validity(_quasi_source, phi)
     _check_fo(g)
-    fo = _compile_fo(g, (), None)
+    differ = _bind((), f"({valid}) != ({_print(g, _PYTHON, 0)})")
     # the negations are the only connectives whose tables read the star
     star_free = not any(x.op in fm.UNARY_OPS for x in fm.walk(phi)) and not any(
         isinstance(t, fol.Star) for x in fol.walk(g) for t in vars(x).values())
@@ -680,10 +664,10 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
         classes, total = _frame_family(size, mode)
         last = None
         for position, f in classes:
-            if star_free and (f.O, f.R) == last:
+            if star_free and (f.o_mask, f._results) == last:
                 continue  # the verdicts of the last frame evaluated
-            last = f.O, f.R
-            if valid(f)() != _truth(fo(f), (), False):
+            last = f.o_mask, f._results
+            if _truth(differ(f), (), False):
                 return CorrespondenceReport(False, f, checked + position)
         checked += total
     return CorrespondenceReport(True, None, checked)

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -139,6 +140,22 @@ def test_inequalities_pickle_with_a_rebuilt_hash_and_table():
                              env={**os.environ, "PYTHONHASHSEED": seed,
                                   "PYTHONPATH": src}, check=True)
         assert out.stdout == b"True\n"
+
+
+def test_frozen_nodes_refuse_every_attribute():
+    # a name that is not a field used to raise TypeError from the
+    # dataclass-made __setattr__ of a slotted class
+    p = fm.var(0, "p")
+    ineq = Inequality(p, fm.t())
+    nodes = ((p.atom, "kind"), (p, "op"), (ineq, "lhs"),
+             (QuasiInequality((ineq,), ineq), "premises"))
+    for obj, field in nodes:
+        for name in (field, "extra", "_hash"):
+            with pytest.raises(FrozenInstanceError, match="cannot assign to field"):
+                setattr(obj, name, 1)
+            with pytest.raises(FrozenInstanceError, match="cannot delete field"):
+                delattr(obj, name)
+        assert not hasattr(obj, "__dict__") and not hasattr(obj, "extra")
 
 
 def test_fresh_supply_issues_the_least_free_atoms():

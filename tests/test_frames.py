@@ -224,7 +224,7 @@ def test_equal_objects_share_one_program():
 
 
 def test_correspondence_check_leaves_the_program_caches_alone():
-    # a check compiles its two programs itself, so a batch of checks keeps
+    # a check compiles its one program itself, so a batch of checks keeps
     # no program alive
     for cache in CACHES:
         cache.cache_clear()

@@ -15,7 +15,8 @@ required an antichain order.  `ref_enumerate_frames` reads `ref_check_frame`,
 the frame check that tested the conditions triple by triple, kept verbatim
 as the reference for the one on masks: the two must agree on every
 structure with at most two worlds and on seeded random structures with
-three and four.
+three and four.  `ref_relabel`, which built each renamed copy of a frame
+from its sets, is the reference for the relabelling on masks.
 """
 
 import itertools
@@ -358,13 +359,16 @@ def _assert_extensions_agree(frames, phi):
 # -- object language ----------------------------------------------------------
 
 def test_operations_match_their_definitions(mode_frames):
-    # the operation tables are filled by the op_* methods, which the
-    # reference interpreter calls too; check them against the set-theoretic
-    # definitions, read straight off O, R and star
+    # every entry of every operation table, which the op_* methods and so
+    # the reference interpreter read, against the set-theoretic definitions
+    # read straight off O, R and star: on the frames of all three modes and
+    # on seeded 3-world frames, where the subset recurrence must hold too
     rng = random.Random(11)
-    frames = mode_frames["relevance"] + [random_frame(rng, 3) for _ in range(12)]
+    frames = [f for mode in MODES for f in mode_frames[mode]]
+    frames += [random_frame(rng, 3) for _ in range(12)]
+    assert {f.n for f in frames} == {1, 2, 3}
     for f in frames:
-        W = range(f.n)
+        W, masks = range(f.n), range(f.full + 1)
 
         def leq(u, v):
             return any(o in f.O and (o, u, v) in f.R for o in W)
@@ -372,27 +376,65 @@ def test_operations_match_their_definitions(mode_frames):
         def mask(ws):
             return sum(1 << w for w in set(ws))
 
-        for Y in range(f.full + 1):
-            y = {w for w in W if Y >> w & 1}
-            assert f.op_neg(Y) == mask(x for x in W if f.star[x] not in y)
-            assert f.op_negflat(Y) == mask(
-                w for w in W if any(leq(f.star[v], w) for v in W if v not in y))
-            assert f.op_negsharp(Y) == mask(
-                w for w in W if not any(leq(w, f.star[v]) for v in y))
-            for Z in range(f.full + 1):
-                z = {w for w in W if Z >> w & 1}
-                assert f.op_fus(Y, Z) == mask(
-                    x for x in W for a in y for b in z if (a, b, x) in f.R)
-                assert f.op_imp(Y, Z) == mask(
-                    x for x in W if all(c in z for a in y for c in W
-                                        if (x, a, c) in f.R))
-                assert f.op_rres(Y, Z) == mask(
-                    w for w in W if all(u in z for v in y for u in W
-                                        if (v, w, u) in f.R))
-                assert f.op_coimp(Y, Z) == mask(
-                    w for w in W if any(leq(u, w) for u in y - z))
-                assert f.op_himp(Y, Z) == mask(
-                    w for w in W if all(u in z for u in y if leq(w, u)))
+        sets = [{w for w in W if Y >> w & 1} for Y in masks]
+        unary = [
+            (fm.NEG, f.op_neg, lambda y: mask(x for x in W if f.star[x] not in y)),
+            (fm.NEG_FLAT, f.op_negflat, lambda y: mask(
+                w for w in W if any(leq(f.star[v], w) for v in W if v not in y))),
+            (fm.NEG_SHARP, f.op_negsharp, lambda y: mask(
+                w for w in W if not any(leq(w, f.star[v]) for v in y)))]
+        binary = [
+            (fm.FUS, f.op_fus, lambda y, z: mask(
+                x for x in W for a in y for b in z if (a, b, x) in f.R)),
+            (fm.IMP, f.op_imp, lambda y, z: mask(
+                x for x in W if all(c in z for a in y for c in W if (x, a, c) in f.R))),
+            (fm.RRES, f.op_rres, lambda y, z: mask(
+                w for w in W if all(u in z for v in y for u in W if (v, w, u) in f.R))),
+            (fm.COIMP, f.op_coimp, lambda y, z: mask(
+                w for w in W if any(leq(u, w) for u in y - z))),
+            (fm.HIMP, f.op_himp, lambda y, z: mask(
+                w for w in W if all(u in z for u in y if leq(w, u))))]
+        for op, method, definition in unary:
+            want = tuple(definition(y) for y in sets)
+            assert f.table(op) == want, (op, f)
+            assert tuple(map(method, masks)) == want
+        for op, method, definition in binary:
+            want = tuple(definition(y, z) for y in sets for z in sets)
+            assert f.table(op) == want, (op, f)
+            assert tuple(method(Y, Z) for Y in masks for Z in masks) == want
+
+
+def test_mask_equality_and_hashing_agree_with_the_sets():
+    # enumerated frames are built from bits, their JSON copies from the sets
+    # of O and R: equal and of equal hash exactly when (n, O, R, star) are
+    frames = [f for mode in MODES for n in (1, 2) for f in enumerate_frames(n, mode)]
+    copies = [RMFrame.from_json(f.to_json()) for f in frames]
+    sets = [(f.n, f.O, f.R, f.star) for f in frames]
+    for f, g in zip(frames, copies):
+        assert f == g and hash(f) == hash(g) and f is not g
+        assert (g.n, g.O, g.R, g.star) == (f.n, f.O, f.R, f.star)
+    for f, s in zip(frames, sets):
+        assert [f == g for g in copies] == [s == t for t in sets]
+    assert len(set(frames) | set(copies)) == len(set(sets)) == 211
+
+
+def ref_relabel(f: RMFrame, perm: tuple[int, ...]) -> RMFrame:
+    """The isomorphic copy of f whose world w is perm[w]."""
+    star = [0] * f.n
+    for x in range(f.n):
+        star[perm[x]] = perm[f.star[x]]
+    return RMFrame(f.n, frozenset(perm[w] for w in f.O),
+                   frozenset((perm[a], perm[b], perm[c]) for (a, b, c) in f.R),
+                   tuple(star))
+
+
+def test_relabelling_on_masks_matches_the_copy_built_from_sets(mode_frames):
+    # _relabel gives the key of the copy without building it
+    rng = random.Random(5)
+    frames = mode_frames["relevance"] + [random_frame(rng, 3) for _ in range(12)]
+    for f in frames:
+        for perm in itertools.permutations(range(f.n)):
+            assert _relabel(f, perm) == ref_relabel(f, perm)._key, (f, perm)
 
 
 def test_extension_matches_reference_on_corpus(corpus_entries, mode_frames):
@@ -608,7 +650,8 @@ def _reference_report(phi, g, frames):
     return True, None, checked
 
 
-def _orbit(f: RMFrame) -> set[RMFrame]:
+def _orbit(f: RMFrame) -> set[tuple]:
+    """The keys of the copies of f under every renaming of its worlds."""
     return {_relabel(f, p) for p in itertools.permutations(range(f.n))}
 
 
@@ -619,15 +662,16 @@ def test_frame_classes_expand_to_the_labelled_frames(mode, totals, classes):
     for n, total, count in zip((1, 2), totals, classes):
         family, labelled = _frame_family(n, mode)
         frames = list(enumerate_frames(n, mode))
+        keys = [f._key for f in frames]
         assert labelled == len(frames) == total and len(family) == count
         orbits = [_orbit(f) for _, f in family]
         # the orbits are disjoint and together make up the labelled frames
         assert sum(map(len, orbits)) == len(set().union(*orbits)) == total
-        assert set().union(*orbits) == set(frames)
+        assert set().union(*orbits) == set(keys)
         # each class is kept as its first member, at its labelled position
         for position, f in family:
             assert frames[position - 1] == f
-            assert frames.index(f) == min(frames.index(g) for g in _orbit(f))
+            assert keys.index(f._key) == min(map(keys.index, _orbit(f)))
 
 
 def test_correspondence_check_count_and_first_counterexample(mode_frames):
