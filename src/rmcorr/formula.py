@@ -56,10 +56,6 @@ POLARITY = {
     COIMP: (1, -1),
 }
 
-# Connectives admitted in the base (un-extended) relevance language.
-BASE_OPS = frozenset({ATOM, T, TOP, BOT, NEG, AND, OR, FUS, IMP})
-
-
 _set = object.__setattr__  # the fields of a frozen node are set once
 
 
@@ -253,17 +249,6 @@ def is_pure(phi: Formula) -> bool:
     return not any(node.op == ATOM and node.atom.kind == PROP for node in walk(phi))
 
 
-def in_base_language(phi: Formula) -> bool:
-    """True when phi lies in the base relevance language (no extended ops,
-    no nominals or co-nominals)."""
-    for node in walk(phi):
-        if node.op not in BASE_OPS:
-            return False
-        if node.op == ATOM and node.atom.kind != PROP:
-            return False
-    return True
-
-
 def occurrences(phi: Formula, a: Atom) -> list[tuple[tuple[int, ...], int]]:
     """All occurrences of atom a in phi as (path, sign) pairs.
 
@@ -282,15 +267,6 @@ def occurrences(phi: Formula, a: Atom) -> list[tuple[tuple[int, ...], int]]:
         for i in range(len(node.args) - 1, -1, -1):
             stack.append((path + (i,), node.args[i], sign * pol[i]))
     return out
-
-
-def is_positive_in(phi: Formula, a: Atom) -> bool:
-    """True iff every occurrence of a in phi is positive (vacuously true)."""
-    return all(sign > 0 for _, sign in occurrences(phi, a))
-
-
-def is_negative_in(phi: Formula, a: Atom) -> bool:
-    return all(sign < 0 for _, sign in occurrences(phi, a))
 
 
 def substitute(phi: Formula, a: Atom, psi: Formula) -> Formula:

@@ -3,13 +3,14 @@ star map, built on their order (210 of 4,096 structures on two worlds; three
 stay capped); evaluation of formulas; the brute-force correspondence checker.
 
 Worlds are 0..n-1 and sets of worlds are bitmasks.  A frame is the masks of
-its normal worlds and rows R a b, and its star; O and R are views of them.
-Each complex-algebra operation is a union or a meet over the worlds of its
-arguments, so a frame tabulates it on first use by the subset recurrence,
-one | or & per entry.  Each distinct formula of either language compiles
-once, to the source of one Python expression over the frame's values and
-tables; a correspondence check compiles frame validity (t <= phi) and the
-first-order candidate into one program, bound once per frame.  Only
+its normal worlds and rows R a b, and its star; what it derives from them
+(the O and R views, its up-sets and its operation tables) it builds on
+first use and keeps.  Each complex-algebra operation is a union or a meet
+over the worlds of its arguments, tabulated by the subset recurrence, one |
+or & per entry.  Each distinct formula of either language compiles once, to
+the source of one Python expression over the frame's values and tables; a
+correspondence check compiles frame validity (t <= phi) and the first-order
+candidate into one program, bound once per class frame of one family.  Only
 negations and Star terms read the star, so a check of a pair without them
 evaluates one frame per (O, R).  CPython compiles no source nested more
 than about 200 deep: a formula nested deeper raises RecursionError.
@@ -61,7 +62,7 @@ class RMFrame:
     check.  The order u <= v is derived: some normal world o has R o u v."""
 
     __slots__ = ("n", "o_mask", "_results", "star", "_key", "full", "up",
-                 "down", "_upsets", "_tables")
+                 "down", "_derived")
 
     def __init__(self, n: int, O: Iterable[int], R: Iterable[tuple], star: Iterable[int]):
         O, R, star = tuple(O), tuple(R), tuple(star)
@@ -77,13 +78,11 @@ class RMFrame:
 
     @property
     def O(self) -> frozenset[int]:
-        return frozenset(w for w in range(self.n) if self.o_mask >> w & 1)
+        return self.table("O")
 
     @property
     def R(self) -> frozenset[tuple[int, int, int]]:
-        W = range(self.n)
-        return frozenset((a, b, c) for a in W for b in W for c in W
-                         if self._results[a][b] >> c & 1)
+        return self.table("R")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RMFrame) and self._key == other._key
@@ -99,19 +98,16 @@ class RMFrame:
 
     def upsets(self) -> list[int]:
         """All order-up-closed masks, ascending."""
-        if self._upsets is None:
-            self._upsets = [S for S in range(self.full + 1) if self.is_upset(S)]
-        return self._upsets
+        return self.table("upsets")
 
     def table(self, op: str) -> tuple[int, ...]:
         """The complex-algebra operation of connective `op` over all masks,
-        built on first use: indexed by Y for a negation and by
-        Y * 2**n + Z for a binary operation.  Equal tables are shared
-        between frames."""
-        t = self._tables.get(op)
+        built on first use and kept: indexed by Y for a negation and by
+        Y * 2**n + Z for a binary operation.  The views and the up-sets are
+        kept with the tables, under "O", "R" and "upsets"."""
+        t = self._derived.get(op)
         if t is None:
-            t = tuple(_operation(self, op))
-            t = self._tables[op] = _TABLES.setdefault(t, t)
+            t = self._derived[op] = _operation(self, op)
         return t
 
     def is_upset(self, S: int) -> bool:
@@ -139,13 +135,11 @@ def _frame(n: int, o_mask: int, results: tuple[tuple[int, ...], ...],
     W = range(n)  # the derived order: up[w] = {v : w <= v}, down[v] = {u : u <= v}
     f.up = [_union(results[o][u] for o in W if o_mask >> o & 1) for u in W]
     f.down = [_mask(u for u in W if f.up[u] >> v & 1) for v in W]
-    f._upsets, f._tables = None, {}
+    f._derived = {}
     return f
 
 
 _OR, _AND = operator.or_, operator.and_
-# operation tables by content, shared by every frame that has them
-_TABLES: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def _union(masks) -> int:
@@ -156,28 +150,35 @@ def _mask(worlds) -> int:
     return _union(1 << w for w in worlds)
 
 
-def _subsets(unit, op, gen: Sequence[int]) -> list[int]:
-    """[unit op gen[w] op ... over the worlds w of Y, for every mask Y]: one
+def _subsets(unit, op, gen: Sequence[int]) -> Sequence[int]:
+    """(unit op gen[w] op ... over the worlds w of Y, for every mask Y): one
     op per entry, as the masks with top world w extend those below by gen[w]."""
     t = [unit]
     for g in gen:
         t += [op(x, g) for x in t]
-    return t
+    return tuple(t)
 
 
-def _binary(unit: int, op, pieces: Sequence[Sequence[int]], outside: bool = False) -> list[int]:
+def _binary(unit: int, op, pieces: Sequence[Sequence[int]], outside: bool = False) -> Sequence[int]:
     """The table of unit op pieces[y][z] op ... over y in Y and z in Z (z
     outside Z when `outside`): the recurrence over Y per z, then over Z per Y."""
     W = range(len(pieces))
     cols = [_subsets(unit, op, [pieces[y][z] for y in W]) for z in W]
     rows = (_subsets(unit, op, [col[Y] for col in cols]) for Y in range(len(cols[0])))
-    return [entry for row in rows for entry in (row[::-1] if outside else row)]
+    return tuple(entry for row in rows for entry in (row[::-1] if outside else row))
 
 
-def _operation(f: RMFrame, op: str) -> list[int]:
+def _operation(f: RMFrame, op: str):
     """The table of `op` on f: a union or a meet over the worlds of each
-    argument, or over those outside it, whose table is read backwards."""
+    argument, or over those outside it, whose table is read backwards; or
+    the O or R view, or the up-sets."""
     W, masks, full, res, up, down = range(f.n), range(f.full + 1), f.full, f._results, f.up, f.down
+    if op == "O":
+        return frozenset(w for w in W if f.o_mask >> w & 1)
+    if op == "R":
+        return frozenset((a, b, c) for a in W for b in W for c in W if res[a][b] >> c & 1)
+    if op == "upsets":
+        return [S for S in masks if f.is_upset(S)]
     if op == fm.NEG:  # meet over y in Y of {x : star x is not y}
         return _subsets(full, _AND, [_mask(x for x in W if f.star[x] != y) for y in W])
     if op == fm.NEG_FLAT:  # union over v outside Y of up[star v]
@@ -196,7 +197,7 @@ def _operation(f: RMFrame, op: str) -> list[int]:
         # over u in Y - Z: the union of up[u], the meet of {w : not w <= u}
         per = (_subsets(0, _OR, up) if op == fm.COIMP
                else _subsets(full, _AND, [full & ~d for d in down]))
-        return [per[Y & ~Z] for Y in masks for Z in masks]
+        return tuple(per[Y & ~Z] for Y in masks for Z in masks)
     raise ValueError(f"unknown connective {op!r}")
 
 
@@ -310,19 +311,21 @@ def _relabel(f: RMFrame, perm: tuple[int, ...]) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _frame_family(n: int, mode: str) -> tuple[tuple[tuple[int, RMFrame], ...], int]:
-    """One frame per isomorphism class of `enumerate_frames(n, mode)`: the
-    first member of each class, in that order, with its 1-based position
-    there; and the number of frames it yields.  Enumerated once per process
-    on first use."""
-    # a frame starts a new class when no other copy of it (enumeration
-    # yields each frame once) is among the representatives' keys
-    perms = list(itertools.permutations(range(n)))[1:]
-    reps, classes, total = set(), [], 0
-    for total, f in enumerate(enumerate_frames(n, mode), 1):
-        if not any(_relabel(f, p) in reps for p in perms):
+    """One frame per isomorphism class of the valid frames on 1..n worlds,
+    size by size in the order of `enumerate_frames`: the first member of
+    each class, with its 1-based position among all those frames; and
+    their number.  Built once per process on first use: size n is
+    enumerated, raising on a size or mode out of range, before the family
+    of n - 1 is fetched."""
+    # a frame starts a new class when no copy of it, itself included, is
+    # among the representatives' keys: enumeration yields each frame once
+    reps, classes, count = set(), [], 0
+    for count, f in enumerate(enumerate_frames(n, mode), 1):
+        if not any(_relabel(f, p) in reps for p in itertools.permutations(range(n))):
             reps.add(f._key)
-            classes.append((total, f))
-    return tuple(classes), total
+            classes.append((count, f))
+    smaller, total = _frame_family(n - 1, mode) if n > 1 else ((), 0)
+    return smaller + tuple((total + i, f) for i, f in classes), total + count
 
 
 def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
@@ -643,11 +646,9 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     reads no star gets the verdicts of its (O, R), so only the first class
     frame of each (O, R) is evaluated.  Both formulas are compiled into one
     program, which says whether the verdicts differ and is bound once per
-    evaluated frame; each size and mode is enumerated once per process."""
-    if n < 1:
-        raise ValueError("need at least one world")
-    if n > MAX_WORLDS:
-        raise BudgetError(f"correspondence checking is capped at {MAX_WORLDS} worlds")
+    evaluated frame.  The frames come from `_frame_family(n, mode)`, whose
+    enumeration raises on a size or mode out of range."""
+    classes, total = _frame_family(n, mode)
     if fol.free_vars(g):
         raise ValueError("the first-order formula must be closed")
     # compiled here, as the caches would only hold memory across a batch;
@@ -659,15 +660,11 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     # the negations are the only connectives whose tables read the star
     star_free = not any(x.op in fm.UNARY_OPS for x in fm.walk(phi)) and not any(
         isinstance(t, fol.Star) for x in fol.walk(g) for t in vars(x).values())
-    checked = 0
-    for size in range(1, n + 1):
-        classes, total = _frame_family(size, mode)
-        last = None
-        for position, f in classes:
-            if star_free and (f.o_mask, f._results) == last:
-                continue  # the verdicts of the last frame evaluated
-            last = f.o_mask, f._results
-            if _truth(differ(f), (), False):
-                return CorrespondenceReport(False, f, checked + position)
-        checked += total
-    return CorrespondenceReport(True, None, checked)
+    last = None
+    for position, f in classes:
+        if star_free and (f.o_mask, f._results) == last:
+            continue  # the verdicts of the last frame evaluated
+        last = f.o_mask, f._results
+        if _truth(differ(f), (), False):
+            return CorrespondenceReport(False, f, position)
+    return CorrespondenceReport(True, None, total)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rmcorr import formula as fm
-from rmcorr.formula import (Atom, fresh_atom, is_negative_in, is_positive_in,
-                            occurrences, substitute)
+from rmcorr.formula import Atom, fresh_atom, occurrences, substitute
 from rmcorr.syntax import parse
 
 p = Atom(fm.PROP, 0, "p")
@@ -92,20 +91,6 @@ def test_occurrences_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_positive_in():
-    assert is_positive_in(parse(r"q \lor q"), q)
-    assert not is_positive_in(parse(r"p \to q"), p)
-    assert is_negative_in(parse(r"p \to q"), p)
-    assert is_positive_in(parse(r"\sim \sim p"), p)
-
-
-def test_positive_in_vacuous():
-    # atom identity is (kind, index): an absent index is vacuously both
-    absent = Atom(fm.PROP, 7)
-    assert is_positive_in(parse(r"q"), absent)
-    assert is_negative_in(parse(r"q"), absent)
-
-
 def test_substitute():
     phi = parse(r"p \land q")
     assert substitute(phi, p, fm.bot()) == fm.conj(fm.bot(), fm.var(1, "q"))
@@ -139,12 +124,6 @@ def test_fresh_atom_injective_across_accumulated_calls():
 def test_purity():
     assert fm.is_pure(parse(r"\mathbf i \circ \mathbf j_1"))
     assert not fm.is_pure(parse(r"\mathbf i \circ p"))
-
-
-def test_base_language():
-    assert fm.in_base_language(parse(r"\sim (p \circ q) \to \mathbf t"))
-    assert not fm.in_base_language(parse(r"p \Rightarrow q"))
-    assert not fm.in_base_language(parse(r"\mathbf i"))
 
 
 def test_substitute_preserves_purity():
