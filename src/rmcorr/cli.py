@@ -8,14 +8,13 @@ written; 3 verification disagreement.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .corpus import BUNDLED, load_corpus
 from .frames import MAX_WORLDS, correspondence_check
 from .pipeline import correspondent
-from .render import OutputFormat, render, render_report, result_to_json
+from .render import OutputFormat, render, render_report
 from .syntax import ParseError, SyntaxMode, parse
 
 EXIT_OK = 0
@@ -49,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--trace", action="store_true",
                     help="include the rule-by-rule derivation")
     ap.add_argument("--expand-leq", action="store_true",
-                    help="unfold the derived order into O and R in sentence "
-                         "output")
+                    help="unfold the derived order into O and R in corpus "
+                         "rows and a text report's last correspondent line")
     ap.add_argument("--out", metavar="PATH", help="write the report to a file")
     return ap
 
@@ -69,6 +68,13 @@ def _emit(text: str, out: str | None, code: int) -> int:
     return code
 
 
+def _verify(phi, result, args):
+    """The oracle's report when the run succeeded and --verify is set."""
+    if result.status != "success" or not args.verify:
+        return None
+    return correspondence_check(phi, result.fo, args.verify, mode=args.syntax)
+
+
 def _run_single(args) -> int:
     mode = SyntaxMode(args.syntax)
     if args.input is not None:
@@ -85,30 +91,14 @@ def _run_single(args) -> int:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_INPUT
     result = correspondent(phi, mode)
-    rep = None
-    if result.status == "success" and args.verify:
-        try:
-            rep = correspondence_check(phi, result.fo, args.verify,
-                                       mode=args.syntax)
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_INPUT
-    fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.JSON:
-        # one JSON document: the verdict goes inside the report
-        obj = result_to_json(result, trace=args.trace)
-        if rep is not None:
-            obj["verification"] = rep.to_json()
-        report = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    else:
-        report = render_report(result, fmt, expand=args.expand_leq,
-                               name="input", trace=args.trace)
-        if rep is not None and rep.agree:
-            report += (f"Verified: agreement on all {rep.frames_checked} "
-                       f"frames with up to {args.verify} worlds\n")
-        elif rep is not None:
-            report += ("Verification FAILED; counterexample frame: "
-                       + str(rep.counterexample.to_json()) + "\n")
+    try:
+        rep = _verify(phi, result, args)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
+    report = render_report(result, OutputFormat(args.format),
+                           expand=args.expand_leq, name="input",
+                           trace=args.trace, verification=rep)
     code = (EXIT_ELIMINATION if result.status != "success"
             else EXIT_OK if rep is None or rep.agree else EXIT_DISAGREE)
     return _emit(report, args.out, code)
@@ -146,16 +136,14 @@ def _run_corpus(args) -> int:
             if tex != entry.expected_fo:
                 notes.append("expected-mismatch")
                 code = max(code, EXIT_DISAGREE)
-        if args.verify:
-            try:
-                rep = correspondence_check(phi, result.fo, args.verify,
-                                           mode=args.syntax)
-            except ValueError as exc:
-                sys.stderr.write(f"error: {entry.name}: {exc}\n")
-                return EXIT_INPUT
-            if not rep.agree:
-                notes.append("oracle-disagreement")
-                code = max(code, EXIT_DISAGREE)
+        try:
+            rep = _verify(phi, result, args)
+        except ValueError as exc:
+            sys.stderr.write(f"error: {entry.name}: {exc}\n")
+            return EXIT_INPUT
+        if rep is not None and not rep.agree:
+            notes.append("oracle-disagreement")
+            code = max(code, EXIT_DISAGREE)
         lines.append(f"{entry.name}\tok\t[{order}]\t{rendered}"
                      + ("\t" + ";".join(notes) if notes else ""))
     return _emit("\n".join(lines) + "\n", args.out, code)

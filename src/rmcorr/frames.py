@@ -553,6 +553,9 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
     """Classical satisfaction over the frame signature.  The optional
     valuation interprets the unary predicates of standard translations."""
     env, masks = env or {}, {}
+    for w in env.values():
+        if not (_is_index(w) and w < f.n):
+            raise ValueError(f"world {w!r} is not one of the {f.n} worlds")
     for a, val in (valuation or {}).items():
         if a.kind == fm.PROP and _is_index(a.index):
             masks.setdefault(a.index, val)
@@ -626,6 +629,7 @@ class CorrespondenceReport:
     agree: bool
     counterexample: Optional[RMFrame]
     frames_checked: int
+    coverage: str
 
     def to_json(self) -> dict:
         f = self.counterexample
@@ -649,6 +653,7 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     evaluated frame.  The frames come from `_frame_family(n, mode)`, whose
     enumeration raises on a size or mode out of range."""
     classes, total = _frame_family(n, mode)
+    coverage = f"all {total} frames with up to {n} worlds"
     if fol.free_vars(g):
         raise ValueError("the first-order formula must be closed")
     # compiled here, as the caches would only hold memory across a batch;
@@ -666,5 +671,5 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
             continue  # the verdicts of the last frame evaluated
         last = f.o_mask, f._results
         if _truth(differ(f), (), False):
-            return CorrespondenceReport(False, f, position)
-    return CorrespondenceReport(True, None, total)
+            return CorrespondenceReport(False, f, position, coverage)
+    return CorrespondenceReport(True, None, total, coverage)

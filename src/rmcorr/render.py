@@ -217,13 +217,17 @@ def fo_to_json(f: FONode) -> dict:
 
 def render_report(result, fmt: OutputFormat = OutputFormat.TEX,
                   expand: bool = False, name: str = "formula",
-                  trace: bool = False) -> str:
-    """Human-readable phase report for one pipeline result."""
+                  trace: bool = False, verification=None) -> str:
+    """The report of one run, ending in a newline: the phases of a pipeline
+    result, then the verdict of a `CorrespondenceReport` if one is given.
+    JSON is one document, with the verdict under `verification`."""
     from .syntax import to_text
 
     if fmt is OutputFormat.JSON:
-        return json.dumps(result_to_json(result, trace=trace), indent=2,
-                          sort_keys=True)
+        obj = result_to_json(result, trace=trace)
+        if verification is not None:
+            obj["verification"] = verification.to_json()
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     lines = [f"Input: {to_text(result.formula, result.mode)}"]
     lines.append("Initial inequalities: ["
                  + "; ".join(g.initial.text(result.mode) for g in result.goals) + "]")
@@ -258,6 +262,11 @@ def render_report(result, fmt: OutputFormat = OutputFormat.TEX,
                 target = "" if step.premise is None else f" @ premise {step.premise}"
                 lines.append(f"  {step.rule}{target}: "
                              + step.result.text(result.mode))
+    if verification is not None and verification.agree:
+        lines.append(f"Verified: agreement on {verification.coverage}")
+    elif verification is not None:
+        lines.append("Verification FAILED; counterexample frame: "
+                     + str(verification.counterexample.to_json()))
     return "\n".join(lines) + "\n"
 
 

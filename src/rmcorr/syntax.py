@@ -22,7 +22,7 @@ longest spelling, and a ``\\word`` never runs into a following letter.
 Variables are single letters with an optional ASCII-digit subscript.  The
 implication chain is one loop; ``\\lor``, ``\\land`` and fusion are one
 precedence-climbing loop over ``_PREC`` (Pratt, POPL 1973).  The parser
-recurses only on parentheses.
+recurses only on parentheses; the printer reads the same table.
 """
 
 from __future__ import annotations
@@ -298,62 +298,48 @@ def parse(source: str, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> Formula:
     return phi
 
 
+def _spelling(node: Formula, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> str:
+    """The mode's spelling of a leaf or a connective, or ValueError."""
+    if node.op == fm.ATOM:
+        return node.atom.display()
+    tok = _CONST_TOKENS.get(node.op) or _op_tokens(mode).get(node.op)
+    if tok is None:
+        raise ValueError(f"connective {node.op!r} has no {mode.value} notation")
+    return tok
+
+
 def to_text(phi: Formula, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> str:
-    """Render a formula in the mode's notation with minimal parentheses.
+    """Render a formula in the mode's notation with minimal parentheses: a
+    part is parenthesised when it binds more loosely (`_PREC`) than its
+    slot asks.  An implication takes only its own operator on its right.
 
     Raises ValueError when the formula uses a connective the notation lacks
     (relevant negation in bi mode, for instance).
     """
-    ops = _op_tokens(mode)
 
-    def render(node: Formula) -> str:
-        if node.op == fm.ATOM:
-            return node.atom.display()
-        if node.op in _CONST_TOKENS:
-            return _CONST_TOKENS[node.op]
-        if node.op not in ops:
-            raise ValueError(f"connective {node.op!r} has no {mode.value} notation")
-        tok = ops[node.op]
-        if node.op in fm.UNARY_OPS:
-            arg = node.args[0]
-            body = render(arg)
-            if arg.op in fm.BINARY_OPS:
-                body = f"({body})"
-            return f"{tok} {body}"
-        left, right = node.args
+    def render(node: Formula, floor: int) -> str:
+        tok = _spelling(node, mode)
+        if not node.args:
+            return tok
         prec = _PREC[node.op]
-        lhs = render(left)
-        # right-associative implication level: parenthesize any
-        # implication-family left child, and a differing-op right child
-        if node.op in IMPL_OPS:
-            if left.op in IMPL_OPS:
-                lhs = f"({lhs})"
-            rhs = render(right)
-            if right.op in IMPL_OPS and right.op != node.op:
-                rhs = f"({rhs})"
-            return f"{lhs} {tok} {rhs}"
-        if left.op in fm.BINARY_OPS and _PREC[left.op] < prec:
-            lhs = f"({lhs})"
-        rhs = render(right)
-        if right.op in fm.BINARY_OPS and _PREC[right.op] <= prec:
-            rhs = f"({rhs})"
-        return f"{lhs} {tok} {rhs}"
+        if node.op in fm.UNARY_OPS:
+            text = f"{tok} {render(node.args[0], prec)}"
+        else:
+            left, right = node.args
+            impl = node.op in IMPL_OPS
+            lhs = render(left, prec + 1 if impl else prec)
+            rhs = render(right, prec if impl and right.op == node.op
+                         else prec + 1)
+            text = f"{lhs} {tok} {rhs}"
+        return f"({text})" if prec < floor else text
 
-    return render(phi)
+    return render(phi, 0)
 
 
 # JSON tree form: {"id": <relevance-mode token>, "a": [children]}
 
-def _json_id(node: Formula) -> str:
-    if node.op == fm.ATOM:
-        return node.atom.display()
-    if node.op in _CONST_TOKENS:
-        return _CONST_TOKENS[node.op]
-    return _RELEVANCE_OPS[node.op]
-
-
 def formula_to_json(phi: Formula) -> dict:
-    return {"id": _json_id(phi), "a": [formula_to_json(arg) for arg in phi.args]}
+    return {"id": _spelling(phi), "a": [formula_to_json(arg) for arg in phi.args]}
 
 
 _OP_BY_JSON_ID = {tok: op for op, tok in _RELEVANCE_OPS.items()}

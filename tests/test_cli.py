@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from rmcorr import cli
+from rmcorr import cli, fol
 from rmcorr.cli import main
-from rmcorr.frames import CorrespondenceReport, enumerate_frames
+from rmcorr.frames import correspondence_check, enumerate_frames
 from rmcorr.pipeline import correspondent
 from rmcorr.render import OutputFormat, render_report
 from rmcorr.syntax import parse
@@ -226,16 +226,54 @@ def test_json_report_carries_the_verification(capsys):
                                  sort_keys=True) + "\n"
 
 
+def _check_false(monkeypatch):
+    """Make the CLI's check compare each formula with False in place of its
+    correspondent: the real check, disagreeing on any frame that validates
+    the formula."""
+    monkeypatch.setattr(cli, "correspondence_check",
+                        lambda phi, g, n, mode="relevance":
+                        correspondence_check(phi, fol.FALSE, n, mode=mode))
+
+
 def test_json_report_carries_a_disagreement(monkeypatch, capsys):
     frame = next(enumerate_frames(1))
-    disagree = CorrespondenceReport(False, frame, 1)
-    monkeypatch.setattr(cli, "correspondence_check",
-                        lambda *args, **kwargs: disagree)
+    _check_false(monkeypatch)
     code, out, _ = run_cli(["-i", B2, "--format", "json", "--verify", "1"],
                            capsys)
     assert code == 3
     assert json.loads(out)["verification"] == {
         "agree": False, "frames_checked": 1, "counterexample": frame.to_json()}
+
+
+def test_text_report_ends_with_the_counterexample(monkeypatch, capsys):
+    _check_false(monkeypatch)
+    code, out, _ = run_cli(["-i", B2, "--verify", "1"], capsys)
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        "Verification FAILED; counterexample frame: "
+        "{'n': 1, 'O': [0], 'R': [[0, 0, 0]], 'star': [0]}")
+
+
+def test_corpus_row_notes_a_disagreement(monkeypatch, tmp_path, capsys):
+    _check_false(monkeypatch)
+    path = tmp_path / "one.jsonl"
+    path.write_text(json.dumps({"name": "identity", "formula": r"p \to p"})
+                    + "\n")
+    code, out, _ = run_cli(["--corpus", str(path), "--verify", "1"], capsys)
+    assert code == 3
+    assert out.endswith("\toracle-disagreement\n")
+
+
+def test_corpus_entry_the_oracle_refuses_exits_2(tmp_path, capsys):
+    path = tmp_path / "nominal.jsonl"
+    path.write_text("".join(json.dumps({"name": name, "formula": formula})
+                            + "\n" for name, formula in
+                            [("identity", r"p \to p"),
+                             ("nom", r"\mathbf i \to \mathbf i")]))
+    code, out, err = run_cli(["--corpus", str(path), "--verify", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: nom: frame validity is defined for variable-only "
+                   "formulas; found Atom(nom,0)\n")
 
 
 @pytest.mark.parametrize("args, exit_code", [

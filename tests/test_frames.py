@@ -199,6 +199,23 @@ def test_only_program_made_names_reach_eval(bad, monkeypatch):
         correspondence_check(parse(r"p \to p"), Forall(bad, OAtom(bad)), 1)
 
 
+@pytest.mark.parametrize("world", [-1, 2, True, 1.0], ids=repr)
+def test_eval_fo_refuses_a_value_that_is_not_a_world(world, monkeypatch):
+    # on two worlds, 2 read O false and = true, and R and the order raised
+    # IndexError; -1 raised on a negative shift, True read as world 1 and
+    # 1.0 raised TypeError
+    f = next(enumerate_frames(2))
+    x = WVar("x", 0)
+
+    def no_eval(*args):
+        raise AssertionError("source was compiled")
+    monkeypatch.setattr(frames, "eval", no_eval, raising=False)
+    for g in [OAtom(x), fol.EqAtom(x, x), fol.RAtom(x, x, x), LeqAtom(x, x)]:
+        with pytest.raises(ValueError) as exc:
+            eval_fo(f, g, {x: world})
+        assert str(exc.value) == f"world {world!r} is not one of the 2 worlds"
+
+
 CACHES = (frames._program, frames._fo_program, frames._quasi_program)
 
 
@@ -271,6 +288,17 @@ def test_correspondence_check_counterexample():
     report = correspondence_check(phi, fol.FALSE, 1)
     assert not report.agree
     assert report.counterexample == ONE_POINT
+
+
+def test_a_check_names_its_coverage():
+    # the frames of the family it read, agreeing or not; the verdict line
+    # of a text report quotes it
+    phi = parse(r"p \to p")
+    for mode, count in [("relevance", 211), ("bi", 59), ("ra", 6)]:
+        report = correspondence_check(phi, fol.TRUE, 2, mode=mode)
+        assert report.coverage == f"all {count} frames with up to 2 worlds"
+    report = correspondence_check(phi, fol.FALSE, 1)
+    assert report.coverage == "all 1 frames with up to 1 worlds"
 
 
 def test_upward_monotonicity_of_extensions(small_frames):

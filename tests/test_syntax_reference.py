@@ -1,5 +1,6 @@
 """The spelling-table tokenizer and precedence-climbing parser against the
-if-chain tokenizer and layered recursive-descent parser they replaced.
+if-chain tokenizer and layered recursive-descent parser they replaced, and
+the precedence-table printer against the hand-parenthesising one.
 
 `ref_parse` below, with `_Token`, `_read_subscript`, `_tokenize`,
 `_mathbf_token` and `_Parser`, is the earlier parser of `rmcorr.syntax`,
@@ -13,6 +14,13 @@ same variable names, or raise a `ParseError` with the same position and
 message.  Inputs whose subscripts hold non-ASCII digits are left out: the
 earlier reader took them (`p_٣` was `p_3`, `p_²` crashed in `int`), and
 the current one refuses them on purpose.
+
+
+`ref_to_text` is the earlier `to_text`, kept verbatim with the precedence
+table it reads.  On seeded random formulas over every connective, atom
+kind and constant, on the bundled corpus and on criterion 7's formulas,
+the current `to_text` must give the same text in every notation, or raise
+a `ValueError` with the same message.
 """
 
 from __future__ import annotations
@@ -343,6 +351,57 @@ def ref_parse(source: str, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> Formula:
     return _Parser(_tokenize(source, mode), mode).parse()
 
 
+# -- reference printer ---------------------------------------------------------
+
+_PREC = {fm.IMP: 10, fm.HIMP: 10, fm.COIMP: 10, fm.RRES: 10,
+         fm.OR: 20, fm.AND: 30, fm.FUS: 40,
+         fm.NEG: 50, fm.NEG_FLAT: 50, fm.NEG_SHARP: 50}
+
+
+def ref_to_text(phi: Formula, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> str:
+    """Render a formula in the mode's notation with minimal parentheses.
+
+    Raises ValueError when the formula uses a connective the notation lacks
+    (relevant negation in bi mode, for instance).
+    """
+    ops = _op_tokens(mode)
+
+    def render(node: Formula) -> str:
+        if node.op == fm.ATOM:
+            return node.atom.display()
+        if node.op in _CONST_TOKENS:
+            return _CONST_TOKENS[node.op]
+        if node.op not in ops:
+            raise ValueError(f"connective {node.op!r} has no {mode.value} notation")
+        tok = ops[node.op]
+        if node.op in fm.UNARY_OPS:
+            arg = node.args[0]
+            body = render(arg)
+            if arg.op in fm.BINARY_OPS:
+                body = f"({body})"
+            return f"{tok} {body}"
+        left, right = node.args
+        prec = _PREC[node.op]
+        lhs = render(left)
+        # right-associative implication level: parenthesize any
+        # implication-family left child, and a differing-op right child
+        if node.op in IMPL_OPS:
+            if left.op in IMPL_OPS:
+                lhs = f"({lhs})"
+            rhs = render(right)
+            if right.op in IMPL_OPS and right.op != node.op:
+                rhs = f"({rhs})"
+            return f"{lhs} {tok} {rhs}"
+        if left.op in fm.BINARY_OPS and _PREC[left.op] < prec:
+            lhs = f"({lhs})"
+        rhs = render(right)
+        if right.op in fm.BINARY_OPS and _PREC[right.op] <= prec:
+            rhs = f"({rhs})"
+        return f"{lhs} {tok} {rhs}"
+
+    return render(phi)
+
+
 # -- inputs --------------------------------------------------------------------
 
 MODES = list(SyntaxMode)
@@ -485,3 +544,51 @@ def test_parse_matches_on_printed_random_formulas(mode):
 def test_the_exclusion_is_the_non_ascii_subscript_only():
     assert _non_ascii_subscript("p_²") and _non_ascii_subscript("q_{1٣}")
     assert not _non_ascii_subscript("p ²") and not _non_ascii_subscript("p_1 ٣")
+
+
+# -- printer -------------------------------------------------------------------
+
+# every atom kind, named and numbered, and every constant
+TREE_LEAVES = [fm.var(0, "p"), fm.var(1, "q_1"), fm.nom(0), fm.nom(2),
+               fm.cnom(1), fm.cnom(3), fm.t(), fm.top(), fm.bot()]
+
+
+def _random_tree(rng: random.Random, depth: int) -> Formula:
+    """A seeded formula over every connective and every leaf kind."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(TREE_LEAVES)
+    op = rng.choice(list(fm.POLARITY))
+    return Formula(op, tuple(_random_tree(rng, depth - 1)
+                             for _ in fm.POLARITY[op]))
+
+
+def _printed(printer, phi: Formula, mode: SyntaxMode):
+    try:
+        return "ok", printer(phi, mode)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _assert_to_text_matches(formulas):
+    assert formulas
+    for phi in formulas:
+        for mode in MODES:
+            assert (_printed(to_text, phi, mode)
+                    == _printed(ref_to_text, phi, mode)), (phi, mode)
+
+
+def test_to_text_matches_on_random_formulas():
+    rng = random.Random(2207)
+    formulas = [_random_tree(rng, 6) for _ in range(6000)]
+    _assert_to_text_matches(formulas)
+    # every connective, printed and refused
+    outcomes = {_printed(to_text, phi, m)[0] for phi in formulas for m in MODES}
+    assert outcomes == {"ok", "error"}
+
+
+def test_to_text_matches_on_the_corpus(corpus_entries):
+    _assert_to_text_matches([parse(e.formula) for e in corpus_entries])
+
+
+def test_to_text_matches_on_criterion_7(criterion_7):
+    _assert_to_text_matches(criterion_7)
