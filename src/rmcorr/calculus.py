@@ -33,7 +33,9 @@ __all__ = [
     "first_approximation",
     "approximation",
     "approximation_rule",
+    "residuate",
     "residuation",
+    "adjoin",
     "adjunction",
     "ackermann",
     "simplification",
@@ -370,9 +372,8 @@ RESIDUATION = {
 }
 
 
-def residuation(qi: QuasiInequality, k: int, which: str,
-                commute: bool = False) -> QuasiInequality:
-    """Rewrite premise k along the Galois connection f(x, b) <= y iff
+def residuate(prem: Inequality, which: str, commute: bool = False) -> Inequality:
+    """Rewrite prem along the Galois connection f(x, b) <= y iff
     x <= g(b, y) of `which`: a premise with f on the left becomes
     x <= g(b, y), one with g on the right becomes f(x, b) <= y.
 
@@ -387,18 +388,22 @@ def residuation(qi: QuasiInequality, k: int, which: str,
     swap = commute and (f if first == "lhs" else g) in (fm.AND, fm.OR)
     other = "rhs" if first == "lhs" else "lhs"
     for side in (first,) if swap else (first, other):
-        host, bound = _sides(qi.premises[k], side)
+        host, bound = _sides(prem, side)
         if host.op != (f if side == "lhs" else g):
             continue
         args = host.args[::-1] if swap else host.args
         if side == "lhs":  # f(x, b) <= y  ~>  x <= g(b, y)
-            new = Inequality(args[i], Formula(g, (args[1 - i], bound)))
-        else:  # x <= g(b, y)  ~>  f(x, b) <= y
-            b, y = args
-            x_b = (bound, b) if i == 0 else (b, bound)
-            new = Inequality(Formula(f, x_b), y)
-        return _replace(qi, k, (new,))
+            return Inequality(args[i], Formula(g, (args[1 - i], bound)))
+        b, y = args  # x <= g(b, y)  ~>  f(x, b) <= y
+        x_b = (bound, b) if i == 0 else (b, bound)
+        return Inequality(Formula(f, x_b), y)
     raise NotApplicable(f"{which}-residuation shape mismatch")
+
+
+def residuation(qi: QuasiInequality, k: int, which: str,
+                commute: bool = False) -> QuasiInequality:
+    """`residuate` premise k."""
+    return _replace(qi, k, (residuate(qi.premises[k], which, commute),))
 
 
 # which -> (the side of the negation, negation -> its adjoint), for the
@@ -411,24 +416,30 @@ ADJUNCTION = {
 }
 
 
-def adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
-    """Negation adjunction on premise k: the negation's argument changes
-    side and the adjoint is applied to the other side."""
+def adjoin(prem: Inequality, which: str) -> Inequality:
+    """Negation adjunction on prem: the negation's argument changes side and
+    the adjoint is applied to the other side."""
     if which not in ADJUNCTION:
         raise NotApplicable(f"unknown adjunction {which!r}")
     side, adjoint = ADJUNCTION[which]
-    host, bound = _sides(qi.premises[k], side)
+    host, bound = _sides(prem, side)
     if host.op not in adjoint:
         raise NotApplicable(f"{which} adjunction shape mismatch")
-    moved = Formula(adjoint[host.op], (bound,))
-    return _replace(qi, k, (_oriented(side, moved, host.args[0]),))
+    return _oriented(side, Formula(adjoint[host.op], (bound,)), host.args[0])
+
+
+def adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
+    """`adjoin` premise k."""
+    return _replace(qi, k, (adjoin(qi.premises[k], which),))
 
 
 # ---------------------------------------------------------------------------
 # Ackermann rules
 
 def ackermann(qi: QuasiInequality, p: Atom, polarity: str, *,
-              tables: Optional[list[dict[Atom, tuple[int, ...]]]] = None) -> QuasiInequality:
+              tables: Optional[list[dict[Atom, tuple[int, ...]]]] = None,
+              at: Optional[int] = None,
+              substitute=Inequality.substitute) -> QuasiInequality:
     """Eliminate p given exactly one solved premise: alpha <= p for '+',
     p <= alpha for '-'.
 
@@ -437,14 +448,19 @@ def ackermann(qi: QuasiInequality, p: Atom, polarity: str, *,
     positive ('+') / negative ('-') in p.  They are read off `tables`, the
     sign tables of the premises (the solved one's is not read) and then of
     the conclusion, which the search passes; replay reads the kept tables.
+    The search also passes `at`, the premise it solved, and only that one
+    is checked to be solved: another solved premise is a blocking one.
+    `substitute(premise, p, alpha)` rewrites the other premises and the
+    conclusion that hold p; the search passes one that shares its results.
     """
     if p.kind != fm.PROP:
         raise NotApplicable("Ackermann elimination targets propositional variables")
     target = fm.atom(p)
+    scan = range(len(qi.premises)) if at is None else (at,)
     if polarity == "+":
-        solved = [k for k, pr in enumerate(qi.premises) if pr.rhs == target]
+        solved = [k for k in scan if qi.premises[k].rhs == target]
     else:
-        solved = [k for k, pr in enumerate(qi.premises) if pr.lhs == target]
+        solved = [k for k in scan if qi.premises[k].lhs == target]
     if len(solved) != 1:
         raise NotApplicable("need exactly one solved premise")
     k = solved[0]
@@ -459,11 +475,10 @@ def ackermann(qi: QuasiInequality, p: Atom, polarity: str, *,
             raise NotApplicable("context premise has a blocking occurrence")
     if any(s != -want for s in tables[-1].get(p, ())):
         raise NotApplicable("conclusion has a blocking occurrence")
-    rest = qi.premises[:k] + qi.premises[k + 1:]
+    rest = zip(qi.premises[:k] + qi.premises[k + 1:], tables[:k] + tables[k + 1:-1])
     return QuasiInequality(
-        tuple(pr.substitute(p, alpha) for pr in rest),
-        qi.conclusion.substitute(p, alpha),
-    )
+        tuple(pr if p not in table else substitute(pr, p, alpha) for pr, table in rest),
+        qi.conclusion if p not in tables[-1] else substitute(qi.conclusion, p, alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -436,8 +436,21 @@ def _program(phi: Formula):
     return _bind(list(names.values()), _emit(phi, names)), atoms
 
 
+def _check_world(f: RMFrame, w) -> None:
+    if not (_is_index(w) and w < f.n):
+        raise ValueError(f"world {w!r} is not one of the {f.n} worlds")
+
+
+def _check_masks(f: RMFrame, valuation: dict[Atom, int]) -> None:
+    for a, m in valuation.items():
+        if not (type(m) is int and 0 <= m <= f.full):
+            raise ValueError(f"valuation of {a!r} is not a set of the {f.n} worlds")
+
+
 def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
-    """Mask of worlds where phi holds."""
+    """Mask of worlds where phi holds.  Each mask of the valuation must be a
+    set of f's worlds."""
+    _check_masks(f, valuation)
     bind, atoms = _program(phi)
     try:
         values = [valuation[a] for a in atoms]
@@ -449,6 +462,7 @@ def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
 def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
                  w: int) -> bool:
     """Truth of phi at a world under a valuation (atom -> mask)."""
+    _check_world(f, w)
     return bool(extension(f, valuation, phi) & (1 << w))
 
 
@@ -554,8 +568,8 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
     valuation interprets the unary predicates of standard translations."""
     env, masks = env or {}, {}
     for w in env.values():
-        if not (_is_index(w) and w < f.n):
-            raise ValueError(f"world {w!r} is not one of the {f.n} worlds")
+        _check_world(f, w)
+    _check_masks(f, valuation or {})
     for a, val in (valuation or {}).items():
         if a.kind == fm.PROP and _is_index(a.index):
             masks.setdefault(a.index, val)

@@ -155,47 +155,46 @@ def _candidate_vars(tables: list[dict[Atom, tuple[int, ...]]]) -> list[Atom]:
                               for a in table if a.kind == fm.PROP))
 
 
-def _occurrence_site(prem: Inequality, p: Atom) -> tuple[str, tuple[int, ...]]:
-    occs_l = fm.occurrences(prem.lhs, p)
-    occs_r = fm.occurrences(prem.rhs, p)
-    if occs_l:
-        return "lhs", occs_l[0][0]
-    return "rhs", occs_r[0][0]
+def _occurrence_site(prem: Inequality, p: Atom) -> tuple[str, Optional[int]]:
+    """The side of prem that holds p, the left one first, and the argument
+    of that side that holds it, or None when the side is p itself: the walk
+    stops at the first occurrence."""
+    for side, host in (("lhs", prem.lhs), ("rhs", prem.rhs)):
+        for first, part in enumerate(host.args) if host.args else ((None, host),):
+            if any(node.op == fm.ATOM and node.atom == p for node in fm.walk(part)):
+                return side, first
 
 
-def _solve_premise(qi: QuasiInequality, k: int, p: Atom,
-                   polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
-    """Rewrite premise k by residuation and negation adjunction until it is
-    solved for p: alpha <= p (polarity '+') or p <= alpha ('-').  A move
-    depends on premise k alone, so None is returned when no move applies or
-    the premise repeats a state, since the moves then cycle."""
-    steps: list[TraceStep] = []
+def _solve_premise(prem: Inequality, p: Atom, polarity: str):
+    """Rewrite prem by residuation and negation adjunction until it is
+    solved for p: alpha <= p (polarity '+') or p <= alpha ('-').  Returns
+    the solved premise and its moves, (rule, params, premise after the
+    move) each, or None when no move applies or a premise repeats, since
+    the moves then cycle."""
+    moves: list[tuple[str, dict, Inequality]] = []
     target = fm.atom(p)
     seen: set[Inequality] = set()
-    while True:
-        prem = qi.premises[k]
-        if (prem.rhs if polarity == "+" else prem.lhs) == target:
-            return qi, steps
+    while (prem.rhs if polarity == "+" else prem.lhs) != target:
         if prem in seen:
             return None
         seen.add(prem)
-        side, path = _occurrence_site(prem, p)
-        host = prem.lhs if side == "lhs" else prem.rhs
-        if host.op == fm.ATOM:
+        side, first = _occurrence_site(prem, p)
+        if first is None:
             return None  # solved with the wrong polarity
-        move = _solver_move(host, side, path[0])
+        move = _solver_move(prem.lhs if side == "lhs" else prem.rhs, side, first)
         if move is None:
             return None
         rule, params = move
         try:
             if rule.startswith("residuation-"):
-                qi = ca.residuation(qi, k, params["which"],
+                prem = ca.residuate(prem, params["which"],
                                     commute=params.get("commute", False))
             else:
-                qi = ca.adjunction(qi, k, params["which"])
+                prem = ca.adjoin(prem, params["which"])
         except NotApplicable:
             return None
-        steps.append(TraceStep(rule, k, params, (), qi))
+        moves.append((rule, params, prem))
+    return prem, moves
 
 
 def _solver_move(host: Formula, side: str, first: int):
@@ -222,11 +221,46 @@ def _solver_move(host: Formula, side: str, first: int):
     return None
 
 
-def _try_eliminate_one(qi: QuasiInequality, tables: list[dict[Atom, tuple[int, ...]]],
-                       p: Atom, polarity: str) -> Optional[tuple[QuasiInequality, list[TraceStep]]]:
+@dataclass(eq=False)
+class _Memo:
+    """The work of one elimination search, each piece done once: the failed
+    states, the solver's results by (premise, p, polarity), Ackermann's
+    substitutions by (premise, p, alpha), and one object per distinct
+    inequality of the states, so that each builds its sign table once.  The
+    keys compare inequalities by equality, which ignores atom display names;
+    within one goal each atom has one name, so a memo serves one
+    `eliminate` call and no longer."""
+
+    failed: dict = field(default_factory=dict)
+    solved: dict = field(default_factory=dict)
+    substituted: dict = field(default_factory=dict)
+    interned: dict = field(default_factory=dict)
+
+    def solve(self, prem: Inequality, p: Atom, polarity: str):
+        key = prem, p, polarity
+        out = self.solved.get(key, False)  # None: prem cannot be solved
+        if out is False:
+            out = self.solved[key] = _solve_premise(prem, p, polarity)
+        return out
+
+    def intern(self, ineq: Inequality) -> Inequality:
+        return self.interned.setdefault(ineq, ineq)
+
+    def substitute(self, ineq: Inequality, p: Atom, alpha: Formula) -> Inequality:
+        key = ineq, p, alpha
+        out = self.substituted.get(key)
+        if out is None:
+            out = self.substituted[key] = self.intern(ineq.substitute(p, alpha))
+        return out
+
+
+def _try_eliminate_one(state: QuasiInequality, tables: list[dict[Atom, tuple[int, ...]]],
+                       p: Atom, polarity: str, memo: _Memo):
     """Solve the one premise holding p with the given polarity for p and
-    apply Ackermann; tables are the sign tables of qi's premises and then of
-    its conclusion, which Ackermann reads: solving rewrites premise k alone."""
+    apply Ackermann at it: (the new state, the premise's index, the
+    solver's moves), or None.  tables are the sign tables of state's
+    premises and then of its conclusion, which Ackermann reads: solving
+    rewrites premise k alone."""
     want = 1 if polarity == "+" else -1
     holders = [k for k, table in enumerate(tables[:-1]) if want in table.get(p, ())]
     if len(holders) != 1:
@@ -234,23 +268,33 @@ def _try_eliminate_one(qi: QuasiInequality, tables: list[dict[Atom, tuple[int, .
     k = holders[0]
     if len(tables[k][p]) != 1:
         return None
-    solved = _solve_premise(qi, k, p, polarity)
+    solved = memo.solve(state.premises[k], p, polarity)
     if solved is None:
         return None
-    qi2, steps = solved
     try:
-        out = ca.ackermann(qi2, p, polarity, tables=tables)
+        out = ca.ackermann(ca._replace(state, k, (solved[0],)), p, polarity,
+                           tables=tables, at=k, substitute=memo.substitute)
     except NotApplicable:
         return None
+    return out, k, solved[1]
+
+
+def _trace(state: QuasiInequality, k: int, moves, p: Atom, polarity: str,
+           out: QuasiInequality) -> list[TraceStep]:
+    """The steps of one elimination from state: the solver's moves on
+    premise k, then Ackermann's step to out."""
+    steps = [TraceStep(rule, k, params, (), ca._replace(state, k, (prem,)))
+             for rule, params, prem in moves]
     steps.append(TraceStep(f"ackermann-{'right' if polarity == '+' else 'left'}",
                            k, {"var": p, "polarity": polarity}, (), out))
-    return out, steps
+    return steps
 
 
-def _search(state: QuasiInequality, failed: dict, cap: int):
+def _search(state: QuasiInequality, memo: _Memo, cap: int):
     """The search below state: (pure_qi, signed order, steps), or, kept in
-    failed, its dead-end count and first cap dead-end orders from state."""
-    hit = failed.get(state)
+    memo.failed, its dead-end count and first cap dead-end orders from
+    state.  Steps are built only on the way back from a success."""
+    hit = memo.failed.get(state)
     if hit is not None:
         return hit
     tables = [ineq.sign_table() for ineq in (*state.premises, state.conclusion)]
@@ -260,19 +304,20 @@ def _search(state: QuasiInequality, failed: dict, cap: int):
     dead_ends, log = 0, []
     for p in variables:
         for polarity in ("+", "-"):
-            move = _try_eliminate_one(state, tables, p, polarity)
+            move = _try_eliminate_one(state, tables, p, polarity, memo)
             if move is None:
                 continue
             name = _signed_name(p, polarity)
-            sub = _search(move[0], failed, cap)
+            sub = _search(move[0], memo, cap)
             if len(sub) == 3:
                 final, order, steps = sub
-                return final, [name] + order, move[1] + steps
+                return (final, [name] + order,
+                        _trace(state, move[1], move[2], p, polarity, move[0]) + steps)
             dead_ends += sub[0]
             log.extend([name] + path for path in sub[1][:cap - len(log)])
     if not dead_ends:  # no move: a failed child has a dead end
         dead_ends, log = 1, [[]]
-    failed[state] = dead_ends, log
+    memo.failed[state] = dead_ends, log
     return dead_ends, log
 
 
@@ -283,9 +328,16 @@ def eliminate(qi: QuasiInequality):
 
     The search below a state depends on the state alone, and each step
     removes a variable, so no state reaches itself: a failed state is searched
-    once per call.  The memo is a plain argument, not a closure that refers
-    to its own function, so it is freed when the call returns."""
-    result = _search(qi, {}, MAX_ATTEMPT_LOG)
+    once per call.  The call's memo also keeps each premise's solution and
+    each substitution, and makes equal premises one object, so a premise
+    reached along several orders is solved and builds its sign table once.
+    Trace steps are built for the returned order only.  The memo is a plain
+    argument, not a closure that refers to its own function, so it is freed
+    when the call returns."""
+    memo = _Memo()
+    state = QuasiInequality(tuple(map(memo.intern, qi.premises)),
+                            memo.intern(qi.conclusion))
+    result = _search(state, memo, MAX_ATTEMPT_LOG)
     if len(result) == 2:
         return FailureInfo(qi, result[1], result[0])
     return result

@@ -216,6 +216,39 @@ def test_eval_fo_refuses_a_value_that_is_not_a_world(world, monkeypatch):
         assert str(exc.value) == f"world {world!r} is not one of the 2 worlds"
 
 
+@pytest.mark.parametrize("world", [-1, 2, 5, True, 1.0], ids=repr)
+def test_eval_formula_refuses_a_value_that_is_not_a_world(world, monkeypatch):
+    # on two worlds, with p true everywhere, 2 and 5 read False, -1 raised
+    # on a negative shift and True read as world 1
+    f = next(enumerate_frames(2))
+    phi = parse("p")
+
+    def no_eval(*args):
+        raise AssertionError("source was compiled")
+    frames._program.cache_clear()
+    monkeypatch.setattr(frames, "eval", no_eval, raising=False)
+    with pytest.raises(ValueError) as exc:
+        eval_formula(f, {phi.atom: f.full}, phi, world)
+    assert str(exc.value) == f"world {world!r} is not one of the 2 worlds"
+
+
+@pytest.mark.parametrize("mask", [-1, 4, 7, True, 1.0], ids=repr)
+def test_a_valuation_refuses_a_value_that_is_not_a_set_of_worlds(mask):
+    # on two worlds, extension raised IndexError for 4 and 7 and TypeError
+    # for 1.0 and read -1 as the empty set, and eval_fo read -1 and 7 as
+    # true
+    f = next(enumerate_frames(2))
+    phi = parse(r"p \land \sim p")
+    p = phi.args[0].atom
+    x = WVar("x", 0)
+    for call in (lambda: extension(f, {p: mask}, phi),
+                 lambda: eval_formula(f, {p: mask}, phi, 0),
+                 lambda: eval_fo(f, fol.PVarAtom(p.index, x), {x: 0}, {p: mask})):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"valuation of {p!r} is not a set of the 2 worlds"
+
+
 CACHES = (frames._program, frames._fo_program, frames._quasi_program)
 
 

@@ -12,25 +12,28 @@ earlier premise solver's choice of move in `rmcorr.pipeline`.
 `ref_preprocess`, `ref_approximate` and `ref_simplify` are the earlier
 fixed-point loops of `rmcorr.pipeline`, kept verbatim but for calling those
 bodies: after every rewrite they rescan from the first goal or premise.
-`ref_solve_premise` is the earlier premise solver, bounded by 4 moves per
-node instead of stopping when a state repeats, and calling the reference
-move, residuation and adjunction.  On the bundled corpus, criterion 7's
+`ref_solve_premise` is the earlier premise solver, which rewrote premise k
+of a whole quasi-inequality, bounded by 4 moves per node instead of
+stopping when a state repeats, and calling the reference move, residuation
+and adjunction and `ref_occurrence_site`, the earlier lookup that listed
+every occurrence of the variable on both sides.  On the bundled corpus, criterion 7's
 random formulas and extended random formulas, the current phases must
 produce the same goals, events, states and trace steps, and the current
 rules the same result as the reference, or NotApplicable on both sides, on
 the states of the approximation and simplification phases.
 `ref_eliminate`, with `ref_candidate_vars` and `ref_try_eliminate_one`, is
 the earlier search, kept verbatim but for reading
-`pipeline.MAX_ATTEMPT_LOG` and calling the other two: it searches a state
-again every time an order reaches it and walks the premises once per
-variable and polarity.  On the same sets and the failing ladders, the
+`pipeline.MAX_ATTEMPT_LOG`, calling the other two and solving through
+`ref_solve_premise`: it searches a state again every time an order reaches
+it, solves a premise again every time it meets it, and walks the premises
+once per variable and polarity.  On the same sets and the failing ladders, the
 current search must give the same order and steps, or the same stuck
 state, attempted orders and dead-end count, also with a shorter attempt
 log.  On every premise that the approximation and elimination phases reach
 on those four sets, residuation, adjunction, the split search and the
 solver's move must give what the reference gives, and on every Ackermann
 call of the search on them, Ackermann must, with the search's sign tables
-and without them.
+and solved premise and without them.
 """
 
 import itertools
@@ -46,9 +49,9 @@ from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
                              QuasiInequality, TraceStep, _is_atom_kind,
                              _is_special_atom, _replace)
 from rmcorr.formula import Atom, Formula
-from rmcorr.pipeline import (FailureInfo, PreprocessEvent, _occurrence_site,
-                             _signed_name, _solve_premise, _solver_move,
-                             approximate, eliminate, preprocess, simplify)
+from rmcorr.pipeline import (FailureInfo, PreprocessEvent, _signed_name,
+                             _solver_move, approximate, eliminate, preprocess,
+                             simplify)
 from rmcorr.syntax import parse
 
 from helpers import chain_ladder, fusion_ladder, random_formula
@@ -482,7 +485,7 @@ def ref_solve_premise(qi: QuasiInequality, k: int, p: Atom, polarity: str):
             return qi, steps
         if polarity == "-" and prem.lhs == target:
             return qi, steps
-        side, path = _occurrence_site(prem, p)
+        side, path = ref_occurrence_site(prem, p)
         host = prem.lhs if side == "lhs" else prem.rhs
         if host.op == fm.ATOM:
             return None  # solved with the wrong polarity
@@ -501,6 +504,14 @@ def ref_solve_premise(qi: QuasiInequality, k: int, p: Atom, polarity: str):
             return None
         steps.append(TraceStep(rule, k, params, (), qi))
     return None
+
+
+def ref_occurrence_site(prem: Inequality, p: Atom) -> tuple[str, tuple[int, ...]]:
+    occs_l = fm.occurrences(prem.lhs, p)
+    occs_r = fm.occurrences(prem.rhs, p)
+    if occs_l:
+        return "lhs", occs_l[0][0]
+    return "rhs", occs_r[0][0]
 
 
 def _formula_size(phi: Formula) -> int:
@@ -532,7 +543,7 @@ def ref_try_eliminate_one(qi: QuasiInequality, p: Atom,
     k = holders[0]
     if len(qi.premises[k].signs(p)) != 1:
         return None
-    solved = _solve_premise(qi, k, p, polarity)
+    solved = ref_solve_premise(qi, k, p, polarity)
     if solved is None:
         return None
     qi2, steps = solved
@@ -650,15 +661,15 @@ def test_forward_scans_match_the_restart_loops(formulas, encode_once):
 
 def test_cycle_stop_matches_the_move_bound(formulas, monkeypatch):
     # eliminate looks the solver up at call time; every call it makes must
-    # return what the reference solver returns for the same arguments, so
-    # the search, its order and its trace are the same
+    # give the moves, one premise each, that the reference solver's steps
+    # give for the same premise, so the search, its order and its trace
+    # are the same
     calls = []
     solve = pipeline._solve_premise
 
     def recorded(*args):
         result = solve(*args)
-        # the caller appends its Ackermann step to the returned list
-        calls.append((args, result and (result[0], list(result[1]))))
+        calls.append((args, result))
         return result
 
     monkeypatch.setattr(pipeline, "_solve_premise", recorded)
@@ -666,8 +677,14 @@ def test_cycle_stop_matches_the_move_bound(formulas, monkeypatch):
         for ineq in preprocess(phi)[0]:
             eliminate(approximate(ineq)[0])
     assert calls
-    for args, result in calls:
-        assert ref_solve_premise(*args) == result, args
+    conclusion = Inequality(fm.nom(0), fm.cnom(0))  # the solver reads no other
+    for (prem, p, polarity), result in calls:
+        ref = ref_solve_premise(QuasiInequality((prem,), conclusion), 0, p,
+                                polarity)
+        if ref is not None:
+            ref = (ref[0].premises[0],
+                   [(s.rule, s.params, s.result.premises[0]) for s in ref[1]])
+        assert ref == result, (prem, p, polarity)
 
 
 def _outcome(rule, *args):
@@ -751,25 +768,28 @@ def test_memoised_search_matches_the_plain_search(approximated, cap,
 def reached_premises(input_sets):
     """The distinct premises of every state that the approximation phase
     and the elimination search reach on all four sets, failed branches
-    included: the search's states are recorded as residuation, adjunction
-    and Ackermann return them."""
-    states = []
+    included: the premises the solver's residuation and adjunction return,
+    and the states Ackermann returns."""
+    premises = []
 
-    def recording(rule):
+    def recording(rule, reached):
         def run(*args, **kwargs):
-            states.append(rule(*args, **kwargs))
-            return states[-1]
+            out = rule(*args, **kwargs)
+            premises.extend(reached(out))
+            return out
         return run
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("residuation", "adjunction", "ackermann"):
-            mp.setattr(ca, name, recording(getattr(ca, name)))
+        for name in ("residuate", "adjoin"):
+            mp.setattr(ca, name, recording(getattr(ca, name), lambda p: (p,)))
+        mp.setattr(ca, "ackermann",
+                   recording(ca.ackermann, lambda qi: qi.premises))
         for phi in itertools.chain.from_iterable(input_sets.values()):
             for ineq in preprocess(phi)[0]:
                 qi, steps = approximate(ineq)
-                states.extend(step.result for step in steps)
+                premises.extend(p for step in steps for p in step.result.premises)
                 eliminate(qi)
-    return list(dict.fromkeys(p for state in states for p in state.premises))
+    return list(dict.fromkeys(premises))
 
 
 def _move_sites():
@@ -850,15 +870,15 @@ def _blocked(qi, p, polarity, tables):
 
 def test_ackermann_matches_the_reference_on_the_search_calls(approximated,
                                                               monkeypatch):
-    # every call the search makes, with the sign tables it passes and, as
-    # replay makes it, without them, and the same calls with a blocked side
-    # condition; and without tables, every atom of each state the search
-    # called it on, at both polarities
+    # every call the search makes, with the sign tables and the solved
+    # premise it passes and, as replay makes it, without them, and the same
+    # calls with a blocked side condition; and without tables, every atom
+    # of each state the search called it on, at both polarities
     calls = []
     ackermann = ca.ackermann
 
     def recorded(qi, p, polarity, **kwargs):
-        calls.append((qi, p, polarity, kwargs["tables"]))
+        calls.append((qi, p, polarity, kwargs["tables"], kwargs["at"]))
         return ackermann(qi, p, polarity, **kwargs)
 
     monkeypatch.setattr(ca, "ackermann", recorded)
@@ -867,11 +887,13 @@ def test_ackermann_matches_the_reference_on_the_search_calls(approximated,
     monkeypatch.undo()
     assert calls
     outcomes = {}
-    for qi, p, polarity, tables in calls:
+    for qi, p, polarity, tables, at in calls:
         for state, signs in [(qi, tables), *_blocked(qi, p, polarity, tables)]:
             ref = _raised(ref_ackermann, state, p, polarity)
             assert _raised(ca.ackermann, state, p, polarity,
                            tables=signs) == ref, (state, p, polarity)
+            assert _raised(ca.ackermann, state, p, polarity, tables=signs,
+                           at=at) == ref, (state, p, polarity)
             assert _raised(ca.ackermann, state, p, polarity) == ref
             outcomes[state, p, polarity] = ref[1] if type(ref) is tuple else None
         for a, pol in itertools.product(qi.atoms(), "+-"):
