@@ -34,9 +34,7 @@ __all__ = [
     "approximation",
     "approximation_rule",
     "residuate",
-    "residuation",
     "adjoin",
-    "adjunction",
     "ackermann",
     "simplification",
     "drop_trivial",
@@ -269,16 +267,10 @@ def monotone_elim(qi: QuasiInequality, p: Atom, polarity: str) -> QuasiInequalit
 # ---------------------------------------------------------------------------
 # first approximation
 
-def first_approximation(qi: QuasiInequality, supply: FreshSupply,
-                        fresh: Optional[tuple[Atom, Atom]] = None) -> QuasiInequality:
+def first_approximation(qi: QuasiInequality, j: Atom, m: Atom) -> QuasiInequality:
     """Replace the conclusion phi <= psi by j <= m, adding j <= phi and
-    psi <= m as premises, with j, m fresh."""
-    if fresh is None:
-        j = supply.fresh(fm.NOM)
-        m = supply.fresh(fm.CNOM)
-    else:
-        j, m = fresh
-        supply.note(fresh)
+    psi <= m as premises.  The nominal j and co-nominal m, fresh for qi,
+    are drawn by the pipeline's supply or read off the step by replay."""
     concl = qi.conclusion
     new = (Inequality(fm.atom(j), concl.lhs), Inequality(concl.rhs, fm.atom(m)))
     return QuasiInequality(new + qi.premises, Inequality(fm.atom(j), fm.atom(m)))
@@ -335,22 +327,19 @@ def approximation_rule(prem: Inequality) -> Optional[str]:
     return next((rule for rule in rules if _fits(prem, rule)), None)
 
 
-def approximation(qi: QuasiInequality, k: int, rule: str, supply: FreshSupply,
-                  fresh: Optional[Atom] = None) -> QuasiInequality:
+def approximation(qi: QuasiInequality, k: int, rule: str,
+                  fresh: Atom) -> QuasiInequality:
     """Apply one approximation rule to premise k.
 
     Each rule pulls a non-special argument out of an implication, fusion or
-    negation premise, naming it with a fresh nominal or co-nominal.  The
-    rewritten premise keeps its position; the naming premise is inserted
-    directly after it.
+    negation premise, naming it with `fresh`, an atom of the rule's kind in
+    APPROX_SCHEMA, fresh for qi: drawn by the pipeline's supply or read off
+    the step by replay.  The rewritten premise keeps its position; the
+    naming premise is inserted directly after it.
     """
     if rule not in APPROX_SCHEMA or not _fits(qi.premises[k], rule):
         raise NotApplicable(f"approximation rule {rule!r} does not apply")
     op, side, i, kind = APPROX_SCHEMA[rule]
-    if fresh is None:
-        fresh = supply.fresh(kind)
-    else:
-        supply.note((fresh,))
     name = fm.atom(fresh)
     host, bound = _sides(qi.premises[k], side)
     rewritten = Formula(op, host.args[:i] + (name,) + host.args[i + 1:])
@@ -400,12 +389,6 @@ def residuate(prem: Inequality, which: str, commute: bool = False) -> Inequality
     raise NotApplicable(f"{which}-residuation shape mismatch")
 
 
-def residuation(qi: QuasiInequality, k: int, which: str,
-                commute: bool = False) -> QuasiInequality:
-    """`residuate` premise k."""
-    return _replace(qi, k, (residuate(qi.premises[k], which, commute),))
-
-
 # which -> (the side of the negation, negation -> its adjoint), for the
 # antitone Galois connections ~x <= y iff flat(y) <= x and x <= ~y iff
 # y <= sharp(x); a join on the left or a meet on the right is split by
@@ -428,57 +411,40 @@ def adjoin(prem: Inequality, which: str) -> Inequality:
     return _oriented(side, Formula(adjoint[host.op], (bound,)), host.args[0])
 
 
-def adjunction(qi: QuasiInequality, k: int, which: str) -> QuasiInequality:
-    """`adjoin` premise k."""
-    return _replace(qi, k, (adjoin(qi.premises[k], which),))
-
-
 # ---------------------------------------------------------------------------
 # Ackermann rules
 
-def ackermann(qi: QuasiInequality, p: Atom, polarity: str, *,
-              tables: Optional[list[dict[Atom, tuple[int, ...]]]] = None,
-              at: Optional[int] = None,
+def ackermann(qi: QuasiInequality, k: int, p: Atom, polarity: str,
               substitute=Inequality.substitute) -> QuasiInequality:
-    """Eliminate p given exactly one solved premise: alpha <= p for '+',
-    p <= alpha for '-'.
+    """Eliminate p at premise k, which must be solved for p: alpha <= p for
+    '+', p <= alpha for '-'.
 
-    Side conditions, checked mechanically: p does not occur in alpha; every
-    other premise is negative ('+') / positive ('-') in p; the conclusion is
-    positive ('+') / negative ('-') in p.  They are read off `tables`, the
-    sign tables of the premises (the solved one's is not read) and then of
-    the conclusion, which the search passes; replay reads the kept tables.
-    The search also passes `at`, the premise it solved, and only that one
-    is checked to be solved: another solved premise is a blocking one.
+    Side conditions, checked mechanically on the inequalities' kept sign
+    tables: p does not occur in alpha; every other premise is negative
+    ('+') / positive ('-') in p, so another premise solved for p blocks;
+    the conclusion is positive ('+') / negative ('-') in p.
     `substitute(premise, p, alpha)` rewrites the other premises and the
     conclusion that hold p; the search passes one that shares its results.
     """
     if p.kind != fm.PROP:
         raise NotApplicable("Ackermann elimination targets propositional variables")
-    target = fm.atom(p)
-    scan = range(len(qi.premises)) if at is None else (at,)
-    if polarity == "+":
-        solved = [k for k in scan if qi.premises[k].rhs == target]
-    else:
-        solved = [k for k in scan if qi.premises[k].lhs == target]
-    if len(solved) != 1:
-        raise NotApplicable("need exactly one solved premise")
-    k = solved[0]
-    alpha = qi.premises[k].lhs if polarity == "+" else qi.premises[k].rhs
+    solved = qi.premises[k]
+    if (solved.rhs if polarity == "+" else solved.lhs) != fm.atom(p):
+        raise NotApplicable(f"premise {k} is not solved for {p}")
+    alpha = solved.lhs if polarity == "+" else solved.rhs
     if any(node.op == fm.ATOM and node.atom == p for node in fm.walk(alpha)):
         raise NotApplicable("solved bound still contains the variable")
-    if tables is None:
-        tables = [ineq.sign_table() for ineq in (*qi.premises, qi.conclusion)]
     want = -1 if polarity == "+" else 1
-    for idx, table in enumerate(tables[:-1]):
-        if idx != k and any(s != want for s in table.get(p, ())):
-            raise NotApplicable("context premise has a blocking occurrence")
-    if any(s != -want for s in tables[-1].get(p, ())):
+    rest = qi.premises[:k] + qi.premises[k + 1:]
+    if any(s != want for prem in rest for s in prem.signs(p)):
+        raise NotApplicable("context premise has a blocking occurrence")
+    if any(s != -want for s in qi.conclusion.signs(p)):
         raise NotApplicable("conclusion has a blocking occurrence")
-    rest = zip(qi.premises[:k] + qi.premises[k + 1:], tables[:k] + tables[k + 1:-1])
     return QuasiInequality(
-        tuple(pr if p not in table else substitute(pr, p, alpha) for pr, table in rest),
-        qi.conclusion if p not in tables[-1] else substitute(qi.conclusion, p, alpha))
+        tuple(substitute(pr, p, alpha) if p in pr.sign_table() else pr
+              for pr in rest),
+        substitute(qi.conclusion, p, alpha) if p in qi.conclusion.sign_table()
+        else qi.conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -583,39 +549,34 @@ def split_premise(qi: QuasiInequality, k: int, side: str,
 # ---------------------------------------------------------------------------
 # replay
 
-def _atom_from_params(value) -> Atom:
-    if isinstance(value, Atom):
-        return value
-    return Atom(value["kind"], value["index"], value.get("name"))
-
-
 def apply_step(qi: QuasiInequality, step: TraceStep) -> QuasiInequality:
-    """Re-apply a recorded step to a state; fresh atoms come from the record."""
+    """Re-apply a recorded step to a state, as the pipeline applies its rule:
+    at the premise and with the fresh atoms that the step records.  A rule
+    that names a premise is refused unless the step's premise is an int
+    (not a bool) indexing qi's premises."""
     rule = step.rule
+    family, _, which = rule.partition("-")
     if rule == "first-approximation":
-        return first_approximation(qi, FreshSupply.for_qi(qi),
-                                   fresh=(step.fresh[0], step.fresh[1]))
-    if rule.startswith("approx-"):
-        return approximation(qi, step.premise, rule[len("approx-"):],
-                             FreshSupply.for_qi(qi), fresh=step.fresh[0])
-    if rule.startswith("residuation-"):
-        return residuation(qi, step.premise, rule[len("residuation-"):],
-                           commute=step.params.get("commute", False))
-    if rule.startswith("adjunction-"):
-        return adjunction(qi, step.premise, rule[len("adjunction-"):])
-    if rule.startswith("ackermann"):
-        return ackermann(qi, _atom_from_params(step.params["var"]),
-                         step.params["polarity"])
-    if rule == "monotone":
-        return monotone_elim(qi, _atom_from_params(step.params["var"]),
-                             step.params["polarity"])
-    if rule.startswith("simplification-"):
-        return simplification(qi, rule[len("simplification-"):])
+        return first_approximation(qi, *step.fresh)
+    if family == "simplification":
+        return simplification(qi, which)
+    k = step.premise
+    if type(k) is not int or not 0 <= k < len(qi.premises):
+        raise NotApplicable(f"rule {rule!r} at premise {k!r} of "
+                            f"{len(qi.premises)}")
+    if family == "approx":
+        return approximation(qi, k, which, *step.fresh)
+    if family == "residuation":
+        new = residuate(qi.premises[k], which, step.params.get("commute", False))
+        return _replace(qi, k, (new,))
+    if family == "adjunction":
+        return _replace(qi, k, (adjoin(qi.premises[k], which),))
+    if family == "ackermann":
+        return ackermann(qi, k, step.params["var"], step.params["polarity"])
     if rule == "drop-trivial":
-        return drop_trivial(qi, step.premise)
+        return drop_trivial(qi, k)
     if rule == "split":
-        return split_premise(qi, step.premise, step.params["side"],
-                             tuple(step.params["path"]))
+        return split_premise(qi, k, step.params["side"], tuple(step.params["path"]))
     raise NotApplicable(f"unknown rule {rule!r} in trace")
 
 

@@ -107,9 +107,9 @@ def approximate(ineq: Inequality,
     if supply is None:
         supply = FreshSupply.for_qi(ca.goal(ineq))
     steps: list[TraceStep] = []
-    qi = ca.first_approximation(ca.goal(ineq), supply)
-    steps.append(TraceStep("first-approximation", None, {},
-                           (qi.conclusion.lhs.atom, qi.conclusion.rhs.atom), qi))
+    j, m = supply.fresh(fm.NOM), supply.fresh(fm.CNOM)
+    qi = ca.first_approximation(ca.goal(ineq), j, m)
+    steps.append(TraceStep("first-approximation", None, {}, (j, m), qi))
     # A split or rule at premise k rewrites k and inserts after it, and
     # whether anything applies depends on the premise alone, so the scan stays
     # at k until nothing applies and never returns to an earlier premise.
@@ -127,7 +127,7 @@ def approximate(ineq: Inequality,
             k += 1
             continue
         fresh = supply.fresh(ca.APPROX_SCHEMA[rule][3])
-        qi = ca.approximation(qi, k, rule, supply, fresh=fresh)
+        qi = ca.approximation(qi, k, rule, fresh)
         steps.append(TraceStep(f"approx-{rule}", k, {}, (fresh,), qi))
     return qi, steps
 
@@ -259,8 +259,7 @@ def _try_eliminate_one(state: QuasiInequality, tables: list[dict[Atom, tuple[int
     """Solve the one premise holding p with the given polarity for p and
     apply Ackermann at it: (the new state, the premise's index, the
     solver's moves), or None.  tables are the sign tables of state's
-    premises and then of its conclusion, which Ackermann reads: solving
-    rewrites premise k alone."""
+    premises and then of its conclusion."""
     want = 1 if polarity == "+" else -1
     holders = [k for k, table in enumerate(tables[:-1]) if want in table.get(p, ())]
     if len(holders) != 1:
@@ -272,8 +271,8 @@ def _try_eliminate_one(state: QuasiInequality, tables: list[dict[Atom, tuple[int
     if solved is None:
         return None
     try:
-        out = ca.ackermann(ca._replace(state, k, (solved[0],)), p, polarity,
-                           tables=tables, at=k, substitute=memo.substitute)
+        out = ca.ackermann(ca._replace(state, k, (solved[0],)), k, p, polarity,
+                           memo.substitute)
     except NotApplicable:
         return None
     return out, k, solved[1]

@@ -2,7 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -207,9 +207,22 @@ def test_monotone_not_applicable_when_absent():
 
 # --- first approximation ---
 
+def first_approximation(state):
+    """The first approximation with the atoms the pipeline would draw."""
+    supply = FreshSupply.for_qi(state)
+    return ca.first_approximation(state, supply.fresh(fm.NOM),
+                                  supply.fresh(fm.CNOM))
+
+
+def approximation(state, k, rule, supply):
+    """An approximation rule with the atom of its kind drawn from supply."""
+    return ca.approximation(state, k, rule,
+                            supply.fresh(ca.APPROX_SCHEMA[rule][3]))
+
+
 def test_first_approximation_b2():
     state = qi(concl=r"(p \to q) \land (q \to r) <= p \to r")
-    out = ca.first_approximation(state, FreshSupply.for_qi(state))
+    out = first_approximation(state)
     assert out == qi(r"\mathbf i <= (p \to q) \land (q \to r)",
                      r"p \to r <= \mathbf m",
                      concl=r"\mathbf i <= \mathbf m")
@@ -217,14 +230,14 @@ def test_first_approximation_b2():
 
 def test_first_approximation_trivial():
     state = qi(concl=r"\mathbf t <= \mathbf t")
-    out = ca.first_approximation(state, FreshSupply.for_qi(state))
+    out = first_approximation(state)
     assert out == qi(r"\mathbf i <= \mathbf t", r"\mathbf t <= \mathbf m",
                      concl=r"\mathbf i <= \mathbf m")
 
 
 def test_first_approximation_fresh_atoms_avoid_used_ones():
     state = qi(concl=r"\mathbf i <= \mathbf j_1 \circ \mathbf m")
-    out = ca.first_approximation(state, FreshSupply.for_qi(state))
+    out = first_approximation(state)
     assert out.conclusion == Inequality(fm.nom(2), fm.cnom(1))
 
 
@@ -233,11 +246,11 @@ def test_first_approximation_fresh_atoms_avoid_used_ones():
 def test_approx_imp_left_then_right():
     state = qi(r"p \to r <= \mathbf m", concl=r"\mathbf i <= \mathbf m")
     supply = FreshSupply.for_qi(state)
-    out = ca.approximation(state, 0, "imp-left", supply)
+    out = approximation(state, 0, "imp-left", supply)
     assert canon(out) == canon(qi(r"\mathbf j_1 \to r <= \mathbf m",
                                   r"\mathbf j_1 <= p",
                                   concl=r"\mathbf i <= \mathbf m"))
-    out = ca.approximation(out, 0, "imp-right", supply)
+    out = approximation(out, 0, "imp-right", supply)
     assert canon(out) == canon(qi(r"\mathbf j_1 \to \mathbf n_1 <= \mathbf m",
                                   r"r <= \mathbf n_1", r"\mathbf j_1 <= p",
                                   concl=r"\mathbf i <= \mathbf m"))
@@ -246,14 +259,14 @@ def test_approx_imp_left_then_right():
 def test_approx_neg_right_names_with_conominal():
     state = qi(r"\mathbf j_1 <= \sim A", concl=r"\mathbf i <= \mathbf m")
     supply = FreshSupply.for_qi(state)
-    out = ca.approximation(state, 0, "neg-right", supply)
+    out = approximation(state, 0, "neg-right", supply)
     assert out == qi(r"\mathbf j_1 <= \sim \mathbf n_1", r"A <= \mathbf n_1",
                      concl=r"\mathbf i <= \mathbf m")
 
 
 def test_approx_neg_left_names_with_nominal():
     state = qi(r"\sim p <= \mathbf n_1", concl=r"\mathbf i <= \mathbf m")
-    out = ca.approximation(state, 0, "neg-left", FreshSupply.for_qi(state))
+    out = approximation(state, 0, "neg-left", FreshSupply.for_qi(state))
     assert out == qi(r"\sim \mathbf j_1 <= \mathbf n_1", r"\mathbf j_1 <= p",
                      concl=r"\mathbf i <= \mathbf m")
 
@@ -264,7 +277,7 @@ def test_approx_not_applicable_on_special_arguments():
     supply = FreshSupply.for_qi(state)
     for rule in ("fus-left", "fus-right"):
         with pytest.raises(NotApplicable):
-            ca.approximation(state, 0, rule, supply)
+            approximation(state, 0, rule, supply)
 
 
 def test_approx_shape_mismatch():
@@ -272,47 +285,43 @@ def test_approx_shape_mismatch():
     supply = FreshSupply.for_qi(state)
     for rule in ca.APPROX_RULES:
         with pytest.raises(NotApplicable):
-            ca.approximation(state, 0, rule, supply)
+            approximation(state, 0, rule, supply)
 
 
 # --- residuation ---
 
 def test_residuation_imp_down():
-    state = qi(r"\mathbf i <= \mathbf j_1 \to q", concl=r"\mathbf i <= \mathbf m")
-    out = ca.residuation(state, 0, "imp")
-    assert out.premises[0] == ineq(r"\mathbf i \circ \mathbf j_1 <= q")
+    out = ca.residuate(ineq(r"\mathbf i <= \mathbf j_1 \to q"), "imp")
+    assert out == ineq(r"\mathbf i \circ \mathbf j_1 <= q")
 
 
 def test_residuation_imp_down_nested():
-    state = qi(r"\mathbf i <= (\mathbf i \circ \mathbf j_1) \to r",
-               concl=r"\mathbf i <= \mathbf m")
-    out = ca.residuation(state, 0, "imp")
-    assert out.premises[0] == ineq(
-        r"\mathbf i \circ (\mathbf i \circ \mathbf j_1) <= r")
+    out = ca.residuate(ineq(r"\mathbf i <= (\mathbf i \circ \mathbf j_1) \to r"),
+                       "imp")
+    assert out == ineq(r"\mathbf i \circ (\mathbf i \circ \mathbf j_1) <= r")
 
 
 def test_residuation_and_down():
-    state = qi(r"a \land b <= c", concl=r"\mathbf i <= \mathbf m")
-    out = ca.residuation(state, 0, "and")
-    assert out.premises[0] == ineq(r"a <= b \Rightarrow c")
+    out = ca.residuate(ineq(r"a \land b <= c"), "and")
+    assert out == ineq(r"a <= b \Rightarrow c")
 
 
 def test_residuation_invertible():
-    state = qi(r"a \land b <= c", concl=r"\mathbf i <= \mathbf m")
-    down = ca.residuation(state, 0, "and")
-    back = ca.residuation(down, 0, "and")
-    assert back == state
-    state = qi(r"a <= b \lor c", concl=r"\mathbf i <= \mathbf m")
-    down = ca.residuation(state, 0, "or")
-    assert down.premises[0] == ineq(r"a \coimp b <= c")
-    assert ca.residuation(down, 0, "or") == state
+    prem = ineq(r"a \land b <= c")
+    down = ca.residuate(prem, "and")
+    back = ca.residuate(down, "and")
+    assert back == prem
+    prem = ineq(r"a <= b \lor c")
+    down = ca.residuate(prem, "or")
+    assert down == ineq(r"a \coimp b <= c")
+    assert ca.residuate(down, "or") == prem
 
 
 def test_residuation_mismatch():
-    state = qi(r"a <= b", concl=r"\mathbf i <= \mathbf m")
+    prem = ineq(r"a <= b")
     for which in ("or", "and", "imp", "rres"):
         with pytest.raises(NotApplicable):
-            ca.residuation(state, 0, which)
+            ca.residuate(prem, which)
 
 
 # --- adjunction ---
@@ -320,26 +329,25 @@ def test_residuation_mismatch():
 def test_adjunction_does_not_split_meets_or_joins():
     # splitting is split_premise's rule; the solver emits only neg-left and
     # neg-right, so adjunction has no "and" or "or" form
-    state = qi(r"a \lor b <= (p \to q) \land (q \to r)",
-               concl=r"\mathbf i <= \mathbf m")
+    prem = ineq(r"a \lor b <= (p \to q) \land (q \to r)")
     for which in ("and", "or"):
         with pytest.raises(NotApplicable):
-            ca.adjunction(state, 0, which)
+            ca.adjoin(prem, which)
 
 
 def test_adjunction_neg_right():
-    state = qi(r"\mathbf j_1 <= \sim \mathbf n_2", concl=r"\mathbf i <= \mathbf m")
-    out = ca.adjunction(state, 0, "neg-right")
-    assert out.premises[0] == ineq(r"\mathbf n_2 <= \sim^\sharp \mathbf j_1")
+    prem = ineq(r"\mathbf j_1 <= \sim \mathbf n_2")
+    out = ca.adjoin(prem, "neg-right")
+    assert out == ineq(r"\mathbf n_2 <= \sim^\sharp \mathbf j_1")
     # and back
-    assert ca.adjunction(out, 0, "neg-right") == state
+    assert ca.adjoin(out, "neg-right") == prem
 
 
 def test_adjunction_neg_left_galois():
-    state = qi(r"\sim p <= q", concl=r"\mathbf i <= \mathbf m")
-    out = ca.adjunction(state, 0, "neg-left")
-    assert canon_ineq(out.premises[0]) == canon_ineq(ineq(r"\sim^\flat q <= p"))
-    assert ca.adjunction(out, 0, "neg-left") == state
+    prem = ineq(r"\sim p <= q")
+    out = ca.adjoin(prem, "neg-left")
+    assert canon_ineq(out) == canon_ineq(ineq(r"\sim^\flat q <= p"))
+    assert ca.adjoin(out, "neg-left") == prem
 
 
 # --- Ackermann ---
@@ -347,7 +355,7 @@ def test_adjunction_neg_left_galois():
 def test_ackermann_right_example():
     state = qi(r"\mathbf j_1 <= p", r"\mathbf i <= p \to q",
                concl=r"\mathbf i <= \mathbf m")
-    out = ca.ackermann(state, P, "+")
+    out = ca.ackermann(state, 0, P, "+")
     assert canon(out) == canon(qi(r"\mathbf i <= \mathbf j_1 \to q",
                                   concl=r"\mathbf i <= \mathbf m"))
 
@@ -356,7 +364,7 @@ def test_ackermann_eliminates_last_variable():
     state = qi(r"\mathbf i \circ (\mathbf i \circ \mathbf j_1) <= r",
                r"r <= \mathbf n_1", r"\mathbf j_1 \to \mathbf n_1 <= \mathbf m",
                concl=r"\mathbf i <= \mathbf m")
-    out = ca.ackermann(state, Atom(fm.PROP, 0, "r"), "+")
+    out = ca.ackermann(state, 0, Atom(fm.PROP, 0, "r"), "+")
     assert out == qi(r"\mathbf i \circ (\mathbf i \circ \mathbf j_1) <= \mathbf n_1",
                      r"\mathbf j_1 \to \mathbf n_1 <= \mathbf m",
                      concl=r"\mathbf i <= \mathbf m")
@@ -367,17 +375,17 @@ def test_ackermann_on_cyclic_premises_substitutes_the_bound():
     # p <= q is negative in p, so the solved premise q <= p may be consumed;
     # the rewrite collapses the cycle to q <= q
     state = qi(r"p <= q", r"q <= p", concl=r"\mathbf i <= \mathbf m")
-    out = ca.ackermann(state, P, "+")
+    out = ca.ackermann(state, 1, P, "+")
     assert canon(out) == canon(qi(r"q <= q", concl=r"\mathbf i <= \mathbf m"))
 
 
 def test_ackermann_side_condition_on_conclusion():
     state = qi(r"\mathbf j_1 <= p", concl=r"p <= \mathbf m")
     with pytest.raises(NotApplicable):
-        ca.ackermann(state, P, "+")
+        ca.ackermann(state, 0, P, "+")
     # dually fine with the left rule shape
     state = qi(r"p <= \mathbf n_1", concl=r"\mathbf i <= p \to \mathbf m")
-    out = ca.ackermann(state, P, "-")
+    out = ca.ackermann(state, 0, P, "-")
     assert out.conclusion == ineq(r"\mathbf i <= \mathbf n_1 \to \mathbf m")
 
 
@@ -385,7 +393,7 @@ def test_ackermann_keeps_every_premise_without_the_variable():
     state = qi(r"\mathbf j_1 <= p", r"\mathbf j_2 <= q",
                r"\mathbf i <= p \to q", r"q <= \mathbf n_1",
                concl=r"\mathbf i <= \mathbf m")
-    out = ca.ackermann(state, P, "+")
+    out = ca.ackermann(state, 0, P, "+")
     assert out.premises[0] is state.premises[1]
     assert out.premises[2] is state.premises[3]
     assert out.conclusion is state.conclusion
@@ -396,7 +404,30 @@ def test_ackermann_keeps_every_premise_without_the_variable():
 def test_ackermann_requires_variable_free_bound():
     state = qi(r"p \circ \mathbf i <= p", concl=r"\mathbf i <= \mathbf m")
     with pytest.raises(NotApplicable):
-        ca.ackermann(state, P, "+")
+        ca.ackermann(state, 0, P, "+")
+
+
+def test_ackermann_refuses_a_premise_not_solved_for_the_variable():
+    state = qi(r"\mathbf j_1 <= p", r"\mathbf i <= p \to q",
+               concl=r"\mathbf i <= \mathbf m")
+    for k, polarity in ((1, "+"), (0, "-"), (1, "-")):
+        with pytest.raises(NotApplicable, match="not solved"):
+            ca.ackermann(state, k, P, polarity)
+
+
+def test_ackermann_reads_another_solved_premise_as_blocking():
+    # the premise not named is a context premise positive ('+') or
+    # negative ('-') in p
+    for srcs, polarity in (((r"\mathbf j_1 <= p", r"\mathbf j_2 <= p"), "+"),
+                           ((r"p <= \mathbf n_1", r"p <= \mathbf n_2"), "-")):
+        state = qi(*srcs, r"\mathbf i <= \mathbf j_1 \to \mathbf n_1",
+                   concl=r"\mathbf i <= \mathbf m")
+        for k in (0, 1):
+            with pytest.raises(NotApplicable,
+                               match="context premise has a blocking occurrence"):
+                ca.ackermann(state, k, P, polarity)
+        # without the other solved premise the rule applies
+        ca.ackermann(ca._replace(state, 1, ()), 0, P, polarity)
 
 
 # --- simplification ---
@@ -517,17 +548,19 @@ def test_trace_replay_reproduces_every_goal(corpus_runs, criterion_7_runs):
 
 def test_replaying_a_residuation_step_reads_no_atoms(corpus_runs,
                                                     monkeypatch):
-    # only the approximation rules take a fresh-atom supply, so replaying
-    # any other step builds none and never lists the state's atoms
+    # every step reads its fresh atoms off the record, the approximation
+    # rules' included, so replaying any step of any corpus goal builds no
+    # supply and never lists the state's atoms
     pairs = []
     for _, result in corpus_runs.values():
         for g in result.goals:
             state = ca.goal(g.initial)
             for step in g.steps:
-                if step.rule.startswith("residuation-"):
-                    pairs.append((state, step))
+                pairs.append((state, step))
                 state = step.result
-    assert pairs
+    assert {step.rule for _, step in pairs} >= {
+        "first-approximation", "residuation-imp",
+        *(f"approx-{rule}" for rule in ca.APPROX_RULES)}
     calls = []
     atoms = QuasiInequality.atoms
     monkeypatch.setattr(QuasiInequality, "atoms",
@@ -536,18 +569,35 @@ def test_replaying_a_residuation_step_reads_no_atoms(corpus_runs,
     for state, step in pairs:
         assert ca.apply_step(state, step) == step.result
     assert calls == []
-    # the counter does see the rules that still take a supply
-    state, step = next((ca.goal(g.initial), g.steps[0])
-                       for _, result in corpus_runs.values()
-                       for g in result.goals)
-    assert step.rule == "first-approximation"
-    assert ca.apply_step(state, step) == step.result and calls
+    # the counter does see a supply built for a state
+    FreshSupply.for_qi(pairs[0][0])
+    assert calls
+
+
+def test_replay_refuses_a_step_at_no_premise_of_the_state(corpus_runs):
+    # a rule that names a premise needs an int index of the state's
+    # premises: -1 would count from the end, and a bool is not an index
+    firsts = {}
+    for _, result in corpus_runs.values():
+        for g in result.goals:
+            state = ca.goal(g.initial)
+            for step in g.steps:
+                if step.premise is not None:
+                    firsts.setdefault(step.rule, (state, step))
+                state = step.result
+    assert {"split", "drop-trivial", "residuation-imp", "adjunction-neg-left",
+            "ackermann-left", "ackermann-right",
+            *(f"approx-{rule}" for rule in ca.APPROX_RULES)} <= set(firsts)
+    for state, step in firsts.values():
+        assert ca.apply_step(state, step) == step.result
+        for k in (-1, len(state.premises), None, True):
+            with pytest.raises(NotApplicable):
+                ca.apply_step(state, replace(step, premise=k))
 
 
 def test_trace_replay_detects_divergence():
     start = qi(concl=r"p <= p")
-    supply = FreshSupply.for_qi(start)
-    out = ca.first_approximation(start, supply)
+    out = first_approximation(start)
     bogus = TraceStep("first-approximation", None, {},
                       (Atom(fm.NOM, 0), Atom(fm.CNOM, 0)),
                       qi(concl=r"\mathbf i <= \mathbf i"))

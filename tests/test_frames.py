@@ -301,7 +301,9 @@ def test_first_approximation_is_invertible_on_frames(small_frames):
     phi = parse(r"p \circ q")
     psi = parse(r"p")
     base = goal(Inequality(phi, psi))
-    approx = first_approximation(base, FreshSupply.for_qi(base))
+    supply = FreshSupply.for_qi(base)
+    approx = first_approximation(base, supply.fresh(fm.NOM),
+                                 supply.fresh(fm.CNOM))
     for f in small_frames[::11]:
         for P in f.upsets():
             for Q in f.upsets():

@@ -98,8 +98,9 @@ def test_approximate_conclusion_shape_and_irreducibility():
     for k in range(len(state.premises)):
         assert ca.find_split(state.premises[k]) is None
         for rule in ca.APPROX_RULES:
+            fresh = ca.FreshSupply.for_qi(state).fresh(ca.APPROX_SCHEMA[rule][3])
             with pytest.raises(ca.NotApplicable):
-                ca.approximation(state, k, rule, ca.FreshSupply.for_qi(state))
+                ca.approximation(state, k, rule, fresh)
 
 
 def test_eliminate_b2_order_and_result():

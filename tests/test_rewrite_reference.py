@@ -7,11 +7,14 @@ depth-first search it replaced.
 `ref_adjunction` and `ref_find_split` (with `ref_find_split_in`) below are
 the earlier rule bodies of `rmcorr.calculus`, one case per rule, direction
 or connective, kept verbatim as a reference, and `ref_ackermann` is the
-earlier Ackermann rule, which built every premise's sign table itself; `ref_solver_move` is the
+earlier Ackermann rule, which built every premise's sign table itself
+and scanned the premises for the solved one; `ref_solver_move` is the
 earlier premise solver's choice of move in `rmcorr.pipeline`.
 `ref_preprocess`, `ref_approximate` and `ref_simplify` are the earlier
 fixed-point loops of `rmcorr.pipeline`, kept verbatim but for calling those
-bodies: after every rewrite they rescan from the first goal or premise.
+bodies and for `ref_approximate` drawing the first approximation's atoms
+from its supply: after every rewrite they rescan from the first goal or
+premise.
 `ref_solve_premise` is the earlier premise solver, which rewrote premise k
 of a whole quasi-inequality, bounded by 4 moves per node instead of
 stopping when a state repeats, and calling the reference move, residuation
@@ -23,17 +26,18 @@ rules the same result as the reference, or NotApplicable on both sides, on
 the states of the approximation and simplification phases.
 `ref_eliminate`, with `ref_candidate_vars` and `ref_try_eliminate_one`, is
 the earlier search, kept verbatim but for reading
-`pipeline.MAX_ATTEMPT_LOG`, calling the other two and solving through
-`ref_solve_premise`: it searches a state again every time an order reaches
+`pipeline.MAX_ATTEMPT_LOG`, calling the other two, solving through
+`ref_solve_premise` and naming to Ackermann the premise it solved: it searches a state again every time an order reaches
 it, solves a premise again every time it meets it, and walks the premises
 once per variable and polarity.  On the same sets and the failing ladders, the
 current search must give the same order and steps, or the same stuck
 state, attempted orders and dead-end count, also with a shorter attempt
 log.  On every premise that the approximation and elimination phases reach
-on those four sets, residuation, adjunction, the split search and the
-solver's move must give what the reference gives, and on every Ackermann
-call of the search on them, Ackermann must, with the search's sign tables
-and solved premise and without them.
+on those four sets, residuation and adjunction (applied as replay applies
+a step), the split search and the solver's move must give what the
+reference gives, and on every Ackermann call of the search on them,
+Ackermann at the premise the search solved must give the same result, or
+NotApplicable on both sides.
 """
 
 import itertools
@@ -412,7 +416,8 @@ def ref_approximate(ineq: Inequality,
     if supply is None:
         supply = FreshSupply.for_qi(ca.goal(ineq))
     steps: list[TraceStep] = []
-    qi = ca.first_approximation(ca.goal(ineq), supply)
+    qi = ca.first_approximation(ca.goal(ineq), supply.fresh(fm.NOM),
+                                supply.fresh(fm.CNOM))
     steps.append(TraceStep("first-approximation", None, {},
                            (qi.conclusion.lhs.atom, qi.conclusion.rhs.atom), qi))
     progress = True
@@ -548,7 +553,7 @@ def ref_try_eliminate_one(qi: QuasiInequality, p: Atom,
         return None
     qi2, steps = solved
     try:
-        out = ca.ackermann(qi2, p, polarity)
+        out = ca.ackermann(qi2, k, p, polarity)
     except NotApplicable:
         return None
     steps.append(TraceStep(f"ackermann-{'right' if polarity == '+' else 'left'}",
@@ -697,8 +702,10 @@ def _outcome(rule, *args):
 def test_rule_schemata_match_the_written_out_rules(formulas):
     # every rule on every premise of the approximation phase, in the first
     # state the premise occurs in (a rewrite keeps the other premise
-    # objects), with the fresh atom drawn from a supply that has seen every
-    # atom of the phase and given as replay gives it; both simplifications
+    # objects), with the fresh atom the reference draws from a supply that
+    # has seen every atom of the phase, or with one given as replay gives
+    # it; the rule takes the atom, which its caller notes once the rule
+    # applies, as the reference notes it in its supply; both simplifications
     # on every state of the simplification phase, run on the approximated
     # state as in _run
     given = Atom(fm.NOM, 1000)
@@ -716,8 +723,11 @@ def test_rule_schemata_match_the_written_out_rules(formulas):
                     for rule, fresh in itertools.product(ca.APPROX_RULES,
                                                          (None, given)):
                         new, ref = FreshSupply(atoms), FreshSupply(atoms)
-                        out = _outcome(ca.approximation, state, k, rule, new,
-                                       fresh)
+                        atom = fresh or FreshSupply(atoms).fresh(
+                            ca.APPROX_SCHEMA[rule][3])
+                        out = _outcome(ca.approximation, state, k, rule, atom)
+                        if out is not NotApplicable:
+                            new.note((atom,))
                         assert out == _outcome(ref_approximation, state, k,
                                                rule, ref, fresh), (state, k)
                         assert new.used == ref.used
@@ -801,22 +811,26 @@ def _move_sites():
 
 
 def test_galois_tables_match_the_written_out_rules(reached_premises):
-    # each premise on its own, below a conclusion the rules do not read;
-    # a residuation's direction is the side that lost its connective
+    # each premise on its own, below a conclusion the rules do not read,
+    # rewritten as replay applies a recorded step; a residuation's
+    # direction is the side that lost its connective
     conclusion = Inequality(fm.nom(0), fm.cnom(0))
     applied, moves, splits = set(), set(), set()
     for prem in reached_premises:
         state = QuasiInequality((prem,), conclusion)
         for which, commute in itertools.product(
                 ("imp", "rres", "and", "or", "unknown"), (False, True)):
-            out = _outcome(ca.residuation, state, 0, which, commute)
+            out = _outcome(ca.apply_step, state,
+                           TraceStep(f"residuation-{which}", 0,
+                                     {"commute": commute}))
             assert out == _outcome(ref_residuation, state, 0, which,
                                    commute), (prem, which, commute)
             if out is not NotApplicable:
                 side = "lhs" if out.premises[0].lhs in prem.lhs.args else "rhs"
                 applied.add((which, commute, side))
         for which in ("neg-left", "neg-right", "and", "unknown"):
-            out = _outcome(ca.adjunction, state, 0, which)
+            out = _outcome(ca.apply_step, state,
+                           TraceStep(f"adjunction-{which}", 0))
             assert out == _outcome(ref_adjunction, state, 0, which), (prem,
                                                                       which)
             if out is not NotApplicable:
@@ -850,36 +864,45 @@ def _raised(rule, *args, **kwargs):
         return NotApplicable, str(exc)
 
 
-def _blocked(qi, p, polarity, tables):
+def _blocked(qi, k, p, polarity):
     """Ackermann calls like the search's whose side conditions fail: the
-    solved bound also holds p, or the conclusion has p on either side (the
-    search's conclusions never hold p)."""
-    k = next(k for k, prem in enumerate(qi.premises)
-             if (prem.rhs if polarity == "+" else prem.lhs) == fm.atom(p))
+    solved bound also holds p, a second premise is solved for p, or the
+    conclusion has p on either side (the search's conclusions never hold
+    p)."""
     prem = qi.premises[k]
     bound = Inequality(fm.conj(prem.lhs, fm.atom(p)), prem.rhs)
     if polarity == "-":
         bound = Inequality(prem.lhs, fm.disj(prem.rhs, fm.atom(p)))
-    yield _replace(qi, k, (bound,)), tables
+    yield _replace(qi, k, (bound,))
+    yield QuasiInequality(qi.premises + (prem,), qi.conclusion)
     concl = qi.conclusion
     for new in (Inequality(fm.atom(p), concl.rhs),
                 Inequality(concl.lhs, fm.atom(p))):
-        yield (QuasiInequality(qi.premises, new),
-               tables[:-1] + [new.sign_table()])
+        yield QuasiInequality(qi.premises, new)
+
+
+def _same_outcome(out, ref):
+    """The same result, or NotApplicable on both sides for the same reason;
+    where the reference, which scans every premise, finds a second premise
+    solved for the variable, the rule reads that premise as a blocking
+    context premise or first finds the bound blocked: any reason will do."""
+    if type(ref) is tuple and ref[1] == "need exactly one solved premise":
+        return type(out) is tuple
+    return out == ref
 
 
 def test_ackermann_matches_the_reference_on_the_search_calls(approximated,
                                                               monkeypatch):
-    # every call the search makes, with the sign tables and the solved
-    # premise it passes and, as replay makes it, without them, and the same
-    # calls with a blocked side condition; and without tables, every atom
-    # of each state the search called it on, at both polarities
+    # every call the search makes, at the premise it solved, and the same
+    # calls with a blocked side condition; and every atom of each state the
+    # search called it on, at both polarities, at each premise solved for
+    # the atom at that polarity
     calls = []
     ackermann = ca.ackermann
 
-    def recorded(qi, p, polarity, **kwargs):
-        calls.append((qi, p, polarity, kwargs["tables"], kwargs["at"]))
-        return ackermann(qi, p, polarity, **kwargs)
+    def recorded(qi, k, p, polarity, *args):
+        calls.append((qi, k, p, polarity))
+        return ackermann(qi, k, p, polarity, *args)
 
     monkeypatch.setattr(ca, "ackermann", recorded)
     for qi in approximated:
@@ -887,20 +910,22 @@ def test_ackermann_matches_the_reference_on_the_search_calls(approximated,
     monkeypatch.undo()
     assert calls
     outcomes = {}
-    for qi, p, polarity, tables, at in calls:
-        for state, signs in [(qi, tables), *_blocked(qi, p, polarity, tables)]:
+    for qi, k, p, polarity in calls:
+        for state in [qi, *_blocked(qi, k, p, polarity)]:
             ref = _raised(ref_ackermann, state, p, polarity)
-            assert _raised(ca.ackermann, state, p, polarity,
-                           tables=signs) == ref, (state, p, polarity)
-            assert _raised(ca.ackermann, state, p, polarity, tables=signs,
-                           at=at) == ref, (state, p, polarity)
-            assert _raised(ca.ackermann, state, p, polarity) == ref
-            outcomes[state, p, polarity] = ref[1] if type(ref) is tuple else None
+            assert _same_outcome(_raised(ca.ackermann, state, k, p, polarity),
+                                 ref), (state, k, p, polarity)
+            outcomes[state, k, p, polarity] = (ref[1] if type(ref) is tuple
+                                               else None)
         for a, pol in itertools.product(qi.atoms(), "+-"):
-            if (qi, a, pol) not in outcomes:
+            for j, prem in enumerate(qi.premises):
+                solved = (prem.rhs if pol == "+" else prem.lhs) == fm.atom(a)
+                if not solved or (qi, j, a, pol) in outcomes:
+                    continue
                 ref = _raised(ref_ackermann, qi, a, pol)
-                assert _raised(ca.ackermann, qi, a, pol) == ref, (qi, a, pol)
-                outcomes[qi, a, pol] = ref[1] if type(ref) is tuple else None
+                assert _same_outcome(_raised(ca.ackermann, qi, j, a, pol),
+                                     ref), (qi, j, a, pol)
+                outcomes[qi, j, a, pol] = ref[1] if type(ref) is tuple else None
     assert {None, "solved bound still contains the variable",
             "conclusion has a blocking occurrence",
             "need exactly one solved premise"} <= set(outcomes.values())
