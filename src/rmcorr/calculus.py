@@ -118,10 +118,6 @@ class Inequality:
     def text(self, mode: SyntaxMode = SyntaxMode.RELEVANCE) -> str:
         return f"{to_text(self.lhs, mode)} \\le {to_text(self.rhs, mode)}"
 
-    def to_json(self) -> dict:
-        from .syntax import formula_to_json
-        return {"lhs": formula_to_json(self.lhs), "rhs": formula_to_json(self.rhs)}
-
     def __repr__(self) -> str:
         return self.text()
 
@@ -165,11 +161,6 @@ class QuasiInequality:
             return f"{parts} \\quad\\Longrightarrow\\quad {self.conclusion.text(mode)}"
         return self.conclusion.text(mode)
 
-    def to_json(self, encode=None) -> dict:  # encode: one inequality's JSON
-        encode = encode or Inequality.to_json
-        return {"premises": [encode(p) for p in self.premises],
-                "conclusion": encode(self.conclusion)}
-
     def __repr__(self) -> str:
         return self.text()
 
@@ -208,24 +199,6 @@ class TraceStep:
     params: dict = field(default_factory=dict)
     fresh: tuple[Atom, ...] = ()
     result: Optional[QuasiInequality] = None
-
-    def to_json(self, encode=None) -> dict:
-        return {
-            "rule": self.rule,
-            "premise": self.premise,
-            "params": {k: json_value(v) for k, v in self.params.items()},
-            "fresh": [json_value(a) for a in self.fresh],
-            "result": None if self.result is None else self.result.to_json(encode),
-        }
-
-
-def json_value(value):
-    """JSON form of a trace parameter: atoms become objects, tuples lists."""
-    if isinstance(value, Atom):
-        return {"kind": value.kind, "index": value.index, "name": value.name}
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def _replace(qi: QuasiInequality, k: int, new: tuple[Inequality, ...]) -> QuasiInequality:
@@ -271,6 +244,8 @@ def first_approximation(qi: QuasiInequality, j: Atom, m: Atom) -> QuasiInequalit
     """Replace the conclusion phi <= psi by j <= m, adding j <= phi and
     psi <= m as premises.  The nominal j and co-nominal m, fresh for qi,
     are drawn by the pipeline's supply or read off the step by replay."""
+    if j.kind != fm.NOM or m.kind != fm.CNOM:
+        raise NotApplicable("first approximation needs a nominal and a co-nominal")
     concl = qi.conclusion
     new = (Inequality(fm.atom(j), concl.lhs), Inequality(concl.rhs, fm.atom(m)))
     return QuasiInequality(new + qi.premises, Inequality(fm.atom(j), fm.atom(m)))
@@ -337,7 +312,8 @@ def approximation(qi: QuasiInequality, k: int, rule: str,
     the step by replay.  The rewritten premise keeps its position; the
     naming premise is inserted directly after it.
     """
-    if rule not in APPROX_SCHEMA or not _fits(qi.premises[k], rule):
+    if (rule not in APPROX_SCHEMA or not _fits(qi.premises[k], rule)
+            or fresh.kind != APPROX_SCHEMA[rule][3]):
         raise NotApplicable(f"approximation rule {rule!r} does not apply")
     op, side, i, kind = APPROX_SCHEMA[rule]
     name = fm.atom(fresh)
@@ -426,8 +402,10 @@ def ackermann(qi: QuasiInequality, k: int, p: Atom, polarity: str,
     `substitute(premise, p, alpha)` rewrites the other premises and the
     conclusion that hold p; the search passes one that shares its results.
     """
-    if p.kind != fm.PROP:
+    if type(p) is not Atom or p.kind != fm.PROP:
         raise NotApplicable("Ackermann elimination targets propositional variables")
+    if polarity not in ("+", "-"):
+        raise NotApplicable(f"no polarity {polarity!r}")
     solved = qi.premises[k]
     if (solved.rhs if polarity == "+" else solved.lhs) != fm.atom(p):
         raise NotApplicable(f"premise {k} is not solved for {p}")
@@ -525,19 +503,22 @@ def _replace_at(phi: Formula, path: tuple[int, ...], new: Formula) -> Formula:
 
 def _subformula_at(phi: Formula, path: tuple[int, ...]) -> Formula:
     for i in path:
+        if type(i) is not int or not 0 <= i < len(phi.args):
+            raise NotApplicable(f"split path {path!r} leaves the formula")
         phi = phi.args[i]
     return phi
 
 
 def split_goal(ineq: Inequality, side: str, path: tuple[int, ...]) -> tuple[Inequality, Inequality]:
     """Split the meet/join at (side, path) into two inequalities."""
+    if side not in ("lhs", "rhs"):
+        raise NotApplicable(f"no side {side!r} to split")
     host, other = _sides(ineq, side)
     node = _subformula_at(host, path)
     if node.op not in (fm.AND, fm.OR):
         raise NotApplicable("split target is not a meet or join")
-    a, b = (_oriented(side, _replace_at(host, path, arg), other)
-            for arg in node.args)
-    return a, b
+    return tuple(_oriented(side, _replace_at(host, path, arg), other)
+                 for arg in node.args)
 
 
 def split_premise(qi: QuasiInequality, k: int, side: str,
@@ -551,11 +532,13 @@ def split_premise(qi: QuasiInequality, k: int, side: str,
 
 def apply_step(qi: QuasiInequality, step: TraceStep) -> QuasiInequality:
     """Re-apply a recorded step to a state, as the pipeline applies its rule:
-    at the premise and with the fresh atoms that the step records.  A rule
-    that names a premise is refused unless the step's premise is an int
-    (not a bool) indexing qi's premises."""
+    at the premise and with the fresh atoms that the step records.  A step
+    is refused unless it holds as many fresh atoms as its rule draws and, if
+    its rule names a premise, an int (not a bool) indexing qi's premises."""
     rule = step.rule
     family, _, which = rule.partition("-")
+    if len(step.fresh) != {"first": 2, "approx": 1}.get(family, 0):
+        raise NotApplicable(f"rule {rule!r} with {len(step.fresh)} fresh atoms")
     if rule == "first-approximation":
         return first_approximation(qi, *step.fresh)
     if family == "simplification":

@@ -645,11 +645,6 @@ class CorrespondenceReport:
     frames_checked: int
     coverage: str
 
-    def to_json(self) -> dict:
-        f = self.counterexample
-        return {"agree": self.agree, "frames_checked": self.frames_checked,
-                "counterexample": None if f is None else f.to_json()}
-
 
 def correspondence_check(phi: Formula, g: fol.FONode, n: int,
                          mode: str = "relevance") -> CorrespondenceReport:

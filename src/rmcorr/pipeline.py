@@ -47,16 +47,6 @@ class PreprocessEvent:
     after: tuple[Inequality, ...]
     params: dict = field(default_factory=dict)
 
-    def to_json(self, encode=None) -> dict:
-        encode = encode or Inequality.to_json
-        return {
-            "kind": self.kind,
-            "index": self.index,
-            "before": encode(self.before),
-            "after": [encode(i) for i in self.after],
-            "params": {k: ca.json_value(v) for k, v in self.params.items()},
-        }
-
 
 def preprocess(phi: Formula) -> tuple[list[Inequality], list[PreprocessEvent]]:
     """Turn a formula into goal inequalities, split them, then run monotone
@@ -137,10 +127,6 @@ class FailureInfo:
     stuck: QuasiInequality
     attempted: list[list[str]]  # the first MAX_ATTEMPT_LOG dead ends
     dead_ends: int  # every dead end, logged or not
-
-    def to_json(self, encode=None) -> dict:
-        return {"stuck": self.stuck.to_json(encode), "attempted": self.attempted,
-                "dead_ends": self.dead_ends}
 
 
 def _signed_name(p: Atom, polarity: str) -> str:

@@ -18,6 +18,8 @@ from . import fol
 from . import translate
 from .fol import (And, EqAtom, Exists, FONode, Forall, Implies, LeqAtom, Not,
                   OAtom, Or, PVarAtom, RAtom, Star, WVar)
+from .formula import Atom
+from .syntax import formula_to_json, to_text
 
 __all__ = ["OutputFormat", "render", "fo_to_json", "render_report"]
 
@@ -221,12 +223,14 @@ def render_report(result, fmt: OutputFormat = OutputFormat.TEX,
     """The report of one run, ending in a newline: the phases of a pipeline
     result, then the verdict of a `CorrespondenceReport` if one is given.
     JSON is one document, with the verdict under `verification`."""
-    from .syntax import to_text
-
     if fmt is OutputFormat.JSON:
         obj = result_to_json(result, trace=trace)
         if verification is not None:
-            obj["verification"] = verification.to_json()
+            f = verification.counterexample
+            obj["verification"] = {
+                "agree": verification.agree,
+                "frames_checked": verification.frames_checked,
+                "counterexample": None if f is None else f.to_json()}
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     lines = [f"Input: {to_text(result.formula, result.mode)}"]
     lines.append("Initial inequalities: ["
@@ -270,44 +274,76 @@ def render_report(result, fmt: OutputFormat = OutputFormat.TEX,
     return "\n".join(lines) + "\n"
 
 
+def _json_value(value):
+    """JSON form of a trace parameter: atoms become objects, tuples lists."""
+    if isinstance(value, Atom):
+        return {"kind": value.kind, "index": value.index, "name": value.name}
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+class _Encoder:
+    """The JSON parts of one report.  Snapshots share most premise objects,
+    so each inequality object is encoded once and its dict shared; the memo
+    holds every object it encoded, so no id is reused while it lives."""
+
+    def __init__(self):
+        self._memo: dict[int, tuple[object, dict]] = {}
+
+    def inequality(self, ineq) -> dict:
+        if id(ineq) not in self._memo:
+            self._memo[id(ineq)] = ineq, {"lhs": formula_to_json(ineq.lhs),
+                                          "rhs": formula_to_json(ineq.rhs)}
+        return self._memo[id(ineq)][1]
+
+    def quasi(self, qi) -> Optional[dict]:
+        return None if qi is None else {
+            "premises": [self.inequality(p) for p in qi.premises],
+            "conclusion": self.inequality(qi.conclusion)}
+
+    def step(self, step) -> dict:
+        return {"rule": step.rule, "premise": step.premise,
+                "params": {k: _json_value(v) for k, v in step.params.items()},
+                "fresh": [_json_value(a) for a in step.fresh],
+                "result": self.quasi(step.result)}
+
+    def event(self, event) -> dict:
+        return {"kind": event.kind, "index": event.index,
+                "before": self.inequality(event.before),
+                "after": [self.inequality(i) for i in event.after],
+                "params": {k: _json_value(v) for k, v in event.params.items()}}
+
+    def failure(self, failure) -> dict:
+        return {"stuck": self.quasi(failure.stuck),
+                "attempted": failure.attempted, "dead_ends": failure.dead_ends}
+
+
 def result_to_json(result, trace: bool = False) -> dict:
-    """The JSON report of one pipeline result.  A trace's snapshots share
-    most premise objects, so each distinct inequality object is encoded once
-    per call (the result keeps them alive: no id is reused) and shared."""
-    from .syntax import formula_to_json
-
-    memo: dict[int, dict] = {}
-
-    def encode(ineq) -> dict:
-        if id(ineq) not in memo:
-            memo[id(ineq)] = ineq.to_json()
-        return memo[id(ineq)]
-
+    """The JSON report of one pipeline result, from one encoder."""
+    enc = _Encoder()
     goals = []
     for g in result.goals:
         entry = {
-            "initial": encode(g.initial),
-            "approximated": None if g.approximated is None
-            else g.approximated.to_json(encode),
+            "initial": enc.inequality(g.initial),
+            "approximated": enc.quasi(g.approximated),
             "order": g.order,
-            "pure": None if g.pure is None else g.pure.to_json(encode),
-            "simplified": None if g.simplified is None
-            else g.simplified.to_json(encode),
+            "pure": enc.quasi(g.pure),
+            "simplified": enc.quasi(g.simplified),
             "fo": None if g.fo is None else fo_to_json(g.fo),
             "fo_tex": None if g.fo is None else render(g.fo, OutputFormat.TEX),
-            "failure": None if g.failure is None else g.failure.to_json(encode),
+            "failure": None if g.failure is None else enc.failure(g.failure),
         }
         if trace:
-            entry["trace"] = [s.to_json(encode) for s in g.steps]
+            entry["trace"] = [enc.step(s) for s in g.steps]
         goals.append(entry)
-    out = {
+    return {
         "status": result.status,
         "formula": formula_to_json(result.formula),
         "mode": result.mode.value,
         "goals": goals,
-        "preprocess": [e.to_json(encode) for e in result.preprocess_events],
+        "preprocess": [enc.event(e) for e in result.preprocess_events],
         "fo": None if result.fo is None else fo_to_json(result.fo),
         "fo_tex": None if result.fo is None
         else render(result.fo, OutputFormat.TEX),
     }
-    return out

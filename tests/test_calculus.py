@@ -574,17 +574,23 @@ def test_replaying_a_residuation_step_reads_no_atoms(corpus_runs,
     assert calls
 
 
-def test_replay_refuses_a_step_at_no_premise_of_the_state(corpus_runs):
-    # a rule that names a premise needs an int index of the state's
-    # premises: -1 would count from the end, and a bool is not an index
+def _first_steps(corpus_runs) -> dict:
+    """The first step of each rule in the corpus runs, with its state."""
     firsts = {}
     for _, result in corpus_runs.values():
         for g in result.goals:
             state = ca.goal(g.initial)
             for step in g.steps:
-                if step.premise is not None:
-                    firsts.setdefault(step.rule, (state, step))
+                firsts.setdefault(step.rule, (state, step))
                 state = step.result
+    return firsts
+
+
+def test_replay_refuses_a_step_at_no_premise_of_the_state(corpus_runs):
+    # a rule that names a premise needs an int index of the state's
+    # premises: -1 would count from the end, and a bool is not an index
+    firsts = {rule: hit for rule, hit in _first_steps(corpus_runs).items()
+              if hit[1].premise is not None}
     assert {"split", "drop-trivial", "residuation-imp", "adjunction-neg-left",
             "ackermann-left", "ackermann-right",
             *(f"approx-{rule}" for rule in ca.APPROX_RULES)} <= set(firsts)
@@ -593,6 +599,65 @@ def test_replay_refuses_a_step_at_no_premise_of_the_state(corpus_runs):
         for k in (-1, len(state.premises), None, True):
             with pytest.raises(NotApplicable):
                 ca.apply_step(state, replace(step, premise=k))
+
+
+def _refused(state, step, **change) -> bool:
+    """Whether replay refuses the step with the given fields changed; any
+    other exception propagates."""
+    try:
+        ca.apply_step(state, replace(step, **change))
+    except NotApplicable:
+        return True
+    return False
+
+
+def test_replay_refuses_fresh_atoms_of_the_wrong_kind_or_number(corpus_runs):
+    # an approximation rule names with an atom of its kind in APPROX_SCHEMA
+    # (a variable would leave an impure state), the first approximation with
+    # a nominal and then a co-nominal, and each takes as many atoms as the
+    # pipeline draws for it; a rule that draws none takes none
+    firsts = _first_steps(corpus_runs)
+    j, m, p = Atom(fm.NOM, 7), Atom(fm.CNOM, 7), Atom(fm.PROP, 7)
+    state, step = firsts["first-approximation"]
+    assert ca.apply_step(state, replace(step, fresh=(j, m))) is not None
+    for fresh in ((m, j), (j, j), (p, m), (), (j,), (j, m, m)):
+        assert _refused(state, step, fresh=fresh), fresh
+    for rule in ca.APPROX_RULES:
+        state, step = firsts[f"approx-{rule}"]
+        kind = ca.APPROX_SCHEMA[rule][3]
+        right, wrong = (j, m) if kind == fm.NOM else (m, j)
+        assert ca.apply_step(state, replace(step, fresh=(right,))) is not None
+        for fresh in ((wrong,), (p,), (), (right, right)):
+            assert _refused(state, step, fresh=fresh), (rule, fresh)
+    for rule in ("split", "residuation-imp", "ackermann-left"):
+        assert _refused(*firsts[rule], fresh=(j,)), rule
+
+
+def test_replay_refuses_a_malformed_split_or_ackermann_step(corpus_runs):
+    # a split names the left or right side and a path into it; Ackermann
+    # names a variable and the polarity + or -
+    firsts = _first_steps(corpus_runs)
+    state, step = firsts["split"]
+    for side in ("middle", None):
+        assert _refused(state, step,
+                        params={**step.params, "side": side}), side
+    for path in ((5,), (0, 0, 0, 0, 0, 0, 0, 0)):
+        assert _refused(state, step,
+                        params={**step.params, "path": path}), path
+    for rule in ("ackermann-left", "ackermann-right"):
+        state, step = firsts[rule]
+        for change in ({"polarity": "x"}, {"polarity": "+-"},
+                       {"var": "p"}, {"var": None}):
+            assert _refused(state, step, params={**step.params, **change}), (
+                rule, change)
+    # -1 would count from the end, and a bool is not an index
+    ineq = Inequality(fm.var(0),
+                      fm.conj(fm.var(1), fm.conj(fm.var(2), fm.var(3))))
+    assert len(ca.split_goal(ineq, "rhs", (1,))) == 2
+    for side, path in (("middle", ()), ("rhs", (-1,)), ("rhs", (True,)),
+                       ("rhs", (2,))):
+        with pytest.raises(NotApplicable):
+            ca.split_goal(ineq, side, path)
 
 
 def test_trace_replay_detects_divergence():

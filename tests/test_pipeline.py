@@ -9,7 +9,8 @@ from rmcorr import pipeline
 from rmcorr.calculus import Inequality
 from rmcorr.pipeline import (FailureInfo, _solve_premise, approximate,
                              correspondent, eliminate, preprocess, simplify)
-from rmcorr.render import OutputFormat, render, render_report, result_to_json
+from rmcorr.render import (OutputFormat, _Encoder, render, render_report,
+                           result_to_json)
 from rmcorr.syntax import SyntaxMode, parse
 
 from helpers import chain_ladder, fusion_ladder, random_formula
@@ -166,7 +167,8 @@ def test_eliminate_failure_reports_stuck_state(monkeypatch):
     assert isinstance(out, FailureInfo)
     assert any(a.kind == fm.PROP for a in out.stuck.atoms())
     assert out.attempted  # at least one dead-end order recorded
-    assert out.to_json()["dead_ends"] == out.dead_ends == len(out.attempted)
+    assert (_Encoder().failure(out)["dead_ends"] == out.dead_ends
+            == len(out.attempted))
     res = correspondent(parse(r"((p \to p) \to q) \to q"))
     assert "  Attempted orders: [" in render_report(res)  # all of them shown
     # the report shows 16 orders, and the log keeps MAX_ATTEMPT_LOG of them
@@ -174,7 +176,7 @@ def test_eliminate_failure_reports_stuck_state(monkeypatch):
         monkeypatch.setattr(pipeline, "MAX_ATTEMPT_LOG", cap)
         res = correspondent(parse(chain_ladder(1)))  # 24 dead ends
         assert len(res.failure.attempted) == min(cap, 24)
-        assert res.failure.to_json()["dead_ends"] == 24
+        assert _Encoder().failure(res.failure)["dead_ends"] == 24
         assert (f"  Attempted orders (first {shown} of 24): ["
                 in render_report(res))
 

@@ -1,17 +1,23 @@
+import gc
+import importlib
 import json
 
 import pytest
 
 from rmcorr import fol
+from rmcorr import formula as fm
 from rmcorr.fol import (And, Exists, Forall, Implies, LeqAtom, Not, OAtom,
                         RAtom, Star, WVar)
 from rmcorr.calculus import Inequality
 from rmcorr.pipeline import correspondent
-from rmcorr.render import (OutputFormat, fo_to_json, render, render_report,
-                           result_to_json)
-from rmcorr.syntax import parse
+from rmcorr.render import (OutputFormat, _Encoder, fo_to_json, render,
+                           render_report, result_to_json)
+from rmcorr.syntax import formula_to_json, parse
 
 from tptp_checker import TPTPError, check_tptp
+
+# the module: the package's `render` is the function
+render_module = importlib.import_module("rmcorr.render")
 
 X = lambda k: WVar("x", k)
 Y = lambda k: WVar("y", k)
@@ -98,29 +104,65 @@ def test_report_json_mode():
     assert obj["goals"][0]["trace"][0]["rule"] == "first-approximation"
 
 
+def _placed(res, report):
+    """Each inequality object that a result holds, with the dict that its
+    report holds in the object's place."""
+    def states(qi, obj):
+        if qi is not None:
+            yield from zip((*qi.premises, qi.conclusion),
+                           (*obj["premises"], obj["conclusion"]))
+
+    for event, obj in zip(res.preprocess_events, report["preprocess"]):
+        yield event.before, obj["before"]
+        yield from zip(event.after, obj["after"])
+    for g, entry in zip(res.goals, report["goals"]):
+        yield g.initial, entry["initial"]
+        for key in ("approximated", "pure", "simplified"):
+            yield from states(getattr(g, key), entry[key])
+        if g.failure is not None:
+            yield from states(g.failure.stuck, entry["failure"]["stuck"])
+        for step, obj in zip(g.steps, entry["trace"]):
+            yield from states(step.result, obj["result"])
+
+
 def test_json_report_encodes_each_inequality_object_once(corpus_runs,
                                                          monkeypatch):
-    # the shared encodings read as every snapshot encoded in full
     failed = correspondent(parse(r"((p \to p) \to q) \to q"))
     assert failed.failure is not None
-    encode = Inequality.to_json
     calls = []
-    monkeypatch.setattr(Inequality, "to_json",
-                        lambda self: calls.append(self) or encode(self))
+    monkeypatch.setattr(render_module, "formula_to_json",
+                        lambda phi: calls.append(phi) or formula_to_json(phi))
     for res in [res for _, res in corpus_runs.values()] + [failed]:
         calls.clear()
         report = result_to_json(res, trace=True)
-        assert len(calls) == len({id(ineq) for ineq in calls})
-        with monkeypatch.context() as m:
-            m.setattr(Inequality, "to_json", encode)
-            assert report["preprocess"] == [e.to_json()
-                                            for e in res.preprocess_events]
-            for g, entry in zip(res.goals, report["goals"]):
-                assert entry["trace"] == [s.to_json() for s in g.steps]
-                assert entry["initial"] == g.initial.to_json()
-                for key in ("approximated", "pure", "simplified", "failure"):
-                    state = getattr(g, key)
-                    assert entry[key] == (state and state.to_json())
+        # every place that holds an object holds one dict, the object's
+        placed = {}
+        for ineq, obj in _placed(res, report):
+            assert placed.setdefault(id(ineq), (ineq, obj))[1] is obj
+        # two sides per distinct inequality object, and the input formula
+        assert len(calls) == 2 * len(placed) + 1
+        # the shared encodings read as each part encoded by a fresh encoder
+        assert report["preprocess"] == [_Encoder().event(e)
+                                        for e in res.preprocess_events]
+        for g, entry in zip(res.goals, report["goals"]):
+            assert entry["trace"] == [_Encoder().step(s) for s in g.steps]
+            assert entry["initial"] == _Encoder().inequality(g.initial)
+            for key in ("approximated", "pure", "simplified"):
+                assert entry[key] == _Encoder().quasi(getattr(g, key))
+            assert entry["failure"] == (None if g.failure is None
+                                        else _Encoder().failure(g.failure))
+
+
+def test_encoder_keeps_the_objects_it_encoded():
+    # each temporary is dropped once encoded, so its memory, and its id,
+    # is free for the next inequality; a memo keyed by a bare id would give
+    # that one the temporary's encoding
+    enc = _Encoder()
+    for i in range(100):
+        enc.inequality(Inequality(fm.var(i), fm.top()))
+        gc.collect()
+        other = Inequality(fm.top(), fm.var(i))
+        assert enc.inequality(other) == _Encoder().inequality(other), i
 
 
 def test_tptp_checker_rejects_garbage():

@@ -56,6 +56,7 @@ from rmcorr.formula import Atom, Formula
 from rmcorr.pipeline import (FailureInfo, PreprocessEvent, _signed_name,
                              _solver_move, approximate, eliminate, preprocess,
                              simplify)
+from rmcorr.render import _Encoder
 from rmcorr.syntax import parse
 
 from helpers import chain_ladder, fusion_ladder, random_formula
@@ -620,48 +621,31 @@ def formulas(request, input_sets):
     return input_sets[request.param]
 
 
-def _run(phi, pre, approx, simp):
-    """JSON of every goal, event, state and step of the three phases."""
+def _run(phi, pre, approx, simp, enc):
+    """JSON of every goal, event, state and step of the three phases, from
+    the report's encoder `enc`."""
     goals, events = pre(phi)
-    out = {"goals": [g.to_json() for g in goals],
-           "events": [e.to_json() for e in events], "runs": []}
+    out = {"goals": [enc.inequality(g) for g in goals],
+           "events": [enc.event(e) for e in events], "runs": []}
     for ineq in goals:
         qi, steps = approx(ineq)
         # simplify runs on the approximated state: no elimination in between
         simplified, simp_steps = simp(qi)
-        out["runs"].append({"approximated": qi.to_json(),
-                            "steps": [s.to_json() for s in steps],
-                            "simplified": simplified.to_json(),
-                            "simplify_steps": [s.to_json() for s in simp_steps]})
+        out["runs"].append({"approximated": enc.quasi(qi),
+                            "steps": [enc.step(s) for s in steps],
+                            "simplified": enc.quasi(simplified),
+                            "simplify_steps": [enc.step(s) for s in simp_steps]})
     return out
-
-
-@pytest.fixture
-def encode_once(monkeypatch):
-    """Make `Inequality.to_json` encode each inequality object once per
-    formula.  A rewrite keeps the other premises as they were, so the
-    snapshots of one trace share most of their premise objects; encoding
-    every snapshot in full dominated the test's time.  Returns the function
-    that starts the next formula."""
-    encode = Inequality.to_json
-    memo = {}
-
-    def to_json(self):
-        if id(self) not in memo:
-            memo[id(self)] = (self, encode(self))  # holds self: ids stay unique
-        return memo[id(self)][1]
-
-    monkeypatch.setattr(Inequality, "to_json", to_json)
-    return memo.clear
 
 
 # -- tests ---------------------------------------------------------------------
 
-def test_forward_scans_match_the_restart_loops(formulas, encode_once):
+def test_forward_scans_match_the_restart_loops(formulas):
     for phi in formulas:
-        encode_once()
-        assert (_run(phi, preprocess, approximate, simplify)
-                == _run(phi, ref_preprocess, ref_approximate, ref_simplify)), phi
+        enc = _Encoder()  # one per formula, for both sides
+        assert (_run(phi, preprocess, approximate, simplify, enc)
+                == _run(phi, ref_preprocess, ref_approximate, ref_simplify,
+                        enc)), phi
 
 
 def test_cycle_stop_matches_the_move_bound(formulas, monkeypatch):
@@ -703,12 +687,13 @@ def test_rule_schemata_match_the_written_out_rules(formulas):
     # every rule on every premise of the approximation phase, in the first
     # state the premise occurs in (a rewrite keeps the other premise
     # objects), with the fresh atom the reference draws from a supply that
-    # has seen every atom of the phase, or with one given as replay gives
-    # it; the rule takes the atom, which its caller notes once the rule
+    # has seen every atom of the phase, or with one of the rule's kind given
+    # as replay gives it (the rule refuses another kind, which the reference
+    # took); the rule takes the atom, which its caller notes once the rule
     # applies, as the reference notes it in its supply; both simplifications
     # on every state of the simplification phase, run on the approximated
     # state as in _run
-    given = Atom(fm.NOM, 1000)
+    given = {kind: Atom(kind, 1000) for kind in (fm.NOM, fm.CNOM)}
     applied = set()
     for phi in formulas:
         for ineq in preprocess(phi)[0]:
@@ -722,9 +707,10 @@ def test_rule_schemata_match_the_written_out_rules(formulas):
                     seen.add(id(prem))
                     for rule, fresh in itertools.product(ca.APPROX_RULES,
                                                          (None, given)):
+                        kind = ca.APPROX_SCHEMA[rule][3]
+                        fresh = fresh and fresh[kind]
                         new, ref = FreshSupply(atoms), FreshSupply(atoms)
-                        atom = fresh or FreshSupply(atoms).fresh(
-                            ca.APPROX_SCHEMA[rule][3])
+                        atom = fresh or FreshSupply(atoms).fresh(kind)
                         out = _outcome(ca.approximation, state, k, rule, atom)
                         if out is not NotApplicable:
                             new.note((atom,))
@@ -751,27 +737,27 @@ def approximated(request, input_sets):
             for ineq in preprocess(phi)[0]]
 
 
-def _elimination_json(search, qi):
+def _elimination_json(search, qi, enc):
     out = search(qi)
     if isinstance(out, FailureInfo):
-        return out.to_json()
+        return enc.failure(out)
     pure, order, steps = out
-    return {"pure": pure.to_json(), "order": order,
-            "steps": [s.to_json() for s in steps]}
+    return {"pure": enc.quasi(pure), "order": order,
+            "steps": [enc.step(s) for s in steps]}
 
 
 @pytest.mark.parametrize("cap", [None, 1, 5])
 def test_memoised_search_matches_the_plain_search(approximated, cap,
-                                                  monkeypatch, encode_once):
+                                                  monkeypatch):
     # a capped log makes a memoised state's orders run out before its dead
     # ends do, so the cap has to be applied across memo hits as it was
     # across the plain search's dead ends
     if cap is not None:
         monkeypatch.setattr(pipeline, "MAX_ATTEMPT_LOG", cap)
     for qi in approximated:
-        encode_once()
-        assert (_elimination_json(eliminate, qi)
-                == _elimination_json(ref_eliminate, qi)), qi
+        enc = _Encoder()  # one per state, for both sides
+        assert (_elimination_json(eliminate, qi, enc)
+                == _elimination_json(ref_eliminate, qi, enc)), qi
 
 
 @pytest.fixture(scope="module")
