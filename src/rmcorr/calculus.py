@@ -127,14 +127,16 @@ class Inequality:
 class QuasiInequality:
     premises: tuple[Inequality, ...]
     conclusion: Inequality
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, premises: tuple[Inequality, ...], conclusion: Inequality):
         _set(self, "premises", premises)
         _set(self, "conclusion", conclusion)
-        _set(self, "_hash", hash((premises, conclusion)))
+        _set(self, "_hash", None)
 
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # stored on first use: most snapshots never are
+        if self._hash is None:
+            _set(self, "_hash", hash((self.premises, self.conclusion)))
         return self._hash
 
     def __reduce__(self):
@@ -533,12 +535,14 @@ def split_premise(qi: QuasiInequality, k: int, side: str,
 def apply_step(qi: QuasiInequality, step: TraceStep) -> QuasiInequality:
     """Re-apply a recorded step to a state, as the pipeline applies its rule:
     at the premise and with the fresh atoms that the step records.  A step
-    is refused unless it holds as many fresh atoms as its rule draws and, if
-    its rule names a premise, an int (not a bool) indexing qi's premises."""
-    rule = step.rule
+    is refused unless it holds as many fresh atoms as its rule draws, every
+    parameter its rule reads (a bool `commute`, if any) and, if its rule
+    names a premise, an int (not a bool) indexing qi's premises."""
+    rule, params = step.rule, step.params
     family, _, which = rule.partition("-")
-    if len(step.fresh) != {"first": 2, "approx": 1}.get(family, 0):
-        raise NotApplicable(f"rule {rule!r} with {len(step.fresh)} fresh atoms")
+    if (len(step.fresh) != {"first": 2, "approx": 1}.get(family, 0)
+            or any(type(a) is not Atom for a in step.fresh)):
+        raise NotApplicable(f"rule {rule!r} with fresh atoms {step.fresh!r}")
     if rule == "first-approximation":
         return first_approximation(qi, *step.fresh)
     if family == "simplification":
@@ -550,16 +554,21 @@ def apply_step(qi: QuasiInequality, step: TraceStep) -> QuasiInequality:
     if family == "approx":
         return approximation(qi, k, which, *step.fresh)
     if family == "residuation":
-        new = residuate(qi.premises[k], which, step.params.get("commute", False))
-        return _replace(qi, k, (new,))
+        commute = params.get("commute", False)
+        if type(commute) is not bool:
+            raise NotApplicable(f"residuation with commute={commute!r}")
+        return _replace(qi, k, (residuate(qi.premises[k], which, commute),))
     if family == "adjunction":
         return _replace(qi, k, (adjoin(qi.premises[k], which),))
     if family == "ackermann":
-        return ackermann(qi, k, step.params["var"], step.params["polarity"])
+        return ackermann(qi, k, params.get("var"), params.get("polarity"))
     if rule == "drop-trivial":
         return drop_trivial(qi, k)
     if rule == "split":
-        return split_premise(qi, k, step.params["side"], tuple(step.params["path"]))
+        path = params.get("path")
+        if type(path) not in (tuple, list):
+            raise NotApplicable(f"split at path {path!r}")
+        return split_premise(qi, k, params.get("side"), tuple(path))
     raise NotApplicable(f"unknown rule {rule!r} in trace")
 
 

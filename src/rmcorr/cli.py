@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         return _run_single(args)
     except RecursionError:
         # recursive walkers: the cleanup's fol.map_up (on CPython 3.11 a
-        # \sim chain fails there from 248 deep, a \to chain from 126 long),
+        # \sim chain fails there from 494 deep, a \to chain from 249 long),
         # substitution (deeper chains), the translator and the parser (on
         # parentheses); the oracle compiles about 200 levels (with --verify
         # a \sim chain fails from 199)

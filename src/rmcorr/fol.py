@@ -9,7 +9,6 @@ the standard translation or by order expansion).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -133,38 +132,39 @@ DUAL: dict[type, type] = {And: Or, Or: And, Forall: Exists, Exists: Forall,
                           TrueF: FalseF, FalseF: TrueF}
 
 
+# The child fields of each connective, in order: one child is `body`, two
+# are `left` and `right`.  A class not in the table has no children.
+CHILDREN: dict[type, tuple[str, ...]] = {
+    Not: ("body",), Forall: ("body",), Exists: ("body",),
+    And: ("left", "right"), Or: ("left", "right"), Implies: ("left", "right")}
+_BINDERS = (Forall, Exists)
+
+
 def children(f: FONode) -> tuple[FONode, ...]:
-    if isinstance(f, Not):
-        return (f.body,)
-    if isinstance(f, (And, Or, Implies)):
-        return (f.left, f.right)
-    if isinstance(f, (Forall, Exists)):
-        return (f.body,)
-    return ()
+    arity = len(CHILDREN.get(type(f), ()))
+    return (f.left, f.right) if arity == 2 else (f.body,) if arity else ()
 
 
 def rebuild(f: FONode, kids: tuple[FONode, ...]) -> FONode:
-    if isinstance(f, Not):
-        return Not(kids[0])
-    if isinstance(f, And):
-        return And(kids[0], kids[1])
-    if isinstance(f, Or):
-        return Or(kids[0], kids[1])
-    if isinstance(f, Implies):
-        return Implies(kids[0], kids[1])
-    if isinstance(f, Forall):
-        return Forall(f.var, kids[0])
-    if isinstance(f, Exists):
-        return Exists(f.var, kids[0])
-    return f
+    cls = type(f)
+    if cls not in CHILDREN:
+        return f
+    return cls(f.var, *kids) if cls in _BINDERS else cls(*kids)
 
 
 def map_up(f: FONode, fn: Callable[[FONode], FONode]) -> FONode:
     """fn applied bottom-up: to each node over its mapped children.  A node
     whose children all map to themselves is passed to fn as it is."""
-    kids = children(f)
-    new = tuple(map_up(c, fn) for c in kids)
-    return fn(f if all(map(operator.is_, new, kids)) else rebuild(f, new))
+    arity = len(CHILDREN.get(type(f), ()))
+    if arity == 2:
+        left, right = map_up(f.left, fn), map_up(f.right, fn)
+        if left is not f.left or right is not f.right:
+            f = rebuild(f, (left, right))
+    elif arity:
+        body = map_up(f.body, fn)
+        if body is not f.body:
+            f = rebuild(f, (body,))
+    return fn(f)
 
 
 def walk(f: FONode) -> Iterator[FONode]:
@@ -173,7 +173,11 @@ def walk(f: FONode) -> Iterator[FONode]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(children(node)))
+        arity = len(CHILDREN.get(type(node), ()))
+        if arity == 2:
+            stack += node.right, node.left
+        elif arity:
+            stack.append(node.body)
 
 
 def _terms(f: FONode) -> list[Term]:

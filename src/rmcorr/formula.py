@@ -270,15 +270,16 @@ def occurrences(phi: Formula, a: Atom) -> list[tuple[tuple[int, ...], int]]:
 
 
 def substitute(phi: Formula, a: Atom, psi: Formula) -> Formula:
-    """Uniformly replace every occurrence of atom a by psi."""
-    if phi.op == ATOM:
-        return psi if phi.atom == a else phi
-    if not phi.args:
-        return phi
-    new_args = tuple(substitute(arg, a, psi) for arg in phi.args)
-    if new_args == phi.args:
-        return phi
-    return Formula(phi.op, new_args)
+    """Uniformly replace every occurrence of atom a by psi; phi itself when
+    its arguments come back equal."""
+    args = phi.args
+    if len(args) == 2:
+        new = (substitute(args[0], a, psi), substitute(args[1], a, psi))
+    elif args:
+        new = (substitute(args[0], a, psi),)
+    else:
+        return psi if phi.op == ATOM and phi.atom == a else phi
+    return phi if new == args else Formula(phi.op, new)
 
 
 def fresh_atom(kind: str, used: set[Atom], start: int = 0) -> Atom:

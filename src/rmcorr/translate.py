@@ -22,6 +22,7 @@ a pass returns its input object, negating through `fol.DUAL`, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from typing import Callable, Iterator, Optional
@@ -47,8 +48,12 @@ def _is(phi: Formula, kind: str) -> bool:
     return phi.op == fm.ATOM and phi.atom.kind == kind
 
 
+# each world variable is built once: a pass reads a few hundred many times
+_world = functools.cache(WVar)
+
+
 def _xvar(phi: Formula) -> WVar:
-    return WVar("x", phi.atom.index)
+    return _world("x", phi.atom.index)
 
 
 _LATTICE = {fm.AND: And, fm.OR: Or}
@@ -106,8 +111,8 @@ def _st_atom(a: Atom, w: fol.Term) -> FONode:
     if a.kind == fm.PROP:
         return PVarAtom(a.index, w)
     if a.kind == fm.NOM:
-        return LeqAtom(WVar("x", a.index), w)
-    return Not(LeqAtom(w, WVar("y", a.index)))
+        return LeqAtom(_world("x", a.index), w)
+    return Not(LeqAtom(w, _world("y", a.index)))
 
 
 def _literal(f: FONode, holds: bool) -> FONode:
@@ -147,7 +152,7 @@ def _reading(phi: Formula, at: Formula, holds: bool,
              supply: FreshSupply) -> FONode:
     """at <= phi for a nominal `at` (`holds`): x_at is in phi's extension;
     phi <= at for a co-nominal `at`: y_at is not in phi's extension."""
-    w = WVar("x" if holds else "y", at.atom.index)
+    w = _world("x" if holds else "y", at.atom.index)
     op, args = phi.op, phi.args
     if op == fm.ATOM:
         return _literal(_st_atom(phi.atom, w), holds)
@@ -196,12 +201,12 @@ def _reading(phi: Formula, at: Formula, holds: bool,
         if op == fm.IMP and _is(args[0], fm.NOM) and _is(args[1], fm.CNOM):
             # nominal -> co-nominal below a co-nominal collapses to one
             # accessibility atom on Routley-Meyer frames
-            return RAtom(w, _xvar(args[0]), WVar("y", args[1].atom.index))
+            return RAtom(w, _xvar(args[0]), _world("y", args[1].atom.index))
         if op == fm.HIMP:
             return _generic(phi, at, supply)
     logger.debug("no direct rule for %s on the %s side; expanding its "
                  "clause", op, "nominal" if holds else "co-nominal")
-    worlds = [WVar("x", supply.fresh(fm.NOM).index)
+    worlds = [_world("x", supply.fresh(fm.NOM).index)
               for _ in range(_CLAUSES[op][1])]
     return _clause(op, w, worlds, lambda k, x: _reading(
         args[k], fm.nom(x.index), True, supply), holds)
@@ -214,8 +219,8 @@ def tr_quasi(qi: QuasiInequality, supply: Optional[FreshSupply] = None) -> FONod
     if not qi.is_pure():
         raise PurityError(f"quasi-inequality is not pure: {qi!r}")
     supply = supply or FreshSupply(qi.atoms())
-    free = [WVar("x", a.index) for a in qi.atoms(fm.NOM)]
-    free += [WVar("y", a.index) for a in qi.atoms(fm.CNOM)]
+    free = [_world("x", a.index) for a in qi.atoms(fm.NOM)]
+    free += [_world("y", a.index) for a in qi.atoms(fm.CNOM)]
     free.sort(key=lambda v: (v.family, v.index))
     parts = [_tr(p, supply) for p in qi.premises]
     concl = _tr(qi.conclusion, supply)
@@ -232,7 +237,7 @@ def st(phi: Formula, x: fol.Term,
     frame variable.  Propositional variables become unary predicates.  Fresh
     variables are z0, z1, ..., skipping x's own index when x is a z."""
     v = fol.term_var(x)
-    return _st(phi, x, _zs or (k for k in itertools.count() if WVar("z", k) != v))
+    return _st(phi, x, _zs or (k for k in itertools.count() if _world("z", k) != v))
 
 
 def _st(node: Formula, w: fol.Term, zs: Iterator[int]) -> FONode:
@@ -250,7 +255,7 @@ def _st(node: Formula, w: fol.Term, zs: Iterator[int]) -> FONode:
         return _LATTICE[op](_st(node.args[0], w, zs), _st(node.args[1], w, zs))
     if op not in _CLAUSES:
         raise ValueError(f"no standard translation for {op!r}")
-    worlds = [WVar("z", next(zs)) for _ in range(_CLAUSES[op][1])]
+    worlds = [_world("z", next(zs)) for _ in range(_CLAUSES[op][1])]
     return _clause(op, w, worlds, lambda k, z: _st(node.args[k], z, zs))
 
 
@@ -258,7 +263,7 @@ def st_inequality(ineq: Inequality) -> FONode:
     """Standard-translation reading of an inequality: the left side's
     extension is contained in the right side's."""
     zs = itertools.count()
-    z = WVar("z", next(zs))
+    z = _world("z", next(zs))
     return Forall(z, Implies(st(ineq.lhs, z, zs), st(ineq.rhs, z, zs)))
 
 

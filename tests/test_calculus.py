@@ -620,14 +620,16 @@ def test_replay_refuses_fresh_atoms_of_the_wrong_kind_or_number(corpus_runs):
     j, m, p = Atom(fm.NOM, 7), Atom(fm.CNOM, 7), Atom(fm.PROP, 7)
     state, step = firsts["first-approximation"]
     assert ca.apply_step(state, replace(step, fresh=(j, m))) is not None
-    for fresh in ((m, j), (j, j), (p, m), (), (j,), (j, m, m)):
+    for fresh in ((m, j), (j, j), (p, m), (), (j,), (j, m, m), ("j", "m"),
+                  (j, None)):
         assert _refused(state, step, fresh=fresh), fresh
     for rule in ca.APPROX_RULES:
         state, step = firsts[f"approx-{rule}"]
         kind = ca.APPROX_SCHEMA[rule][3]
         right, wrong = (j, m) if kind == fm.NOM else (m, j)
         assert ca.apply_step(state, replace(step, fresh=(right,))) is not None
-        for fresh in ((wrong,), (p,), (), (right, right)):
+        for fresh in ((wrong,), (p,), (), (right, right), (None,),
+                      (fm.atom(right),)):
             assert _refused(state, step, fresh=fresh), (rule, fresh)
     for rule in ("split", "residuation-imp", "ackermann-left"):
         assert _refused(*firsts[rule], fresh=(j,)), rule
@@ -635,21 +637,35 @@ def test_replay_refuses_fresh_atoms_of_the_wrong_kind_or_number(corpus_runs):
 
 def test_replay_refuses_a_malformed_split_or_ackermann_step(corpus_runs):
     # a split names the left or right side and a path into it; Ackermann
-    # names a variable and the polarity + or -
+    # names a variable and the polarity + or -; a residuation's commute is
+    # a bool; a step missing a parameter its rule reads is refused too
     firsts = _first_steps(corpus_runs)
     state, step = firsts["split"]
     for side in ("middle", None):
         assert _refused(state, step,
                         params={**step.params, "side": side}), side
-    for path in ((5,), (0, 0, 0, 0, 0, 0, 0, 0)):
+    for path in ((5,), (0, 0, 0, 0, 0, 0, 0, 0), None, 0):
         assert _refused(state, step,
                         params={**step.params, "path": path}), path
+    for name in ("side", "path"):
+        assert _refused(state, step, params={
+            k: v for k, v in step.params.items() if k != name}), name
     for rule in ("ackermann-left", "ackermann-right"):
         state, step = firsts[rule]
         for change in ({"polarity": "x"}, {"polarity": "+-"},
                        {"var": "p"}, {"var": None}):
             assert _refused(state, step, params={**step.params, **change}), (
                 rule, change)
+        for name in ("var", "polarity"):
+            assert _refused(state, step, params={
+                k: v for k, v in step.params.items() if k != name}), name
+        assert _refused(state, step, params={})
+    state, step = firsts["residuation-imp"]
+    assert ca.apply_step(state, replace(
+        step, params={**step.params, "commute": True})) == step.result
+    for commute in ("yes", 1, None):
+        assert _refused(state, step,
+                        params={**step.params, "commute": commute}), commute
     # -1 would count from the end, and a bool is not an index
     ineq = Inequality(fm.var(0),
                       fm.conj(fm.var(1), fm.conj(fm.var(2), fm.var(3))))

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -276,6 +277,27 @@ def test_walk_is_preorder_and_stack_safe():
     x = fol.WVar("x", 0)
     g = fol.And(fol.Not(fol.OAtom(x)), fol.Forall(x, fol.LeqAtom(x, x)))
     assert list(fol.walk(g)) == [g, g.left, g.left.body, g.right, g.right.body]
+    # one node of every class, with its children; a class of no child
+    # table entry, even one with a formula field, is a leaf
+    @dataclass(frozen=True)
+    class Box(fol.FONode):
+        body: fol.FONode
+
+    a, b = fol.OAtom(x), fol.LeqAtom(x, fol.Star(x))
+    cases = [(fol.RAtom(x, x, fol.Star(x)), ()), (a, ()), (b, ()),
+             (fol.EqAtom(x, x), ()), (fol.PVarAtom(1, x), ()),
+             (fol.TRUE, ()), (fol.FALSE, ()), (fol.Not(a), (a,)),
+             (fol.And(a, b), (a, b)), (fol.Or(b, a), (b, a)),
+             (fol.Implies(a, b), (a, b)), (fol.Forall(x, a), (a,)),
+             (fol.Exists(x, b), (b,)), (Box(a), ())]
+    assert ({type(f) for f, _ in cases}
+            == {Box, *(c for c in vars(fol).values() if isinstance(c, type)
+                       and issubclass(c, fol.FONode) and c is not fol.FONode)})
+    for f, kids in cases:
+        assert fol.children(f) == kids, f
+        assert fol.rebuild(f, kids) == f and type(fol.rebuild(f, kids)) is type(f)
+        assert list(fol.walk(f)) == [f, *kids]
+        assert fol.map_up(f, lambda h: h) is f
     # a 3,000-deep chain used to exceed the recursion limit, in free_vars
     # and alpha_equal too
     deep = _not_chain(x, 3000)

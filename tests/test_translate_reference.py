@@ -17,7 +17,8 @@ an inner inequality, the current one raises a `PurityError` naming the
 quasi-inequality.
 
 `ref_fo_simplify`, `ref_expand_leq` and `ref_order_as_equality` with their
-helpers are the earlier cleanup passes, kept verbatim.  On every
+helpers are the earlier cleanup passes, kept verbatim, and so are the
+isinstance-chain walkers of `rmcorr.fol` that they call.  On every
 translated and simplified correspondent of those derivations, on the
 standard translations of their input formulas, and on seeded random
 first-order trees, the current passes must give equal formulas.
@@ -325,8 +326,60 @@ def ref_st_inequality(ineq: Inequality) -> FONode:
 
 # cleanup passes
 
+# the earlier isinstance-chain walkers of `rmcorr.fol`, so that the
+# reference does not share the child table of the code it checks
+
+def _children(f: FONode) -> tuple[FONode, ...]:
+    if isinstance(f, Not):
+        return (f.body,)
+    if isinstance(f, (And, Or, Implies)):
+        return (f.left, f.right)
+    if isinstance(f, (Forall, Exists)):
+        return (f.body,)
+    return ()
+
+
+def _rebuild(f: FONode, kids: tuple[FONode, ...]) -> FONode:
+    if isinstance(f, Not):
+        return Not(kids[0])
+    if isinstance(f, And):
+        return And(kids[0], kids[1])
+    if isinstance(f, Or):
+        return Or(kids[0], kids[1])
+    if isinstance(f, Implies):
+        return Implies(kids[0], kids[1])
+    if isinstance(f, Forall):
+        return Forall(f.var, kids[0])
+    if isinstance(f, Exists):
+        return Exists(f.var, kids[0])
+    return f
+
+
+def _walk(f: FONode) -> Iterator[FONode]:
+    """The nodes of f in preorder."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
+def _free_vars(f: FONode) -> set[WVar]:
+    """The world variables of f that no quantifier above them binds."""
+    out: set[WVar] = set()
+    stack = [(f, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, (Forall, Exists)):
+            stack.append((node.body, bound | {node.var}))
+            continue
+        out.update(v for v in map(fol.term_var, fol._terms(node)) if v not in bound)
+        stack.extend((child, bound) for child in _children(node))
+    return out
+
+
 def _count_nots(f: FONode) -> int:
-    return sum(1 for g in fol.walk(f) if isinstance(g, Not))
+    return sum(1 for g in _walk(f) if isinstance(g, Not))
 
 
 def _smart_not(f: FONode) -> FONode:
@@ -414,17 +467,17 @@ def ref_fo_simplify(f: FONode) -> FONode:
 
 
 def _simplify_once(node: FONode) -> FONode:
-    kids = tuple(_simplify_once(c) for c in fol.children(node))
-    return _simplify_node(fol.rebuild(node, kids))
+    kids = tuple(_simplify_once(c) for c in _children(node))
+    return _simplify_node(_rebuild(node, kids))
 
 
 def ref_expand_leq(f: FONode) -> FONode:
     """Unfold the derived order into its definition from O and R; used when a
     target format should not carry a primitive order symbol.  The new z
     variables are numbered above every z in f, bound or free."""
-    bound = [node.var for node in fol.walk(f)
+    bound = [node.var for node in _walk(f)
              if isinstance(node, (Forall, Exists))]
-    zs = [v.index for v in (*bound, *fol.free_vars(f)) if v.family == "z"]
+    zs = [v.index for v in (*bound, *_free_vars(f)) if v.family == "z"]
     return _expand_leq(f, itertools.count(max(zs) + 1 if zs else 0))
 
 
@@ -432,16 +485,16 @@ def _expand_leq(node: FONode, indices: Iterator[int]) -> FONode:
     if isinstance(node, LeqAtom):
         z = WVar("z", next(indices))
         return Exists(z, And(OAtom(z), RAtom(z, node.a, node.b)))
-    kids = tuple(_expand_leq(c, indices) for c in fol.children(node))
-    return fol.rebuild(node, kids)
+    kids = tuple(_expand_leq(c, indices) for c in _children(node))
+    return _rebuild(node, kids)
 
 
 def ref_order_as_equality(f: FONode) -> FONode:
     """Relation-algebra reading: the derived order is equality."""
     if isinstance(f, LeqAtom):
         return EqAtom(f.a, f.b)
-    kids = tuple(ref_order_as_equality(c) for c in fol.children(f))
-    return fol.rebuild(f, kids)
+    kids = tuple(ref_order_as_equality(c) for c in _children(f))
+    return _rebuild(f, kids)
 
 
 
@@ -664,7 +717,7 @@ def test_cleanup_matches_on_random_first_order_trees():
     _assert_cleanup_matches(trees)
     for f in trees[:2000]:
         assert translate._smart_not(f) == _smart_not(f), f
-    nodes = [g for f in trees for g in fol.walk(f)]
+    nodes = [g for f in trees for g in _walk(f)]
     # every node kind and each special case the passes treat
     assert {type(g) for g in nodes} == {
         fol.TrueF, fol.FalseF, RAtom, OAtom, LeqAtom, EqAtom, PVarAtom, Not,
@@ -674,7 +727,7 @@ def test_cleanup_matches_on_random_first_order_trees():
     assert any(isinstance(g, Implies) and isinstance(g.right, Not) for g in nodes)
     assert any(isinstance(g, (Forall, Exists))
                and isinstance(g.body, (fol.TrueF, fol.FalseF)) for g in nodes)
-    zs = [v for f in trees for v in fol.free_vars(f) if v.family == "z"]
+    zs = [v for f in trees for v in _free_vars(f) if v.family == "z"]
     bound = [g.var for g in nodes if isinstance(g, (Forall, Exists))]
     assert zs and bound
     # the fixed point takes more than one pass on some trees
