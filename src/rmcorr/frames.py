@@ -42,7 +42,6 @@ __all__ = [
     "extension",
     "frame_valid",
     "eval_fo",
-    "complex_algebra_eval",
     "universal_truth",
     "admissible_values",
     "correspondence_check",
@@ -65,12 +64,12 @@ class RMFrame:
                  "down", "_derived")
 
     def __init__(self, n: int, O: Iterable[int], R: Iterable[tuple], star: Iterable[int]):
+        _check_size(n)
         O, R, star = tuple(O), tuple(R), tuple(star)
         if len(star) != n:
             raise ValueError(f"star has {len(star)} entries for {n} worlds")
         for w in itertools.chain(O, *R, star):
-            if w not in range(n):
-                raise ValueError(f"world {w!r} is not one of the {n} worlds")
+            _check_world(n, w)
         results = [[0] * n for _ in range(n)]
         for (a, b, c) in R:
             results[a][b] |= 1 << c
@@ -120,7 +119,10 @@ class RMFrame:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RMFrame":
-        return cls(obj["n"], obj["O"], map(tuple, obj["R"]), obj["star"])
+        try:
+            return cls(obj["n"], obj["O"], map(tuple, obj["R"]), obj["star"])
+        except (KeyError, TypeError) as exc:  # a missing or mistyped field
+            raise ValueError(f"not a frame object: {exc!r}") from None
 
 
 def _frame(n: int, o_mask: int, results: tuple[tuple[int, ...], ...],
@@ -148,6 +150,18 @@ def _union(masks) -> int:
 
 def _mask(worlds) -> int:
     return _union(1 << w for w in worlds)
+
+
+def _check_size(n) -> None:
+    if type(n) is not int:
+        raise ValueError(f"the number of worlds must be an int, not {n!r}")
+    if n < 1:
+        raise ValueError("need at least one world")
+
+
+def _check_world(n: int, w) -> None:
+    if not (_is_index(w) and w < n):
+        raise ValueError(f"world {w!r} is not one of the {n} worlds")
 
 
 def _subsets(unit, op, gen: Sequence[int]) -> Sequence[int]:
@@ -271,8 +285,7 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
     fusion; ra: the relation-algebra ones) still decide them, 210 on two
     worlds (164 in ra mode).
     """
-    if n < 1:
-        raise ValueError("need at least one world")
+    _check_size(n)
     if n > MAX_WORLDS:
         raise BudgetError(f"exhaustive enumeration is capped at {MAX_WORLDS} worlds")
     if mode not in _MODE_IDENTITIES:
@@ -331,8 +344,7 @@ def _frame_family(n: int, mode: str) -> tuple[tuple[tuple[int, RMFrame], ...], i
 def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
     """A pseudo-random valid frame: sprinkle R and O, close under the frame
     conditions, and reject if the star map refuses to be antitone."""
-    if n < 1:
-        raise ValueError("need at least one world")
+    _check_size(n)
     W = range(n)
     for _ in range(200):
         star = tuple(rng.randrange(n) for _ in W)
@@ -436,13 +448,10 @@ def _program(phi: Formula):
     return _bind(list(names.values()), _emit(phi, names)), atoms
 
 
-def _check_world(f: RMFrame, w) -> None:
-    if not (_is_index(w) and w < f.n):
-        raise ValueError(f"world {w!r} is not one of the {f.n} worlds")
-
-
 def _check_masks(f: RMFrame, valuation: dict[Atom, int]) -> None:
     for a, m in valuation.items():
+        if type(a) is not Atom:
+            raise ValueError(f"valuation key {a!r} is not an atom")
         if not (type(m) is int and 0 <= m <= f.full):
             raise ValueError(f"valuation of {a!r} is not a set of the {f.n} worlds")
 
@@ -462,25 +471,23 @@ def extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
 def eval_formula(f: RMFrame, valuation: dict[Atom, int], phi: Formula,
                  w: int) -> bool:
     """Truth of phi at a world under a valuation (atom -> mask)."""
-    _check_world(f, w)
+    _check_world(f.n, w)
     return bool(extension(f, valuation, phi) & (1 << w))
 
 
-def _validity(compile_quasi, phi: Formula):
-    """`compile_quasi`'s program (or source) for t <= phi: phi's validity
-    on a frame."""
-    program, atoms = compile_quasi(Inequality(fm.t(), phi), ())
-    bad = [a for a in atoms if a.kind != fm.PROP]
+def _validity(phi: Formula) -> Inequality:
+    """t <= phi, phi's validity on a frame, for a variable-only phi."""
+    bad = [a for a in fm.atoms(phi) if a.kind != fm.PROP]
     if bad:
         raise ValueError(f"frame validity is defined for variable-only "
                          f"formulas; found {bad[0]!r}")
-    return program
+    return Inequality(fm.t(), phi)
 
 
 def frame_valid(f: RMFrame, phi: Formula) -> bool:
     """Frame validity: truth at every normal world under every assignment of
     up-sets to the propositional variables."""
-    return _validity(_quasi_program, phi)(f)()
+    return universal_truth(f, _validity(phi))
 
 
 # First-order formulas print as Python expressions through the printer of
@@ -568,7 +575,7 @@ def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None
     valuation interprets the unary predicates of standard translations."""
     env, masks = env or {}, {}
     for w in env.values():
-        _check_world(f, w)
+        _check_world(f.n, w)
     _check_masks(f, valuation or {})
     for a, val in (valuation or {}).items():
         if a.kind == fm.PROP and _is_index(a.index):
@@ -618,22 +625,14 @@ def _quasi_program(obj, given: tuple[Atom, ...]):
     return _bind(*source), missing
 
 
-def complex_algebra_eval(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
-    """Truth of an inequality (containment of extensions) or quasi-inequality
-    (premises imply conclusion) under one admissible valuation."""
-    for a, val in valuation.items():
-        if val not in admissible_values(f, a):
-            raise ValueError(f"valuation of {a!r} is out of range")
-    bind, missing = _quasi_program(obj, tuple(valuation))
-    if missing:
-        raise ValueError(f"unassigned atom {missing[0]!r}")
-    return bind(f)(*valuation.values())
-
-
 def universal_truth(f: RMFrame, qi, partial: Optional[dict[Atom, int]] = None) -> bool:
     """Truth of a (quasi-)inequality under all admissible extensions of a
-    partial valuation, itself admissible."""
+    partial valuation, whose masks must be admissible for their atoms."""
     partial = partial or {}
+    _check_masks(f, partial)
+    for a, m in partial.items():
+        if m not in admissible_values(f, a):
+            raise ValueError(f"valuation of {a!r} is out of range")
     bind, _ = _quasi_program(qi, tuple(partial))
     return bind(f)(*partial.values())
 
@@ -661,6 +660,7 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     program, which says whether the verdicts differ and is bound once per
     evaluated frame.  The frames come from `_frame_family(n, mode)`, whose
     enumeration raises on a size or mode out of range."""
+    _check_size(n)  # before the cache, which keys True as 1
     classes, total = _frame_family(n, mode)
     coverage = f"all {total} frames with up to {n} worlds"
     if fol.free_vars(g):
@@ -668,7 +668,7 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     # compiled here, as the caches would only hold memory across a batch;
     # the brackets take the nesting level that `_bind` no longer spends, so
     # the ceiling is that of frame_valid
-    _, valid = _validity(_quasi_source, phi)
+    (_, valid), _ = _quasi_source(_validity(phi), ())
     _check_fo(g)
     differ = _bind((), f"({valid}) != ({_print(g, _PYTHON, 0)})")
     # the negations are the only connectives whose tables read the star

@@ -4,15 +4,16 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmcorr import fol
 from rmcorr import formula as fm
-from rmcorr import frames
+from rmcorr import frames, translate
 from rmcorr.calculus import FreshSupply, Inequality, QuasiInequality
 from rmcorr.calculus import first_approximation, goal
 from rmcorr.fol import Forall, LeqAtom, OAtom, WVar
 from rmcorr.frames import (BudgetError, RMFrame, admissible_values, check_frame,
-                           complex_algebra_eval, correspondence_check,
+                           correspondence_check,
                            enumerate_frames, eval_fo, eval_formula, extension,
                            frame_valid, random_frame, universal_truth)
 from rmcorr.pipeline import correspondent
@@ -235,18 +236,35 @@ def test_eval_formula_refuses_a_value_that_is_not_a_world(world, monkeypatch):
 @pytest.mark.parametrize("mask", [-1, 4, 7, True, 1.0], ids=repr)
 def test_a_valuation_refuses_a_value_that_is_not_a_set_of_worlds(mask):
     # on two worlds, extension raised IndexError for 4 and 7 and TypeError
-    # for 1.0 and read -1 as the empty set, and eval_fo read -1 and 7 as
-    # true
+    # for 1.0 and read -1 as the empty set, eval_fo read -1 and 7 as true,
+    # and universal_truth raised IndexError for 4 and 7 and TypeError for
+    # 1.0 and answered for -1 and True
     f = next(enumerate_frames(2))
     phi = parse(r"p \land \sim p")
     p = phi.args[0].atom
     x = WVar("x", 0)
     for call in (lambda: extension(f, {p: mask}, phi),
                  lambda: eval_formula(f, {p: mask}, phi, 0),
-                 lambda: eval_fo(f, fol.PVarAtom(p.index, x), {x: 0}, {p: mask})):
+                 lambda: eval_fo(f, fol.PVarAtom(p.index, x), {x: 0}, {p: mask}),
+                 lambda: universal_truth(f, Inequality(phi, fm.t()), {p: mask})):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == f"valuation of {p!r} is not a set of the 2 worlds"
+
+
+def test_a_valuation_refuses_a_key_that_is_not_an_atom():
+    # extension, eval_formula and universal_truth ignored the key, and
+    # eval_fo raised AttributeError
+    f = next(enumerate_frames(2))
+    p = parse("p")
+    valuation = {p.atom: f.full, "p": 1}
+    for call in (lambda: extension(f, valuation, p),
+                 lambda: eval_formula(f, valuation, p, 0),
+                 lambda: eval_fo(f, fol.TRUE, None, valuation),
+                 lambda: universal_truth(f, Inequality(fm.t(), p), valuation)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "valuation key 'p' is not an atom"
 
 
 CACHES = (frames._program, frames._fo_program, frames._quasi_program)
@@ -267,8 +285,8 @@ def test_equal_objects_share_one_program():
               lambda: eval_fo(f, Forall(x, fol.Or(OAtom(x), LeqAtom(x, x)))),
               lambda: frame_valid(f, parse(source)),
               lambda: universal_truth(f, qi()),
-              lambda: complex_algebra_eval(f, v, Inequality(parse(source),
-                                                            parse("p")))]
+              lambda: universal_truth(f, Inequality(parse(source), parse("p")),
+                                      v)]
     for check in checks:
         assert check() == check()
     assert [c.cache_info().misses for c in CACHES] == [1, 1, 3]
@@ -285,15 +303,23 @@ def test_correspondence_check_leaves_the_program_caches_alone():
     assert [c.cache_info().currsize for c in CACHES] == [0, 0, 0]
 
 
-def test_complex_algebra_eval_validates_valuation():
-    v = {fm.Atom(fm.NOM, 0): 0b11}
-    # principal up-set of the one-point frame is {0}; 0b11 is out of range
-    with pytest.raises(ValueError):
-        complex_algebra_eval(ONE_POINT, v, Inequality(fm.nom(0), fm.nom(0)))
+def test_universal_truth_validates_valuation():
+    # principal up-set of the one-point frame is {0}; 0b11 is no set of its
+    # worlds, and the empty set is no principal up-set
+    for mask in (0b11, 0):
+        with pytest.raises(ValueError):
+            universal_truth(ONE_POINT, Inequality(fm.nom(0), fm.nom(0)),
+                            {fm.Atom(fm.NOM, 0): mask})
+    # a variable's value must be an up-set: universal_truth read {0} as one
+    # on a frame where 0 <= 1
+    f = next(f for f in enumerate_frames(2) if not f.is_upset(0b01))
+    with pytest.raises(ValueError, match=r"^valuation of Atom\(prop,0\) is out of range$"):
+        universal_truth(f, Inequality(fm.t(), parse(r"p \circ q \to q")),
+                        {fm.Atom(fm.PROP, 0): 0b01})
 
 
-def test_complex_algebra_eval_trivial():
-    assert complex_algebra_eval(ONE_POINT, {}, Inequality(fm.t(), fm.t()))
+def test_universal_truth_trivial():
+    assert universal_truth(ONE_POINT, Inequality(fm.t(), fm.t()), {})
 
 
 def test_first_approximation_is_invertible_on_frames(small_frames):
@@ -392,6 +418,108 @@ def test_frame_refuses_worlds_outside_its_range(O, R, star, message):
            "star": list(star)}
     with pytest.raises(ValueError, match=f"^{message}$"):
         RMFrame.from_json(obj)
+
+
+FRAME_JSON = {"n": 2, "O": [0], "R": [[0, 0, 0], [0, 1, 1]], "star": [0, 1]}
+SIZE = "the number of worlds must be an int, not "
+
+
+@pytest.mark.parametrize("call, message", [
+    # RMFrame built a frame with no worlds and took True as one world, so
+    # did the enumeration and the check ("all 1 frames with up to True
+    # worlds"); from_json raised KeyError or TypeError, or read "2" as a
+    # star of the wrong length, and took True as world 1
+    (lambda: RMFrame(0, [], [], []), "need at least one world"),
+    (lambda: RMFrame(True, [0], [(0, 0, 0)], [0]), SIZE + "True"),
+    (lambda: next(enumerate_frames(True)), SIZE + "True"),
+    (lambda: correspondence_check(parse(r"p \to p"), fol.TRUE, True), SIZE + "True"),
+    (lambda: RMFrame.from_json({**FRAME_JSON, "n": "2"}), SIZE + "'2'"),
+    (lambda: RMFrame.from_json({**FRAME_JSON, "star": [True, 0]}),
+     "world True is not one of the 2 worlds"),
+    (lambda: RMFrame.from_json({k: v for k, v in FRAME_JSON.items() if k != "O"}),
+     "not a frame object: KeyError('O')"),
+    (lambda: RMFrame.from_json({**FRAME_JSON, "O": None}), "not a frame object: TypeError"),
+    (lambda: RMFrame.from_json(list(FRAME_JSON.values())), "not a frame object: TypeError"),
+], ids=["no-worlds", "true-worlds", "enumerate-true", "check-true", "json-n-text",
+        "json-world-true", "json-no-O", "json-O-null", "json-list"])
+def test_frame_refuses_a_size_or_object_it_cannot_read(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
+# -- the oracle's argument contract --------------------------------------------
+# each entry point returns a result exactly when every argument is valid, and
+# raises ValueError otherwise
+
+CONTRACT_FRAMES = [ONE_POINT, *itertools.islice(enumerate_frames(2), 0, None, 15)]
+CONTRACT_FORMULAS = [
+    *(parse(source) for source in (r"p \to p", r"\sim\sim p \to p",
+                                   r"(p \to q) \land (q \to r) \to (p \to r)")),
+    fm.imp(fm.fus(fm.nom(0), fm.var(0, "p")), fm.disj(fm.var(1, "q"), fm.cnom(0)))]
+KEYS = [fm.Atom(fm.PROP, 0), fm.Atom(fm.PROP, 1), fm.Atom(fm.PROP, 5),
+        fm.Atom(fm.NOM, 0), fm.Atom(fm.CNOM, 0), "p", "j"]
+# the ints 0..3 again, so that a valid valuation is drawn often
+VALUES = st.one_of(st.integers(0, 3), st.integers(-3, 20), st.booleans())
+
+
+def _returns(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=st.sampled_from(CONTRACT_FRAMES), phi=st.sampled_from(CONTRACT_FORMULAS),
+       w=VALUES, drawn=st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=3),
+       on_base=st.booleans())
+def test_the_oracle_refuses_exactly_the_arguments_it_cannot_read(f, phi, w, drawn,
+                                                                 on_base):
+    # the drawn entries, over an admissible value of each atom of phi when
+    # on_base, so that complete valuations come often
+    atoms = fm.atoms(phi)
+    base = {a: admissible_values(f, a)[0] for a in atoms}
+    valuation = {**(base if on_base else {}), **drawn}
+    sets = all(type(a) is fm.Atom and type(m) is int and 0 <= m <= f.full
+               for a, m in valuation.items())
+    admissible = sets and all(m in admissible_values(f, a) for a, m in valuation.items())
+    world = type(w) is int and 0 <= w < f.n
+    complete = all(a in valuation for a in atoms)
+    # the standard translation at x9 reads the nominal at x0 and the
+    # co-nominal at y0: every free variable is bound to w, and every
+    # predicate has a mask
+    g = translate.st(phi, WVar("x", 9))
+    env = dict.fromkeys(fol.free_vars(g), w)
+    assert _returns(lambda: extension(f, valuation, phi)) == (sets and complete)
+    assert _returns(lambda: eval_formula(f, valuation, phi, w)) == (
+        sets and complete and world)
+    assert _returns(lambda: eval_fo(f, g, env, {**base, **valuation})) == (sets and world)
+    assert _returns(lambda: universal_truth(f, Inequality(fm.t(), phi), valuation)) \
+        == admissible
+    assert _returns(lambda: frame_valid(f, phi)) == all(a.kind == fm.PROP for a in atoms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(f=st.sampled_from(CONTRACT_FRAMES), key=st.sampled_from(["n", "O", "R", "star"]),
+       value=st.one_of(st.none(), VALUES, st.sampled_from(["0", "ab"]),
+                       st.lists(st.sampled_from([None, 1.0, "", "0"]), min_size=1,
+                                max_size=2)),
+       drop=st.booleans())
+def test_from_json_reads_the_frame_or_refuses(f, key, value, drop):
+    # no replacement is another frame: an int n other than f's has a star of
+    # the wrong length, and no other value holds worlds
+    obj = f.to_json()
+    if drop:
+        del obj[key]
+    else:
+        obj[key] = value
+    try:
+        read = RMFrame.from_json(obj)
+    except ValueError:
+        return
+    assert read == f and not drop
 
 
 def test_views_are_built_once_and_kept():

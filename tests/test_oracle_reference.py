@@ -6,7 +6,7 @@ interpreter.  Every frame with at most two worlds, in all three modes, must
 give the same extensions, validity verdicts and first-order truth values.
 `ref_holds` and `ref_admissible` build the truth of a (quasi-)inequality on
 `ref_extension`, with the admissible values read off the order, for the
-brute-force check of `universal_truth` and `complex_algebra_eval`.
+brute-force check of `universal_truth` under full and partial valuations.
 `ref_enumerate_frames` is the enumerator that tested every candidate
 structure, kept verbatim as the reference for the constructive one, with
 the mode identities it used, which computed the operations by loops over
@@ -21,7 +21,6 @@ from its sets, is the reference for the relabelling on masks.
 
 import itertools
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
 from rmcorr.formula import Atom, Formula
 from rmcorr.frames import (MAX_WORLDS, BudgetError, RMFrame, _frame_family,
                            _relabel, check_frame,
-                           complex_algebra_eval, correspondence_check,
+                           correspondence_check,
                            enumerate_frames, eval_fo, extension, frame_valid,
                            random_frame, universal_truth)
 from rmcorr.syntax import parse
@@ -503,7 +502,6 @@ def test_quasi_inequality_truth_matches_reference(corpus_runs, mode_frames):
                      for combo in itertools.product(*ranges)}
             for combo, want in truth.items():
                 valuation = dict(zip(atoms, combo))
-                assert complex_algebra_eval(f, valuation, qi) == want
                 assert universal_truth(f, qi, valuation) == want
             # empty and partial valuations: the first k atoms are given
             for k in range(len(atoms)):
@@ -526,20 +524,13 @@ def test_quasi_inequality_errors():
                          Inequality(fm.nom(0), fm.cnom(0)))
     i, p, m = Atom(fm.NOM, 0), Atom(fm.PROP, 0), Atom(fm.CNOM, 0)
     full = {i: 0b01, p: 0b11, m: 0b10}
-    assert complex_algebra_eval(f, full, qi) is False
-    for missing in (p, m):
-        partial = {a: v for a, v in full.items() if a != missing}
-        with pytest.raises(ValueError,
-                           match=rf"unassigned atom {re.escape(repr(missing))}"):
-            complex_algebra_eval(f, partial, qi)
+    assert universal_truth(f, qi, full) is False
     # 0b11 is no principal up-set here: the order is the identity
     with pytest.raises(ValueError, match=r"valuation of Atom\(nom,0\) is out "
                                          r"of range"):
-        complex_algebra_eval(f, {**full, i: 0b11}, qi)
-    for ev in (lambda obj: complex_algebra_eval(f, {}, obj),
-               lambda obj: universal_truth(f, obj)):
-        with pytest.raises(TypeError, match="cannot evaluate"):
-            ev(parse("p"))
+        universal_truth(f, qi, {**full, i: 0b11})
+    with pytest.raises(TypeError, match="cannot evaluate"):
+        universal_truth(f, parse("p"))
 
 
 # -- first-order language -----------------------------------------------------
