@@ -77,11 +77,19 @@ class Inequality:
         return Inequality, (self.lhs, self.rhs)
 
     def substitute(self, a: Atom, psi: Formula) -> "Inequality":
-        """self when a does not occur, so search states share premises."""
-        if a not in self.sign_table():
+        """self when a does not occur, so search states share premises.  A
+        constant leaves every other atom's occurrences at their places and
+        signs, so the result takes this table without a."""
+        table = self.sign_table()
+        if a not in table:
             return self
-        return Inequality(fm.substitute(self.lhs, a, psi),
-                          fm.substitute(self.rhs, a, psi))
+        out = Inequality(fm.substitute(self.lhs, a, psi),
+                         fm.substitute(self.rhs, a, psi))
+        if psi.op in (fm.T, fm.TOP, fm.BOT):
+            table = dict(table)
+            del table[a]
+            _set(out, "_table", table)
+        return out
 
     def atoms(self, kind: Optional[str] = None) -> list[Atom]:
         return [a for a in self.sign_table() if kind is None or a.kind == kind]
@@ -99,16 +107,28 @@ class Inequality:
             return self._table
         table: dict = {}
         stack = [(self.rhs, 1), (self.lhs, -1)]
+        pop, push, polarity = stack.pop, stack.append, fm.POLARITY
         while stack:
-            node, sign = stack.pop()
-            if node.op == fm.ATOM:
-                table.setdefault(node.atom, []).append(sign)
-                continue
-            pol = fm.POLARITY.get(node.op, ())
-            for i in range(len(node.args) - 1, -1, -1):
-                stack.append((node.args[i], sign * pol[i]))
+            node, sign = pop()
+            args = node.args
+            if len(args) == 2:
+                first, second = polarity[node.op]
+                push((args[1], sign * second))
+                push((args[0], sign * first))
+            elif args:
+                push((args[0], sign * polarity[node.op][0]))
+            elif node.op == fm.ATOM:
+                a = node.atom
+                signs = table.get(a)
+                if signs is None:
+                    table[a] = _SINGLE[sign]
+                elif signs.__class__ is tuple:  # the second occurrence
+                    table[a] = [signs[0], sign]
+                else:
+                    signs.append(sign)
         for a, signs in table.items():
-            table[a] = _SINGLE[signs[0]] if len(signs) == 1 else tuple(signs)
+            if signs.__class__ is list:
+                table[a] = tuple(signs)
         _set(self, "_table", table)
         return table
 
@@ -248,9 +268,9 @@ def first_approximation(qi: QuasiInequality, j: Atom, m: Atom) -> QuasiInequalit
     are drawn by the pipeline's supply or read off the step by replay."""
     if j.kind != fm.NOM or m.kind != fm.CNOM:
         raise NotApplicable("first approximation needs a nominal and a co-nominal")
-    concl = qi.conclusion
-    new = (Inequality(fm.atom(j), concl.lhs), Inequality(concl.rhs, fm.atom(m)))
-    return QuasiInequality(new + qi.premises, Inequality(fm.atom(j), fm.atom(m)))
+    concl, nom, cnom = qi.conclusion, fm.atom(j), fm.atom(m)
+    new = (Inequality(nom, concl.lhs), Inequality(concl.rhs, cnom))
+    return QuasiInequality(new + qi.premises, Inequality(nom, cnom))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +429,17 @@ def ackermann(qi: QuasiInequality, k: int, p: Atom, polarity: str,
     if polarity not in ("+", "-"):
         raise NotApplicable(f"no polarity {polarity!r}")
     solved = qi.premises[k]
-    if (solved.rhs if polarity == "+" else solved.lhs) != fm.atom(p):
+    target, alpha = ((solved.rhs, solved.lhs) if polarity == "+"
+                     else (solved.lhs, solved.rhs))
+    if target.op != fm.ATOM or target.atom != p:
         raise NotApplicable(f"premise {k} is not solved for {p}")
-    alpha = solved.lhs if polarity == "+" else solved.rhs
     if any(node.op == fm.ATOM and node.atom == p for node in fm.walk(alpha)):
         raise NotApplicable("solved bound still contains the variable")
-    want = -1 if polarity == "+" else 1
+    blocking = 1 if polarity == "+" else -1  # each sign is 1 or -1
     rest = qi.premises[:k] + qi.premises[k + 1:]
-    if any(s != want for prem in rest for s in prem.signs(p)):
+    if any(blocking in prem.signs(p) for prem in rest):
         raise NotApplicable("context premise has a blocking occurrence")
-    if any(s != -want for s in qi.conclusion.signs(p)):
+    if -blocking in qi.conclusion.signs(p):
         raise NotApplicable("conclusion has a blocking occurrence")
     return QuasiInequality(
         tuple(substitute(pr, p, alpha) if p in pr.sign_table() else pr

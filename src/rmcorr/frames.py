@@ -48,7 +48,6 @@ __all__ = [
     "CorrespondenceReport",
 ]
 
-# enumeration builds 210 of the 4,096 structures on two worlds; three stay capped
 MAX_WORLDS = 2
 
 
@@ -71,7 +70,10 @@ class RMFrame:
         for w in itertools.chain(O, *R, star):
             _check_world(n, w)
         results = [[0] * n for _ in range(n)]
-        for (a, b, c) in R:
+        for triple in R:
+            if len(triple) != 3:
+                raise ValueError(f"R entry {triple!r} is not a triple of worlds")
+            a, b, c = triple
             results[a][b] |= 1 << c
         _frame(n, _mask(O), tuple(map(tuple, results)), star, self)
 
@@ -120,7 +122,7 @@ class RMFrame:
     @classmethod
     def from_json(cls, obj: dict) -> "RMFrame":
         try:
-            return cls(obj["n"], obj["O"], map(tuple, obj["R"]), obj["star"])
+            return cls(obj["n"], obj["O"], obj["R"], obj["star"])
         except (KeyError, TypeError) as exc:  # a missing or mistyped field
             raise ValueError(f"not a frame object: {exc!r}") from None
 
@@ -391,7 +393,7 @@ def _admissible(f: RMFrame, kind: str) -> list[int]:
 # of a frame f that it names, each read off f by the source next to it: the
 # number of worlds, the masks of all and of the normal worlds, the worlds,
 # res[a][b] (the mask of {c : R a b c}), up[w], the star map, the admissible
-# values of each kind of atom (C also for any other kind) and the tables
+# values of each kind of atom and the tables
 _RANGES = {fm.PROP: "U", fm.NOM: "N", fm.CNOM: "C"}
 _VALUES = {"n": "f.n", "full": "f.full", "o": "f.o_mask", "W": "range(f.n)",
            "res": "f._results", "up": "f.up", "star": "f.star",
@@ -452,6 +454,8 @@ def _check_masks(f: RMFrame, valuation: dict[Atom, int]) -> None:
     for a, m in valuation.items():
         if type(a) is not Atom:
             raise ValueError(f"valuation key {a!r} is not an atom")
+        if a.kind not in _RANGES:
+            raise ValueError(f"atom {a!r} is of unknown kind {a.kind!r}")
         if not (type(m) is int and 0 <= m <= f.full):
             raise ValueError(f"valuation of {a!r} is not a set of the {f.n} worlds")
 
@@ -494,8 +498,7 @@ def frame_valid(f: RMFrame, phi: Formula) -> bool:
 # the text syntaxes.  A world variable is named by its family and index, a
 # predicate by its variable's index (p0, p1, ...), and a quantifier is a
 # generator over W, so an inner quantifier's binding ends with its scope.
-# A name without a binding raises NameError when it is reached, as a direct
-# evaluation would raise, and `_truth` reports it.
+# A free variable or a predicate without a mask is refused before evaluation.
 
 def _is_index(i) -> bool:
     return type(i) is int and i >= 0
@@ -532,10 +535,11 @@ _PYTHON = _Syntax(
 _PY_NODES = {*_PYTHON.atoms, *_PYTHON.connectives, *_PYTHON.quantifiers}
 
 
-def _check_fo(g: fol.FONode) -> None:
+def _check_fo(g: fol.FONode, preds: Optional[tuple[int, ...]] = None) -> None:
     """Refuse g unless every node, variable and predicate index is one that
-    a program can name.  Run on every evaluation, before any source is
-    built or shared: an equal formula need not pass, as
+    a program can name and every predicate has a mask in `preds` (None: no
+    valuation), on every branch.  Run on every evaluation, before any
+    source is built or shared: an equal formula need not pass, as
     WVar("x", True) == WVar("x", 1)."""
     for node in fol.walk(g):
         if type(node) not in _PY_NODES:
@@ -543,6 +547,9 @@ def _check_fo(g: fol.FONode) -> None:
         for key, value in vars(node).items():
             if key == "index" and not _is_index(value):
                 raise ValueError(f"not a predicate index: {value!r}")
+            if key == "index" and value not in (preds or ()):
+                raise ValueError("predicate atom needs a valuation" if preds is None
+                                 else f"no valuation for variable index {value}")
             if key != "index" and not isinstance(value, fol.FONode):
                 _py_term(value)
 
@@ -550,57 +557,50 @@ def _check_fo(g: fol.FONode) -> None:
 @functools.lru_cache(maxsize=4096)
 def _fo_program(g: fol.FONode, free: tuple[str, ...],
                 preds: Optional[tuple[int, ...]]):
-    """bind for g, passed by `_check_fo`, over the values of the variables
-    named `free`, then the masks of predicates `preds` (None: no valuation)."""
+    """bind for g, passed by `_check_fo` and closed over the variables named
+    `free` (checked once per program), over their values, then the masks of
+    predicates `preds` (None: no valuation)."""
+    unbound = {_py_var(v) for v in fol.free_vars(g)}.difference(free)
+    if unbound:
+        raise ValueError(f"unbound variable {min(unbound)}")
     return _bind([*free, *(f"p{i}" for i in preds or ())], _print(g, _PYTHON, 0))
-
-
-def _truth(program, values, has_masks: bool) -> bool:
-    """Run a program that reads a first-order formula on the values of its
-    parameters; `has_masks` tells whether its predicates were given masks."""
-    try:
-        return bool(program(*values))
-    except NameError as exc:
-        name = exc.name
-    if name[0] != "p":
-        raise ValueError(f"unbound variable {name}")
-    if not has_masks:
-        raise ValueError("predicate atom needs a valuation")
-    raise ValueError(f"no valuation for variable index {name[1:]}")
 
 
 def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None,
             valuation: Optional[dict[Atom, int]] = None) -> bool:
     """Classical satisfaction over the frame signature.  The optional
-    valuation interprets the unary predicates of standard translations."""
-    env, masks = env or {}, {}
+    valuation interprets the unary predicates of standard translations.  Each
+    free variable of g must be in env, and each predicate must have a mask."""
+    env = env or {}
     for w in env.values():
         _check_world(f.n, w)
     _check_masks(f, valuation or {})
-    for a, val in (valuation or {}).items():
-        if a.kind == fm.PROP and _is_index(a.index):
-            masks.setdefault(a.index, val)
+    masks = {a.index: m for a, m in (valuation or {}).items()
+             if a.kind == fm.PROP and _is_index(a.index)}
     preds = None if valuation is None else tuple(masks)
     values = [*env.values(), *masks.values()]
     free = tuple(map(_py_var, env))
-    _check_fo(g)
-    return _truth(_fo_program(g, free, preds)(f), values, preds is not None)
+    _check_fo(g, preds)
+    return bool(_fo_program(g, free, preds)(f)(*values))
 
 
 def _quasi_source(obj, given: tuple[Atom, ...]):
     """The source of a (quasi-)inequality for the masks of the atoms
-    `given`, closed universally over its other atoms: ((params, expr),
-    those atoms).
-    The program is `<fixed parts> or not any(<other parts> for ...)`: the
-    inequalities that mention no closed-over atom are tested once per call
-    (a premise failing or the conclusion holding decides it), and a
-    counterexample makes each other premise hold and the conclusion fail.
-    No bracket encloses the whole: CPython's nesting ceiling counts it."""
+    `given`, closed universally over its other atoms, which must be of a
+    known kind: ((params, expr), those atoms).  The program is `<fixed
+    parts> or not any(<other parts> for ...)`: the inequalities that
+    mention no closed-over atom are tested once per call (a premise failing
+    or the conclusion holding decides it), and a counterexample makes each
+    other premise hold and the conclusion fail.  No bracket encloses the
+    whole: CPython's nesting ceiling counts it."""
     if isinstance(obj, Inequality):
         obj = QuasiInequality((), obj)
     elif not isinstance(obj, QuasiInequality):
         raise TypeError(f"cannot evaluate {obj!r}")
     missing = tuple(a for a in obj.atoms() if a not in given)
+    unknown = [a for a in missing if a.kind not in _RANGES]
+    if unknown:
+        raise ValueError(f"atom {unknown[0]!r} is of unknown kind {unknown[0].kind!r}")
     names = {a: f"v{i}" for i, a in enumerate(given + missing)}
     fixed, moving = [], []
     for ineq, premise in [*((p, True) for p in obj.premises),
@@ -612,7 +612,7 @@ def _quasi_source(obj, given: tuple[Atom, ...]):
         else:
             fixed.append(f"{outside} != 0" if premise else f"not {outside}")
     if moving:
-        loops = "".join(f" for {names[a]} in {_RANGES.get(a.kind, 'C')}"
+        loops = "".join(f" for {names[a]} in {_RANGES[a.kind]}"
                         for a in missing)
         fixed.append(f"not any({' and '.join(moving)}{loops})")
     return ([names[a] for a in given], " or ".join(fixed)), missing
@@ -679,6 +679,6 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
         if star_free and (f.o_mask, f._results) == last:
             continue  # the verdicts of the last frame evaluated
         last = f.o_mask, f._results
-        if _truth(differ(f), (), False):
+        if differ(f)():
             return CorrespondenceReport(False, f, position, coverage)
     return CorrespondenceReport(True, None, total, coverage)

@@ -102,10 +102,13 @@ def approximate(ineq: Inequality,
     steps.append(TraceStep("first-approximation", None, {}, (j, m), qi))
     # A split or rule at premise k rewrites k and inserts after it, and
     # whether anything applies depends on the premise alone, so the scan stays
-    # at k until nothing applies and never returns to an earlier premise.
-    k = 0
+    # at k until nothing applies and never returns to an earlier premise.  A
+    # rule swaps one argument of k for an atom and leaves every other node at
+    # its place and sign, so k, which had no split, still has none: no split
+    # scan follows a rule.
+    k, scan = 0, True
     while k < len(qi.premises):
-        hit = ca.find_split(qi.premises[k])
+        hit = ca.find_split(qi.premises[k]) if scan else None
         if hit is not None:
             side, path = hit
             qi = ca.split_premise(qi, k, side, path)
@@ -114,11 +117,12 @@ def approximate(ineq: Inequality,
             continue
         rule = ca.approximation_rule(qi.premises[k])
         if rule is None:
-            k += 1
+            k, scan = k + 1, True
             continue
         fresh = supply.fresh(ca.APPROX_SCHEMA[rule][3])
         qi = ca.approximation(qi, k, rule, fresh)
         steps.append(TraceStep(f"approx-{rule}", k, {}, (fresh,), qi))
+        scan = False
     return qi, steps
 
 
@@ -131,14 +135,6 @@ class FailureInfo:
 
 def _signed_name(p: Atom, polarity: str) -> str:
     return f"{polarity}{p.name if p.name is not None else f'p_{p.index}'}"
-
-
-def _candidate_vars(tables: list[dict[Atom, tuple[int, ...]]]) -> list[Atom]:
-    """Propositional variables in order of first occurrence scanning the
-    premises' sign tables from the most recently produced backwards, then the
-    conclusion's, the last one: the order the first-success search follows."""
-    return list(dict.fromkeys(a for table in (*reversed(tables[:-1]), tables[-1])
-                              for a in table if a.kind == fm.PROP))
 
 
 def _occurrence_site(prem: Inequality, p: Atom) -> tuple[str, Optional[int]]:
@@ -158,9 +154,11 @@ def _solve_premise(prem: Inequality, p: Atom, polarity: str):
     move) each, or None when no move applies or a premise repeats, since
     the moves then cycle."""
     moves: list[tuple[str, dict, Inequality]] = []
-    target = fm.atom(p)
     seen: set[Inequality] = set()
-    while (prem.rhs if polarity == "+" else prem.lhs) != target:
+    while True:
+        target = prem.rhs if polarity == "+" else prem.lhs
+        if target.op == fm.ATOM and target.atom == p:
+            return prem, moves
         if prem in seen:
             return None
         seen.add(prem)
@@ -180,7 +178,6 @@ def _solve_premise(prem: Inequality, p: Atom, polarity: str):
         except NotApplicable:
             return None
         moves.append((rule, params, prem))
-    return prem, moves
 
 
 def _solver_move(host: Formula, side: str, first: int):
@@ -212,9 +209,10 @@ class _Memo:
     """The work of one elimination search, each piece done once: the failed
     states, the solver's results by (premise, p, polarity), Ackermann's
     substitutions by (premise, p, alpha), and one object per distinct
-    inequality of the states, so that each builds its sign table once.  The
-    keys compare inequalities by equality, which ignores atom display names;
-    within one goal each atom has one name, so a memo serves one
+    inequality of the states, so that each builds its sign table once and
+    the variable index of every state that holds it reads that one table.
+    The keys compare inequalities by equality, which ignores atom display
+    names; within one goal each atom has one name, so a memo serves one
     `eliminate` call and no longer."""
 
     failed: dict = field(default_factory=dict)
@@ -240,19 +238,18 @@ class _Memo:
         return out
 
 
-def _try_eliminate_one(state: QuasiInequality, tables: list[dict[Atom, tuple[int, ...]]],
+def _try_eliminate_one(state: QuasiInequality, held: list[tuple[int, tuple[int, ...]]],
                        p: Atom, polarity: str, memo: _Memo):
     """Solve the one premise holding p with the given polarity for p and
     apply Ackermann at it: (the new state, the premise's index, the
-    solver's moves), or None.  tables are the sign tables of state's
-    premises and then of its conclusion."""
+    solver's moves), or None.  held is p's entry in the state's variable
+    index: (premise index, inequality-level signs of p) for each premise
+    that holds p."""
     want = 1 if polarity == "+" else -1
-    holders = [k for k, table in enumerate(tables[:-1]) if want in table.get(p, ())]
-    if len(holders) != 1:
+    holders = [(k, signs) for k, signs in held if want in signs]
+    if len(holders) != 1 or len(holders[0][1]) != 1:
         return None
-    k = holders[0]
-    if len(tables[k][p]) != 1:
-        return None
+    k = holders[0][0]
     solved = memo.solve(state.premises[k], p, polarity)
     if solved is None:
         return None
@@ -278,18 +275,27 @@ def _trace(state: QuasiInequality, k: int, moves, p: Atom, polarity: str,
 def _search(state: QuasiInequality, memo: _Memo, cap: int):
     """The search below state: (pure_qi, signed order, steps), or, kept in
     memo.failed, its dead-end count and first cap dead-end orders from
-    state.  Steps are built only on the way back from a success."""
+    state.  Steps are built only on the way back from a success.  The
+    state's kept sign tables are read once, into the variable index: each
+    variable in the order tried, with (index, signs) of each premise that
+    holds it."""
     hit = memo.failed.get(state)
     if hit is not None:
         return hit
-    tables = [ineq.sign_table() for ineq in (*state.premises, state.conclusion)]
-    variables = _candidate_vars(tables)
-    if not variables:
+    index: dict[Atom, list[tuple[int, tuple[int, ...]]]] = {}
+    for k in range(len(state.premises) - 1, -1, -1):
+        for a, signs in state.premises[k].sign_table().items():
+            if a.kind == fm.PROP:
+                index.setdefault(a, []).append((k, signs))
+    for a in state.conclusion.sign_table():
+        if a.kind == fm.PROP:
+            index.setdefault(a, [])
+    if not index:
         return state, [], []
     dead_ends, log = 0, []
-    for p in variables:
+    for p, held in index.items():
         for polarity in ("+", "-"):
-            move = _try_eliminate_one(state, tables, p, polarity, memo)
+            move = _try_eliminate_one(state, held, p, polarity, memo)
             if move is None:
                 continue
             name = _signed_name(p, polarity)
@@ -311,6 +317,10 @@ def eliminate(qi: QuasiInequality):
     candidate order, positive polarity before negative, with full
     backtracking.  Returns (pure_qi, signed order, steps) or FailureInfo.
 
+    Each state is read once, into a variable index that names the variables
+    in candidate order (first occurrence over the premises newest first,
+    then the conclusion) and, for each, the premises that hold it with
+    their signs: a move reads its variable's entry, not every premise.
     The search below a state depends on the state alone, and each step
     removes a variable, so no state reaches itself: a failed state is searched
     once per call.  The call's memo also keeps each premise's solution and

@@ -252,6 +252,35 @@ def test_a_valuation_refuses_a_value_that_is_not_a_set_of_worlds(mask):
         assert str(exc.value) == f"valuation of {p!r} is not a set of the 2 worlds"
 
 
+def test_the_oracle_refuses_an_atom_of_unknown_kind():
+    # universal_truth read such an atom as a co-nominal, closed over or
+    # given, and extension took its mask as given
+    f = next(enumerate_frames(2))
+    foo = fm.Atom("foo", 0)
+    message = r"^atom Atom\(foo,0\) is of unknown kind 'foo'$"
+    for call in (lambda: universal_truth(f, Inequality(fm.t(), fm.t()), {foo: 2}),
+                 lambda: universal_truth(f, Inequality(fm.t(), fm.atom(foo))),
+                 lambda: extension(f, {foo: 1}, fm.atom(foo)),
+                 lambda: eval_formula(f, {foo: 1}, fm.atom(foo), 0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_eval_fo_refuses_an_open_formula_at_entry():
+    # x0 is free on a branch that evaluation never reaches: eval_fo
+    # returned True where correspondence_check refused the formula
+    x = WVar("x", 0)
+    g = fol.Or(fol.TRUE, OAtom(x))
+    for f in (ONE_POINT, next(enumerate_frames(2))):
+        with pytest.raises(ValueError, match="^unbound variable x0$"):
+            eval_fo(f, g, {})
+        assert eval_fo(f, g, {x: 0}) is True
+    # the check refuses a predicate, which no valuation interprets there
+    with pytest.raises(ValueError, match="^predicate atom needs a valuation$"):
+        correspondence_check(parse(r"p \to p"),
+                             Forall(x, fol.Or(fol.TRUE, fol.PVarAtom(0, x))), 1)
+
+
 def test_a_valuation_refuses_a_key_that_is_not_an_atom():
     # extension, eval_formula and universal_truth ignored the key, and
     # eval_fo raised AttributeError
@@ -440,8 +469,14 @@ SIZE = "the number of worlds must be an int, not "
      "not a frame object: KeyError('O')"),
     (lambda: RMFrame.from_json({**FRAME_JSON, "O": None}), "not a frame object: TypeError"),
     (lambda: RMFrame.from_json(list(FRAME_JSON.values())), "not a frame object: TypeError"),
+    # an entry of R that is not a triple raised "not enough values to
+    # unpack", which named neither the frame nor the entry
+    (lambda: RMFrame(2, [0], [(0, 0)], [0, 1]), "R entry (0, 0) is not a triple of worlds"),
+    (lambda: RMFrame.from_json({**FRAME_JSON, "R": [""]}),
+     "R entry '' is not a triple of worlds"),
 ], ids=["no-worlds", "true-worlds", "enumerate-true", "check-true", "json-n-text",
-        "json-world-true", "json-no-O", "json-O-null", "json-list"])
+        "json-world-true", "json-no-O", "json-O-null", "json-list", "r-pair",
+        "json-r-text"])
 def test_frame_refuses_a_size_or_object_it_cannot_read(call, message):
     with pytest.raises(ValueError) as exc:
         call()

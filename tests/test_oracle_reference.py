@@ -612,9 +612,15 @@ def test_error_messages_unchanged():
         for ev in (eval_fo, ref_eval_fo):
             with pytest.raises(ValueError, match=message):
                 ev(f, *args)
-    # an unbound variable on a branch that is never reached raises nothing
-    g = Or(fol.TRUE, OAtom(X1))
-    assert eval_fo(f, g) is True and ref_eval_fo(f, g) is True
+    # an unbound variable or a predicate without a mask is refused at entry,
+    # also on a branch that is never reached, where the lazy reference
+    # raises nothing
+    for g, message in ((Or(fol.TRUE, OAtom(X1)), "unbound variable x1"),
+                       (Or(fol.TRUE, PVarAtom(0, X0)),
+                        "predicate atom needs a valuation")):
+        assert ref_eval_fo(f, g, {X0: 0}) is True
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval_fo(f, g, {X0: 0})
     with pytest.raises(ValueError, match="frame validity is defined"):
         correspondence_check(parse(r"\mathbf i"), fol.TRUE, 1)
 
@@ -715,15 +721,15 @@ def test_class_frames_of_one_o_and_r_are_consecutive(mode):
 
 def _evaluated(monkeypatch, phi, g):
     """The number of class frames that each mode's check at n <= 2
-    evaluates, counted by the calls of `frames._truth`."""
+    evaluates, counted by the frames that its program is bound to."""
     calls = []
-    truth_of = frames._truth
+    bind_of = frames._bind
 
-    def truth(*args):
-        calls.append(args)
-        return truth_of(*args)
+    def bind(*args):
+        program = bind_of(*args)
+        return lambda f: calls.append(f) or program(f)
 
-    monkeypatch.setattr(frames, "_truth", truth)
+    monkeypatch.setattr(frames, "_bind", bind)
     counts = []
     for mode in MODES:
         calls.clear()

@@ -220,6 +220,26 @@ def test_search_builds_each_state_sign_tables_once(source, bound,
     assert len(set(built)) == len(built)  # pairwise unequal
 
 
+def test_the_search_tries_variables_in_candidate_order(monkeypatch):
+    # first occurrence over the premises from the newest back, then the
+    # conclusion; each with the premises that hold it, (index, signs) each,
+    # newest first, and + before -
+    p, q, r, s, u = (fm.var(i, name) for i, name in enumerate("pqrsu"))
+    state = ca.QuasiInequality(
+        (Inequality(fm.nom(1), fm.imp(p, q)), Inequality(fm.conj(r, p), fm.cnom(1)),
+         Inequality(fm.nom(2), s)),
+        Inequality(fm.nom(0), fm.disj(u, q)))
+    tried = []
+    monkeypatch.setattr(pipeline, "_try_eliminate_one",
+                        lambda state, held, p, polarity, memo:
+                        tried.append((p.name, polarity, list(held))))
+    assert isinstance(eliminate(state), FailureInfo)
+    held = {"s": [(2, (1,))], "r": [(1, (-1,))], "p": [(1, (-1,)), (0, (-1,))],
+            "q": [(0, (1,))], "u": []}
+    assert tried == [(name, polarity, held[name]) for name in "srpqu"
+                     for polarity in "+-"]
+
+
 def test_the_search_memo_is_freed_when_eliminate_returns(monkeypatch):
     # the memo holds the premises and solutions the search made, failed
     # branches included; nothing that eliminate returns refers to it, and it
