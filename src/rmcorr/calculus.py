@@ -50,14 +50,13 @@ class NotApplicable(Exception):
     """Raised when a rule's shape or side conditions are not met."""
 
 
-_set = fm._set  # the fields of a frozen object are set once
 _SINGLE = {1: (1,), -1: (-1,)}  # the signs of an atom that occurs once
 
 
 @fm._frozen
 @dataclass(frozen=True, init=False, slots=True)
 class Inequality:
-    """lhs <= rhs, with its dataclass hash stored and its sign table kept."""
+    """lhs <= rhs, with its hash, from its sides' hashes, and its sign table kept."""
 
     lhs: Formula
     rhs: Formula
@@ -65,10 +64,10 @@ class Inequality:
     _table: Optional[dict] = field(init=False, repr=False, compare=False)
 
     def __init__(self, lhs: Formula, rhs: Formula):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "_hash", hash((lhs, rhs)))
-        _set(self, "_table", None)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_hash(self, hash((lhs._hash, rhs._hash)))
+        _set_table(self, None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,7 +87,7 @@ class Inequality:
         if psi.op in (fm.T, fm.TOP, fm.BOT):
             table = dict(table)
             del table[a]
-            _set(out, "_table", table)
+            _set_table(out, table)
         return out
 
     def atoms(self, kind: Optional[str] = None) -> list[Atom]:
@@ -105,8 +104,14 @@ class Inequality:
         on the first call and kept, so callers must not mutate it."""
         if self._table is not None:
             return self._table
-        table: dict = {}
-        stack = [(self.rhs, 1), (self.lhs, -1)]
+        lhs, rhs, table = self.lhs, self.rhs, {}
+        if not (lhs.args or rhs.args):  # two leaves: the walk's table at once
+            table = {lhs.atom: _SINGLE[-1]} if lhs.op == fm.ATOM else table
+            if rhs.op == fm.ATOM:
+                table[rhs.atom] = (-1, 1) if rhs.atom in table else _SINGLE[1]
+            _set_table(self, table)
+            return table
+        stack = [(rhs, 1), (lhs, -1)]
         pop, push, polarity = stack.pop, stack.append, fm.POLARITY
         while stack:
             node, sign = pop()
@@ -129,7 +134,7 @@ class Inequality:
         for a, signs in table.items():
             if signs.__class__ is list:
                 table[a] = tuple(signs)
-        _set(self, "_table", table)
+        _set_table(self, table)
         return table
 
     def is_pure(self) -> bool:
@@ -150,13 +155,13 @@ class QuasiInequality:
     _hash: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, premises: tuple[Inequality, ...], conclusion: Inequality):
-        _set(self, "premises", premises)
-        _set(self, "conclusion", conclusion)
-        _set(self, "_hash", None)
+        _set_premises(self, premises)
+        _set_conclusion(self, conclusion)
+        _set_qi_hash(self, None)
 
     def __hash__(self) -> int:  # stored on first use: most snapshots never are
         if self._hash is None:
-            _set(self, "_hash", hash((self.premises, self.conclusion)))
+            _set_qi_hash(self, hash((self.premises, self.conclusion)))
         return self._hash
 
     def __reduce__(self):
@@ -187,6 +192,10 @@ class QuasiInequality:
         return self.text()
 
 
+_set_lhs, _set_rhs, _set_hash, _set_table = fm._setters(Inequality)
+_set_premises, _set_conclusion, _set_qi_hash = fm._setters(QuasiInequality)
+
+
 def goal(ineq: Inequality) -> QuasiInequality:
     """A bare inequality viewed as a premise-free quasi-inequality."""
     return QuasiInequality((), ineq)
@@ -214,7 +223,8 @@ class FreshSupply:
         return a
 
 
-@dataclass(frozen=True)
+@fm._frozen
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     rule: str
     premise: Optional[int]
@@ -319,6 +329,8 @@ def _fits(prem: Inequality, rule: str) -> bool:
 def approximation_rule(prem: Inequality) -> Optional[str]:
     """The first rule of APPROX_RULES that applies to prem, or None.  A rule
     on the left needs a co-nominal on the right, so one side has them all."""
+    if not (prem.lhs.args or prem.rhs.args):  # no connective to approximate
+        return None
     rules = (_APPROX_BY_SHAPE.get(("lhs", prem.lhs.op))
              or _APPROX_BY_SHAPE.get(("rhs", prem.rhs.op), ()))
     return next((rule for rule in rules if _fits(prem, rule)), None)
@@ -501,6 +513,8 @@ def find_split(ineq: Inequality) -> Optional[tuple[str, tuple[int, ...]]]:
     """Locate a splittable meet/join in an inequality: ('lhs'|'rhs', path)
     of the first split, in preorder over the left side, at inequality-sign
     -, then the right side, at +."""
+    if not (ineq.lhs.args or ineq.rhs.args):  # no meet or join to split
+        return None
     stack = [("rhs", ineq.rhs, 1, ()), ("lhs", ineq.lhs, -1, ())]
     while stack:
         side, node, sign, path = stack.pop()

@@ -5,6 +5,9 @@ order, and equality.
 World variables come in three disjoint families: ``x`` (from nominals),
 ``y`` (from co-nominals) and ``z`` (auxiliary bound variables introduced by
 the standard translation or by order expansion).
+
+Terms and nodes are slotted frozen dataclasses that refuse every attribute
+assignment; they compare, hash and print field by field.
 """
 
 from __future__ import annotations
@@ -12,10 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
+from . import formula as fm
+
+
+def _node(cls):
+    """cls as a slotted frozen dataclass built through its slot descriptors."""
+    cls = fm._frozen(dataclass(frozen=True, slots=True, init=False)(cls))
+    names = cls.__slots__  # the fields, in order
+    scope = dict(zip([f"set_{name}" for name in names], fm._setters(cls)))
+    exec(f"def __init__(self, {', '.join(names)}):\n pass"
+         + "".join(f"; set_{name}(self, {name})" for name in names), scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # for its errors
+    return cls
+
 
 # terms
 
-@dataclass(frozen=True)
+@_node
 class WVar:
     family: str  # "x", "y", or "z"
     index: int
@@ -24,7 +41,7 @@ class WVar:
         return f"{self.family}{self.index}"
 
 
-@dataclass(frozen=True)
+@_node
 class Star:
     arg: "Term"
 
@@ -43,82 +60,82 @@ def term_var(t: Term) -> WVar:
 
 # formulas
 
-@dataclass(frozen=True)
+@_node
 class FONode:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class RAtom(FONode):
     a: Term
     b: Term
     c: Term
 
 
-@dataclass(frozen=True)
+@_node
 class OAtom(FONode):
     a: Term
 
 
-@dataclass(frozen=True)
+@_node
 class LeqAtom(FONode):
     a: Term
     b: Term
 
 
-@dataclass(frozen=True)
+@_node
 class EqAtom(FONode):
     a: Term
     b: Term
 
 
-@dataclass(frozen=True)
+@_node
 class PVarAtom(FONode):
     """Unary predicate for a propositional variable; standard-translation only."""
     index: int
     a: Term
 
 
-@dataclass(frozen=True)
+@_node
 class TrueF(FONode):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FalseF(FONode):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(FONode):
     body: FONode
 
 
-@dataclass(frozen=True)
+@_node
 class And(FONode):
     left: FONode
     right: FONode
 
 
-@dataclass(frozen=True)
+@_node
 class Or(FONode):
     left: FONode
     right: FONode
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(FONode):
     left: FONode
     right: FONode
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(FONode):
     var: WVar
     body: FONode
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(FONode):
     var: WVar
     body: FONode
@@ -137,6 +154,10 @@ DUAL: dict[type, type] = {And: Or, Or: And, Forall: Exists, Exists: Forall,
 CHILDREN: dict[type, tuple[str, ...]] = {
     Not: ("body",), Forall: ("body",), Exists: ("body",),
     And: ("left", "right"), Or: ("left", "right"), Implies: ("left", "right")}
+# The fields of each term and node class, in order, for code that reads them
+FIELDS: dict[type, tuple[str, ...]] = {cls: cls.__slots__ for cls in (
+    WVar, Star, FONode, RAtom, OAtom, LeqAtom, EqAtom, PVarAtom, TrueF, FalseF,
+    Not, And, Or, Implies, Forall, Exists)}
 _BINDERS = (Forall, Exists)
 
 
@@ -182,7 +203,8 @@ def walk(f: FONode) -> Iterator[FONode]:
 
 def _terms(f: FONode) -> list[Term]:
     """The term fields of f in field order: none unless f is an atom."""
-    return [v for v in vars(f).values() if isinstance(v, (WVar, Star))]
+    return [v for v in map(f.__getattribute__, FIELDS.get(type(f), ()))
+            if isinstance(v, (WVar, Star))]
 
 
 def free_vars(f: FONode) -> set[WVar]:

@@ -8,8 +8,9 @@ implication, co-implication and the right residual of fusion.
 
 Everything here is immutable and hashable, so formulas can be shared freely
 between premises, trace snapshots and parallel workers.  Each node stores
-the dataclass hash, computed once when it is built; equality tests identity,
-then the stored hashes, then the fields, with a stack instead of recursion.
+its hash, built once from its op and its children's (or atom's) stored
+hashes; equality tests identity, then the stored hashes, then the fields,
+with a stack instead of recursion.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ POLARITY = {
     COIMP: (1, -1),
 }
 
-_set = object.__setattr__  # the fields of a frozen node are set once
+
+def _setters(cls) -> list:
+    """The __set__ of each field's slot descriptor: a constructor's setters."""
+    return [cls.__dict__[name].__set__ for name in cls.__slots__]
 
 
 def _frozen(cls):
@@ -80,10 +84,10 @@ class Atom:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: str, index: int, name: Optional[str] = None):
-        _set(self, "kind", kind)
-        _set(self, "index", index)
-        _set(self, "name", name)
-        _set(self, "_hash", hash((kind, index)))
+        _set_kind(self, kind)
+        _set_index(self, index)
+        _set_name(self, name)
+        _set_atom_hash(self, hash((kind, index)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -119,10 +123,12 @@ class Formula:
 
     def __init__(self, op: str, args: tuple["Formula", ...] = (),
                  atom: Optional[Atom] = None):
-        _set(self, "op", op)
-        _set(self, "args", args)
-        _set(self, "atom", atom)
-        _set(self, "_hash", hash((op, args, atom)))
+        _set_op(self, op)
+        _set_args(self, args)
+        _set_atom(self, atom)
+        _set_hash(self, hash((op, args[0]._hash, args[1]._hash)) if len(args) == 2
+                  else hash((op, args[0]._hash)) if args
+                  else hash((op, atom._hash)) if atom is not None else hash((op,)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -148,12 +154,22 @@ class Formula:
     def __reduce__(self):
         return Formula, (self.op, self.args, self.atom)
 
-    def __repr__(self) -> str:
-        if self.op == ATOM:
-            return self.atom.display()
-        if not self.args:
-            return self.op
-        return f"{self.op}({','.join(map(repr, self.args))})"
+    def __repr__(self) -> str:  # op(arg,...), from a stack: any depth prints
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+            elif node.args:  # the arguments, then the text between them
+                out.append(f"{node.op}(")
+                stack += ")", *[x for arg in node.args[:0:-1] for x in (arg, ",")], node.args[0]
+            else:
+                out.append(node.atom.display() if node.op == ATOM else node.op)
+        return "".join(out)
+
+
+_set_kind, _set_index, _set_name, _set_atom_hash = _setters(Atom)
+_set_op, _set_args, _set_atom, _set_hash = _setters(Formula)
 
 
 # constructors

@@ -378,6 +378,7 @@ def random_frame(rng: random.Random, n: int, density: float = 0.3) -> RMFrame:
 def admissible_values(f: RMFrame, a: Atom) -> list[int]:
     """The masks an atom may denote: up-sets for variables, principal up-sets
     for nominals, complements of principal down-sets for co-nominals."""
+    _check_masks(f, {a: 0})
     return _admissible(f, a.kind)
 
 
@@ -544,7 +545,8 @@ def _check_fo(g: fol.FONode, preds: Optional[tuple[int, ...]] = None) -> None:
     for node in fol.walk(g):
         if type(node) not in _PY_NODES:
             raise ValueError(f"unknown first-order node {node!r}")
-        for key, value in vars(node).items():
+        for key in fol.FIELDS[type(node)]:
+            value = getattr(node, key)
             if key == "index" and not _is_index(value):
                 raise ValueError(f"not a predicate index: {value!r}")
             if key == "index" and value not in (preds or ()):
@@ -631,7 +633,7 @@ def universal_truth(f: RMFrame, qi, partial: Optional[dict[Atom, int]] = None) -
     partial = partial or {}
     _check_masks(f, partial)
     for a, m in partial.items():
-        if m not in admissible_values(f, a):
+        if m not in _admissible(f, a.kind):
             raise ValueError(f"valuation of {a!r} is out of range")
     bind, _ = _quasi_program(qi, tuple(partial))
     return bind(f)(*partial.values())
@@ -673,7 +675,8 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     differ = _bind((), f"({valid}) != ({_print(g, _PYTHON, 0)})")
     # the negations are the only connectives whose tables read the star
     star_free = not any(x.op in fm.UNARY_OPS for x in fm.walk(phi)) and not any(
-        isinstance(t, fol.Star) for x in fol.walk(g) for t in vars(x).values())
+        isinstance(getattr(x, name), fol.Star)
+        for x in fol.walk(g) for name in fol.FIELDS[type(x)])
     last = None
     for position, f in classes:
         if star_free and (f.o_mask, f._results) == last:

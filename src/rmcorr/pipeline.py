@@ -39,7 +39,8 @@ __all__ = [
 MAX_ATTEMPT_LOG = 512
 
 
-@dataclass(frozen=True)
+@fm._frozen
+@dataclass(frozen=True, slots=True)
 class PreprocessEvent:
     kind: str  # "split" or "monotone"
     index: int

@@ -161,7 +161,7 @@ def _print(f: FONode, syntax: _Syntax, prec: int) -> str:
     if atom is not None:
         term = syntax.term
         return atom.format(**{k: v if type(v) is int else term(v)
-                              for k, v in vars(f).items()})
+                              for k in fol.FIELDS[type(f)] for v in [getattr(f, k)]})
     connective = syntax.connectives.get(cls)
     if connective is not None:
         template, level, parts = connective
@@ -201,7 +201,8 @@ def fo_to_json(f: FONode) -> dict:
     if op is None:
         raise ValueError(f"cannot serialize {f!r}")
     out, args = {"op": op}, []
-    for name, value in vars(f).items():
+    for name in fol.FIELDS[type(f)]:
+        value = getattr(f, name)
         if isinstance(value, FONode):
             value = fo_to_json(value)
         elif not isinstance(value, int):

@@ -282,8 +282,9 @@ def _smart_not(f: FONode) -> FONode:
         return And(f.left, _smart_not(f.right))
     if type(f) not in fol.DUAL:
         return Not(f)
+    values = [getattr(f, name) for name in fol.FIELDS[type(f)]]
     return fol.DUAL[type(f)](*(_smart_not(v) if isinstance(v, FONode) else v
-                               for v in vars(f).values()))
+                               for v in values))
 
 
 # the unit and the zero of meet and join

@@ -6,14 +6,15 @@ import time
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rmcorr import calculus as ca
+from rmcorr import fol
 from rmcorr import formula as fm
 from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
                              QuasiInequality, TraceStep)
 from rmcorr.formula import Atom
-from rmcorr.pipeline import approximate, preprocess
+from rmcorr.pipeline import PreprocessEvent, approximate, preprocess
 from rmcorr.syntax import parse
 
 P = Atom(fm.PROP, 0, "p")
@@ -116,8 +117,14 @@ def reference_table(ineq: Inequality) -> list:
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(lhs=FORMULAS, rhs=FORMULAS)
+@example(lhs=fm.var(0), rhs=fm.var(0))
+@example(lhs=fm.var(0), rhs=fm.nom(0))
+@example(lhs=fm.t(), rhs=fm.cnom(1))
+@example(lhs=fm.var(1), rhs=fm.bot())
+@example(lhs=fm.top(), rhs=fm.t())
 def test_sign_table_is_the_reference_walk(lhs, rhs):
-    # the same keys in the same order, each with a tuple of the same signs
+    # the same keys in the same order, each with a tuple of the same signs;
+    # the examples are the two-leaf inequalities, whose table is built at once
     table = Inequality(lhs, rhs).sign_table()
     assert list(table.items()) == reference_table(Inequality(lhs, rhs))
     assert all(type(signs) is tuple for signs in table.values())
@@ -190,7 +197,7 @@ def test_inequalities_pickle_with_a_rebuilt_hash_and_table():
                concl=r"\mathbf i <= \mathbf m")
     prem = state.premises[1]
     table = prem.sign_table()
-    assert hash(prem) == hash((prem.lhs, prem.rhs))
+    assert hash(prem) == hash((hash(prem.lhs), hash(prem.rhs)))
     assert hash(state) == hash((state.premises, state.conclusion))
     for obj, field in ((prem, "lhs"), (state, "conclusion")):
         copy = pickle.loads(pickle.dumps(obj))
@@ -203,7 +210,7 @@ def test_inequalities_pickle_with_a_rebuilt_hash_and_table():
     code = ("import pickle, sys; qi = pickle.load(sys.stdin.buffer); "
             "prem = qi.premises[1]; "
             "assert hash(qi) == hash((qi.premises, qi.conclusion)); "
-            "assert hash(prem) == hash((prem.lhs, prem.rhs)); "
+            "assert hash(prem) == hash((hash(prem.lhs), hash(prem.rhs))); "
             "assert [list(s) for s in prem.sign_table().values()] == [[-1], [-1], [1]]; "
             "print(qi in {qi.premises[0]} | {pickle.loads(pickle.dumps(qi))})")
     src = os.path.join(os.path.dirname(fm.__file__), os.pardir)
@@ -217,11 +224,22 @@ def test_inequalities_pickle_with_a_rebuilt_hash_and_table():
 
 def test_frozen_nodes_refuse_every_attribute():
     # a name that is not a field used to raise TypeError from the
-    # dataclass-made __setattr__ of a slotted class
+    # dataclass-made __setattr__ of a slotted class; the first-order nodes,
+    # trace steps and preprocessing events had a __dict__
     p = fm.var(0, "p")
     ineq = Inequality(p, fm.t())
-    nodes = ((p.atom, "kind"), (p, "op"), (ineq, "lhs"),
-             (QuasiInequality((ineq,), ineq), "premises"))
+    x = fol.WVar("x", 0)
+    first_order = [x, fol.Star(x), fol.FONode(), fol.RAtom(x, x, x), fol.OAtom(x),
+                   fol.LeqAtom(x, x), fol.EqAtom(x, x), fol.PVarAtom(0, x), fol.TRUE,
+                   fol.FALSE, fol.Not(fol.TRUE), fol.And(fol.TRUE, fol.FALSE),
+                   fol.Or(fol.TRUE, fol.FALSE), fol.Implies(fol.TRUE, fol.FALSE),
+                   fol.Forall(x, fol.TRUE), fol.Exists(x, fol.FALSE)]
+    assert [type(node) for node in first_order] == list(fol.FIELDS)
+    nodes = [(p.atom, "kind"), (p, "op"), (ineq, "lhs"),
+             (QuasiInequality((ineq,), ineq), "premises"),
+             (TraceStep("split", 0), "rule"),
+             (PreprocessEvent("split", 0, ineq, (ineq,)), "before")]
+    nodes += [(node, (fol.FIELDS[type(node)] or ("extra",))[0]) for node in first_order]
     for obj, field in nodes:
         for name in (field, "extra", "_hash"):
             with pytest.raises(FrozenInstanceError, match="cannot assign to field"):

@@ -21,12 +21,15 @@ def test_atom_equality_ignores_display_name():
     assert Atom(fm.NOM, 1) != Atom(fm.NOM, 2)
 
 
-def test_hash_is_the_dataclass_hash_and_equality_is_by_value():
-    # the stored hash is the value the dataclass computed, so sets and dicts
-    # of atoms and formulas keep their order
+def test_hash_is_built_from_the_children_hashes_and_equality_is_by_value():
+    # the stored hash is that of the op and the children's stored hashes,
+    # an atom leaf's child being its atom, so a node is hashed without a
+    # Python-level __hash__ call
     phi = parse(r"(p \to \sim q) \circ \mathbf t \land \mathbf i")
     for node in fm.walk(phi):
-        assert hash(node) == hash((node.op, node.args, node.atom))
+        children = node.args or [a for a in (node.atom,) if a is not None]
+        assert hash(node) == hash((node.op, *map(hash, children)))
+    assert hash(fm.t()) == hash(("t",)) and hash(fm.nom(0)) == hash(("atom", hash(("nom", 0))))
     renamed = Atom(fm.PROP, 0, "renamed")
     assert hash(p) == hash(renamed) == hash((fm.PROP, 0)) and p == renamed
     assert fm.var(0, "p") == fm.var(0, "renamed")
@@ -34,6 +37,22 @@ def test_hash_is_the_dataclass_hash_and_equality_is_by_value():
     for other in (None, 0, "p", p, (phi.op, phi.args, phi.atom), [phi]):
         assert phi != other and not phi == other
     assert p != (fm.PROP, 0) and p != fm.var(0, "p")
+
+
+def _recursive_repr(phi):
+    """Formula.__repr__ as it was, one call per node."""
+    if phi.op == fm.ATOM:
+        return phi.atom.display()
+    if not phi.args:
+        return phi.op
+    return f"{phi.op}({','.join(map(_recursive_repr, phi.args))})"
+
+
+def test_deep_formulas_print_without_recursion():
+    chain = parse("\\sim " * 5000 + "p")
+    assert repr(chain) == "neg(" * 5000 + "p" + ")" * 5000
+    assert repr(parse(r"(p \to \sim \mathbf j_1) \circ \mathbf t \land \mathbf m")) == (
+        r"and(fus(imp(p,neg(\mathbf j_{1})),t),\mathbf m)")
 
 
 def test_deep_formulas_compare_and_hash_without_recursion():
@@ -50,8 +69,9 @@ def test_unpickled_formulas_hash_in_their_own_process():
     # string hash seed must still find the formula in a set of its own
     phi = parse(r"(p \to q) \circ \sim \mathbf j_1")
     code = ("import pickle, sys; phi = pickle.load(sys.stdin.buffer); "
-            "assert hash(phi) == hash((phi.op, phi.args, phi.atom)); "
+            "assert hash(phi) == hash((phi.op, *map(hash, phi.args))); "
             "assert hash(phi.args[0].args[0].atom) == hash(('prop', 0)); "
+            "assert hash(phi.args[0].args[0]) == hash(('atom', hash(('prop', 0)))); "
             "print(phi in {phi.args[0]} | {pickle.loads(pickle.dumps(phi))})")
     src = os.path.join(os.path.dirname(fm.__file__), os.pardir)
     for seed in ("1", "2"):
@@ -167,6 +187,11 @@ def test_equality_is_structural(phi, psi):
     assert copy is not phi and copy == phi and hash(copy) == hash(phi)
     assert (phi == psi) == _ref_equal(phi, psi) == (psi == phi)
     assert (phi != psi) == (not _ref_equal(phi, psi))
+
+
+@given(_ops)
+def test_repr_is_the_recursive_repr(phi):
+    assert repr(phi) == _recursive_repr(phi)
 
 
 @given(_ops)

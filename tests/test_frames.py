@@ -254,14 +254,16 @@ def test_a_valuation_refuses_a_value_that_is_not_a_set_of_worlds(mask):
 
 def test_the_oracle_refuses_an_atom_of_unknown_kind():
     # universal_truth read such an atom as a co-nominal, closed over or
-    # given, and extension took its mask as given
+    # given, extension took its mask as given, and admissible_values gave
+    # the co-nominal masks
     f = next(enumerate_frames(2))
     foo = fm.Atom("foo", 0)
     message = r"^atom Atom\(foo,0\) is of unknown kind 'foo'$"
     for call in (lambda: universal_truth(f, Inequality(fm.t(), fm.t()), {foo: 2}),
                  lambda: universal_truth(f, Inequality(fm.t(), fm.atom(foo))),
                  lambda: extension(f, {foo: 1}, fm.atom(foo)),
-                 lambda: eval_formula(f, {foo: 1}, fm.atom(foo), 0)):
+                 lambda: eval_formula(f, {foo: 1}, fm.atom(foo), 0),
+                 lambda: admissible_values(f, foo)):
         with pytest.raises(ValueError, match=message):
             call()
 

@@ -1,9 +1,11 @@
 import gc
 import itertools
+import pickle
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from rmcorr import fol
 from rmcorr import formula as fm
@@ -11,7 +13,7 @@ from rmcorr.calculus import FreshSupply, Inequality, QuasiInequality
 from rmcorr.fol import (And, EqAtom, Exists, FalseF, Forall, Implies, LeqAtom,
                         Not, OAtom, Or, RAtom, Star, TrueF, WVar)
 from rmcorr.frames import enumerate_frames, eval_formula, eval_fo, extension
-from rmcorr.syntax import parse
+from rmcorr.syntax import parse, to_text
 from rmcorr.translate import (PurityError, expand_leq, fo_simplify,
                               order_as_equality, st, st_inequality, tr,
                               tr_quasi)
@@ -271,6 +273,56 @@ def test_walker_leaves_no_reference_cycle(walk):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# the fields of each term and node class as vars() gave them, in order,
+# before the classes had slots
+VARS_FIELDS = {
+    WVar: ("family", "index"), Star: ("arg",), fol.FONode: (),
+    RAtom: ("a", "b", "c"), OAtom: ("a",), LeqAtom: ("a", "b"), EqAtom: ("a", "b"),
+    fol.PVarAtom: ("index", "a"), TrueF: (), FalseF: (), Not: ("body",),
+    And: ("left", "right"), Or: ("left", "right"), Implies: ("left", "right"),
+    Forall: ("var", "body"), Exists: ("var", "body")}
+
+
+def test_the_field_table_lists_what_vars_gave():
+    # every class of fol's terms and nodes, each constructor setting its
+    # fields in that order, by position or by name, and each node comparing,
+    # hashing and printing as the dataclass made it: field by field
+    classes = {c for c in vars(fol).values() if isinstance(c, type)
+               and issubclass(c, (fol.FONode, WVar, Star))}
+    assert fol.FIELDS == VARS_FIELDS and set(fol.FIELDS) == classes
+    for cls, names in fol.FIELDS.items():
+        assert tuple(f.name for f in fields(cls)) == names
+        values = [object() for _ in names]
+        node = cls(*values)
+        assert [getattr(node, name) for name in names] == values
+        assert cls(**dict(zip(names, values))) == node
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) takes"):
+            cls(*values, object())
+        assert not hasattr(node, "__dict__")
+        assert hash(node) == hash(tuple(values))
+        assert (node == cls(*[object() for _ in names])) == (not names)
+        if cls not in (WVar, Star):  # the terms print as x0 and x0*
+            text = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+            assert repr(node) == f"{cls.__name__}({text})"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hst.integers(0, 2**32))
+def test_copies_built_from_one_text_are_equal_and_pickle(seed):
+    # two parses of one text give equal inequalities and equal first-order
+    # translations, hashing equal though built apart, and each copy comes
+    # back equal from pickle with the same hash
+    phi = fm.fus(fm.nom(1), random_formula(random.Random(seed), 5, 3))
+    text = to_text(phi)
+    (a, fa), (b, fb) = [(ineq, st_inequality(ineq))
+                        for ineq in (Inequality(fm.t(), parse(text)) for _ in range(2))]
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert fa is not fb and fa == fb and hash(fa) == hash(fb)
+    for obj in (a, b, fa, fb):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy is not obj and copy == obj and hash(copy) == hash(obj)
 
 
 def test_walk_is_preorder_and_stack_safe():
