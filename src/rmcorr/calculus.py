@@ -54,14 +54,10 @@ _SINGLE = {1: (1,), -1: (-1,)}  # the signs of an atom that occurs once
 
 
 @fm._frozen
-@dataclass(frozen=True, init=False, slots=True)
 class Inequality:
     """lhs <= rhs, with its hash, from its sides' hashes, and its sign table kept."""
 
-    lhs: Formula
-    rhs: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-    _table: Optional[dict] = field(init=False, repr=False, compare=False)
+    __slots__ = ("lhs", "rhs", "_hash", "_table")
 
     def __init__(self, lhs: Formula, rhs: Formula):
         _set_lhs(self, lhs)
@@ -71,6 +67,11 @@ class Inequality:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lhs, self.rhs) == (other.lhs, other.rhs)
 
     def __reduce__(self):  # a hash is only valid in the process that made it
         return Inequality, (self.lhs, self.rhs)
@@ -148,11 +149,8 @@ class Inequality:
 
 
 @fm._frozen
-@dataclass(frozen=True, init=False, slots=True)
 class QuasiInequality:
-    premises: tuple[Inequality, ...]
-    conclusion: Inequality
-    _hash: Optional[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("premises", "conclusion", "_hash")
 
     def __init__(self, premises: tuple[Inequality, ...], conclusion: Inequality):
         _set_premises(self, premises)
@@ -163,6 +161,11 @@ class QuasiInequality:
         if self._hash is None:
             _set_qi_hash(self, hash((self.premises, self.conclusion)))
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.premises, self.conclusion) == (other.premises, other.conclusion)
 
     def __reduce__(self):
         return QuasiInequality, (self.premises, self.conclusion)
@@ -235,14 +238,6 @@ class TraceStep:
 
 def _replace(qi: QuasiInequality, k: int, new: tuple[Inequality, ...]) -> QuasiInequality:
     return QuasiInequality(qi.premises[:k] + new + qi.premises[k + 1:], qi.conclusion)
-
-
-def _is_atom_kind(phi: Formula, kind: str) -> bool:
-    return phi.op == fm.ATOM and phi.atom.kind == kind
-
-
-def _is_special_atom(phi: Formula) -> bool:
-    return phi.op == fm.ATOM and phi.atom.kind in (fm.NOM, fm.CNOM)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +317,8 @@ def _fits(prem: Inequality, rule: str) -> bool:
     op, side, i, _ = APPROX_SCHEMA[rule]
     host, bound = _sides(prem, side)
     return (host.op == op
-            and _is_atom_kind(bound, fm.CNOM if side == "lhs" else fm.NOM)
-            and not _is_special_atom(host.args[i]))
+            and fm.is_atom(bound, fm.CNOM if side == "lhs" else fm.NOM)
+            and not fm.is_atom(host.args[i], fm.NOM, fm.CNOM))
 
 
 def approximation_rule(prem: Inequality) -> Optional[str]:
@@ -471,7 +466,7 @@ def simplification(qi: QuasiInequality, which: str) -> QuasiInequality:
         raise NotApplicable(f"unknown simplification {which!r}")
     side = "lhs" if which == "left" else "rhs"
     named, kept = _sides(qi.conclusion, side)
-    if not _is_atom_kind(named, fm.NOM if side == "lhs" else fm.CNOM):
+    if not fm.is_atom(named, fm.NOM if side == "lhs" else fm.CNOM):
         raise NotApplicable(f"conclusion {which} side is not a nominal "
                             "or co-nominal")
     a = named.atom

@@ -6,44 +6,67 @@ World variables come in three disjoint families: ``x`` (from nominals),
 ``y`` (from co-nominals) and ``z`` (auxiliary bound variables introduced by
 the standard translation or by order expansion).
 
-Terms and nodes are slotted frozen dataclasses that refuse every attribute
-assignment; they compare, hash and print field by field.
+Terms and nodes are slotted classes on one frozen base, `_Node`: they refuse
+every attribute assignment, and compare, hash and print field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from . import formula as fm
 
+_METHODS = """
+def __init__(self, {params}):
+    pass{sets}
+def __eq__(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return ({fields}) == ({others})
+def __hash__(self):
+    return hash(({fields}))
+def __reduce__(self):
+    return self.__class__, ({fields})
+"""
 
-def _node(cls):
-    """cls as a slotted frozen dataclass built through its slot descriptors."""
-    cls = fm._frozen(dataclass(frozen=True, slots=True, init=False)(cls))
-    names = cls.__slots__  # the fields, in order
-    scope = dict(zip([f"set_{name}" for name in names], fm._setters(cls)))
-    exec(f"def __init__(self, {', '.join(names)}):\n pass"
-         + "".join(f"; set_{name}(self, {name})" for name in names), scope)
-    cls.__init__ = scope["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # for its errors
-    return cls
+
+@fm._frozen
+class _Node:
+    """The base of terms and nodes.  A subclass whose own `__slots__` name
+    its fields gets `_METHODS` over them, its `__init__` setting each field
+    through its slot descriptor; one without is left alone."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__dict__.get("__slots__")
+        if names is None:
+            return
+        scope = dict(zip([f"set_{name}" for name in names], fm._setters(cls)))
+        exec(_METHODS.format(params=", ".join(names),
+                             sets="".join(f"; set_{name}(self, {name})" for name in names),
+                             fields="".join(f"self.{name}, " for name in names),
+                             others="".join(f"other.{name}, " for name in names)), scope)
+        for method in ("__init__", "__eq__", "__hash__", "__reduce__"):
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"  # for its errors
+            setattr(cls, method, scope[method])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 # terms
 
-@_node
-class WVar:
-    family: str  # "x", "y", or "z"
-    index: int
+class WVar(_Node):
+    __slots__ = ("family", "index")  # "x", "y" or "z", and an int
 
     def __repr__(self) -> str:
         return f"{self.family}{self.index}"
 
 
-@_node
-class Star:
-    arg: "Term"
+class Star(_Node):
+    __slots__ = ("arg",)  # a term
 
     def __repr__(self) -> str:
         return f"{self.arg!r}*"
@@ -58,87 +81,63 @@ def term_var(t: Term) -> WVar:
     return t
 
 
-# formulas
+# formulas; the fields a, b and c are terms, var is a WVar, the others nodes
 
-@_node
-class FONode:
-    pass
+class FONode(_Node):
+    __slots__ = ()
 
 
-@_node
 class RAtom(FONode):
-    a: Term
-    b: Term
-    c: Term
+    __slots__ = ("a", "b", "c")
 
 
-@_node
 class OAtom(FONode):
-    a: Term
+    __slots__ = ("a",)
 
 
-@_node
 class LeqAtom(FONode):
-    a: Term
-    b: Term
+    __slots__ = ("a", "b")
 
 
-@_node
 class EqAtom(FONode):
-    a: Term
-    b: Term
+    __slots__ = ("a", "b")
 
 
-@_node
 class PVarAtom(FONode):
     """Unary predicate for a propositional variable; standard-translation only."""
-    index: int
-    a: Term
+    __slots__ = ("index", "a")
 
 
-@_node
 class TrueF(FONode):
-    pass
+    __slots__ = ()
 
 
-@_node
 class FalseF(FONode):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Not(FONode):
-    body: FONode
+    __slots__ = ("body",)
 
 
-@_node
 class And(FONode):
-    left: FONode
-    right: FONode
+    __slots__ = ("left", "right")
 
 
-@_node
 class Or(FONode):
-    left: FONode
-    right: FONode
+    __slots__ = ("left", "right")
 
 
-@_node
 class Implies(FONode):
-    left: FONode
-    right: FONode
+    __slots__ = ("left", "right")
 
 
-@_node
 class Forall(FONode):
-    var: WVar
-    body: FONode
+    __slots__ = ("var", "body")
 
 
-@_node
 class Exists(FONode):
-    var: WVar
-    body: FONode
+    __slots__ = ("var", "body")
 
 
 TRUE = TrueF()

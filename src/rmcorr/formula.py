@@ -15,7 +15,7 @@ with a stack instead of recursion.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterator, Optional
 
 # atom kinds
@@ -64,9 +64,10 @@ def _setters(cls) -> list:
 
 
 def _frozen(cls):
-    """Make assigning or deleting any attribute of a frozen slotted dataclass
-    raise FrozenInstanceError.  The methods that dataclass makes call super()
-    with the class from before the slots, a TypeError for a non-field name."""
+    """Make assigning or deleting any attribute of cls raise
+    FrozenInstanceError.  It serves the tree nodes, fol's `_Node` among them,
+    and the records TraceStep and PreprocessEvent, whose dataclass-made
+    methods call super() with the class from before the slots."""
     def refuse(self, name: str, *value) -> None:
         raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
     cls.__setattr__ = cls.__delattr__ = refuse
@@ -74,14 +75,10 @@ def _frozen(cls):
 
 
 @_frozen
-@dataclass(frozen=True, order=True, init=False, slots=True)
 class Atom:
     """Variable-like leaf; identity is (kind, index), never the display name."""
 
-    kind: str
-    index: int
-    name: Optional[str] = field(default=None, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "index", "name", "_hash")
 
     def __init__(self, kind: str, index: int, name: Optional[str] = None):
         _set_kind(self, kind)
@@ -114,12 +111,8 @@ class Atom:
 
 
 @_frozen
-@dataclass(frozen=True, init=False, slots=True)
 class Formula:
-    op: str
-    args: tuple["Formula", ...] = ()
-    atom: Optional[Atom] = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("op", "args", "atom", "_hash")
 
     def __init__(self, op: str, args: tuple["Formula", ...] = (),
                  atom: Optional[Atom] = None):
@@ -258,6 +251,11 @@ def atoms(phi: Formula, kind: Optional[str] = None) -> list[Atom]:
     return list(dict.fromkeys(
         node.atom for node in walk(phi)
         if node.op == ATOM and (kind is None or node.atom.kind == kind)))
+
+
+def is_atom(phi: Formula, *kinds: str) -> bool:
+    """True when phi is an atom of one of these kinds."""
+    return phi.op == ATOM and phi.atom.kind in kinds
 
 
 def is_pure(phi: Formula) -> bool:

@@ -112,7 +112,7 @@ class RMFrame:
         return t
 
     def is_upset(self, S: int) -> bool:
-        return not any(S >> w & 1 and self.up[w] & ~S for w in range(self.n))
+        return _is_upset(self.up, S)
 
     def to_json(self) -> dict:
         return {"n": self.n, "O": sorted(self.O),
@@ -152,6 +152,16 @@ def _union(masks) -> int:
 
 def _mask(worlds) -> int:
     return _union(1 << w for w in worlds)
+
+
+def _packed(parts: Iterable[int], width: int) -> int:
+    """The masks of parts side by side, the i-th from bit i * width on."""
+    return _union(part << i * width for i, part in enumerate(parts))
+
+
+def _is_upset(up: Sequence[int], S: int) -> bool:
+    """S is closed upward, for up[w] = {v : w <= v}."""
+    return not any(S >> w & 1 and up[w] & ~S for w in range(len(up)))
 
 
 def _check_size(n) -> None:
@@ -220,17 +230,6 @@ def _operation(f: RMFrame, op: str):
 _OPERATIONS = (*fm.UNARY_OPS, fm.FUS, fm.IMP, fm.RRES, fm.COIMP, fm.HIMP)
 
 
-def _reader(op: str):
-    """RMFrame's method op_<op>: the operation, read off its table."""
-    if op in fm.UNARY_OPS:
-        return lambda f, Y: f.table(op)[Y]
-    return lambda f, Y, Z: f.table(op)[Y << f.n | Z]
-
-
-for _op in _OPERATIONS:
-    setattr(RMFrame, f"op_{_op}", _reader(_op))
-
-
 def _shrinks(up: Sequence[int], seq: Sequence[int]) -> bool:
     """u <= v implies that seq[v] is in seq[u], for up[w] = {v : w <= v}."""
     W = range(len(up))
@@ -242,7 +241,7 @@ def check_frame(f: RMFrame) -> bool:
     slices {(b, c) : R a b c} shrink as a goes up, the rows R a b shrink as
     b goes up and are up-sets, star is antitone, and O is an up-set."""
     n, up, results = f.n, f.up, f._results
-    slices = [_union(row << b * n for b, row in enumerate(rows)) for rows in results]
+    slices = [_packed(rows, n) for rows in results]
     return (all(up[w] >> w & 1 for w in range(n)) and _shrinks(up, slices)
             and all(_shrinks(up, rows) and all(map(f.is_upset, rows))
                     for rows in results)
@@ -298,15 +297,15 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
                else itertools.product(masks, repeat=n)):
         if not _shrinks(up, up) or not all(up[w] >> w & 1 for w in W):
             continue  # not transitive, or not reflexive
-        upsets = [S for S in masks if not any(S >> w & 1 and up[w] & ~S for w in W)]
+        upsets = [S for S in masks if _is_upset(up, S)]
         # star v <= star u, so up[star u] is in up[star v], whenever u <= v
         stars = [s for s in itertools.product(W, repeat=n) if _shrinks(up, [~up[x] for x in s])]
-        slices = [_union(row << b * n for b, row in enumerate(rows))
-                  for rows in itertools.product(upsets, repeat=n) if _shrinks(up, rows)]
-        order = _union(row << w * n for w, row in enumerate(up))
+        slices = [_packed(rows, n) for rows in itertools.product(upsets, repeat=n)
+                  if _shrinks(up, rows)]
+        order = _packed(up, n)
         for O, R in itertools.product(upsets[1:], itertools.product(slices, repeat=n)):
             if _shrinks(up, R) and _union(R[o] for o in W if O >> o & 1) == order:
-                found.append((O, _union(r << a * n * n for a, r in enumerate(R)), stars))
+                found.append((O, _packed(R, n * n), stars))
     for o_mask, r_bits, stars in sorted(found):
         results = tuple(tuple(r_bits >> (a * n + b) * n & masks[-1] for b in W) for a in W)
         for star in stars:

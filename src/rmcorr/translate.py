@@ -44,10 +44,6 @@ class PurityError(ValueError):
     """Raised when the inequality translator is given an impure input."""
 
 
-def _is(phi: Formula, kind: str) -> bool:
-    return phi.op == fm.ATOM and phi.atom.kind == kind
-
-
 # each world variable is built once: a pass reads a few hundred many times
 _world = functools.cache(WVar)
 
@@ -134,9 +130,9 @@ def tr(ineq: Inequality, supply: Optional[FreshSupply] = None) -> FONode:
 
 def _tr(ineq: Inequality, supply: FreshSupply) -> FONode:
     L, R = ineq.lhs, ineq.rhs
-    if _is(L, fm.NOM):
+    if fm.is_atom(L, fm.NOM):
         return _reading(R, L, True, supply)
-    if _is(R, fm.CNOM):
+    if fm.is_atom(R, fm.CNOM):
         return _reading(L, R, False, supply)
     return _generic(L, R, supply)
 
@@ -167,7 +163,7 @@ def _reading(phi: Formula, at: Formula, holds: bool,
         connective = _LATTICE[op] if holds else fol.DUAL[_LATTICE[op]]
         return connective(_reading(args[0], at, holds, supply),
                           _reading(args[1], at, holds, supply))
-    if op == fm.NEG and (_is(args[0], fm.NOM) or _is(args[0], fm.CNOM)):
+    if op == fm.NEG and fm.is_atom(args[0], fm.NOM, fm.CNOM):
         # ~a holds at w when a fails at w*
         return _literal(_st_atom(args[0].atom, Star(w)), not holds)
     if op == fm.NEG:
@@ -177,10 +173,10 @@ def _reading(phi: Formula, at: Formula, holds: bool,
                      _literal(Not(LeqAtom(_xvar(j), Star(w))), holds))
     if op == fm.FUS:
         a, b = args
-        if _is(a, fm.NOM) and _is(b, fm.NOM):
+        if fm.is_atom(a, fm.NOM) and fm.is_atom(b, fm.NOM):
             return _literal(RAtom(_xvar(a), _xvar(b), w), holds)
         j = fm.atom(supply.fresh(fm.NOM))
-        if _is(a, fm.NOM):
+        if fm.is_atom(a, fm.NOM):
             first = _reading(b, j, True, supply)
             last = _literal(RAtom(_xvar(a), _xvar(j), w), holds)
         else:
@@ -198,7 +194,7 @@ def _reading(phi: Formula, at: Formula, holds: bool,
     else:
         if op == fm.COIMP:
             return _tr(Inequality(args[0], fm.disj(args[1], at)), supply)
-        if op == fm.IMP and _is(args[0], fm.NOM) and _is(args[1], fm.CNOM):
+        if op == fm.IMP and fm.is_atom(args[0], fm.NOM) and fm.is_atom(args[1], fm.CNOM):
             # nominal -> co-nominal below a co-nominal collapses to one
             # accessibility atom on Routley-Meyer frames
             return RAtom(w, _xvar(args[0]), _world("y", args[1].atom.index))

@@ -19,6 +19,7 @@ three and four.  `ref_relabel`, which built each renamed copy of a frame
 from its sets, is the reference for the relabelling on masks.
 """
 
+import functools
 import itertools
 import random
 import subprocess
@@ -47,6 +48,12 @@ MODES = ("relevance", "bi", "ra")
 
 # -- reference interpreter ----------------------------------------------------
 
+def _op(f: RMFrame, op: str, *masks: int) -> int:
+    """Connective op of f's complex algebra on one or two masks, read off
+    its table at Y, or at Y * 2**n + Z."""
+    return f.table(op)[masks[0] << f.n | masks[1] if len(masks) == 2 else masks[0]]
+
+
 def ref_extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
     """Mask of worlds where phi holds."""
     op = phi.op
@@ -62,11 +69,11 @@ def ref_extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
     if op == fm.BOT:
         return 0
     if op == fm.NEG:
-        return f.op_neg(ref_extension(f, valuation, phi.args[0]))
+        return _op(f, fm.NEG, ref_extension(f, valuation, phi.args[0]))
     if op == fm.NEG_FLAT:
-        return f.op_negflat(ref_extension(f, valuation, phi.args[0]))
+        return _op(f, fm.NEG_FLAT, ref_extension(f, valuation, phi.args[0]))
     if op == fm.NEG_SHARP:
-        return f.op_negsharp(ref_extension(f, valuation, phi.args[0]))
+        return _op(f, fm.NEG_SHARP, ref_extension(f, valuation, phi.args[0]))
     a = ref_extension(f, valuation, phi.args[0])
     b = ref_extension(f, valuation, phi.args[1])
     if op == fm.AND:
@@ -74,15 +81,15 @@ def ref_extension(f: RMFrame, valuation: dict[Atom, int], phi: Formula) -> int:
     if op == fm.OR:
         return a | b
     if op == fm.FUS:
-        return f.op_fus(a, b)
+        return _op(f, fm.FUS, a, b)
     if op == fm.IMP:
-        return f.op_imp(a, b)
+        return _op(f, fm.IMP, a, b)
     if op == fm.COIMP:
-        return f.op_coimp(a, b)
+        return _op(f, fm.COIMP, a, b)
     if op == fm.HIMP:
-        return f.op_himp(a, b)
+        return _op(f, fm.HIMP, a, b)
     if op == fm.RRES:
-        return f.op_rres(a, b)
+        return _op(f, fm.RRES, a, b)
     raise ValueError(f"unknown connective {op!r}")
 
 
@@ -170,14 +177,14 @@ def ref_holds(f: RMFrame, valuation: dict[Atom, int], obj) -> bool:
 
 
 def _fusion_associates(f: RMFrame, sets: list[int]) -> bool:
-    fus = f.op_fus
+    fus = functools.partial(_op, f, fm.FUS)
     return all(fus(fus(Y, Z), W) == fus(Y, fus(Z, W))
                for Y in sets for Z in sets for W in sets)
 
 
 def _bi_identities_hold(f: RMFrame) -> bool:
     sets = f.upsets()
-    return (all(f.op_fus(Y, Z) == f.op_fus(Z, Y) for Y in sets for Z in sets)
+    return (all(_op(f, fm.FUS, Y, Z) == _op(f, fm.FUS, Z, Y) for Y in sets for Z in sets)
             and _fusion_associates(f, sets))
 
 
@@ -189,11 +196,12 @@ def _ra_identities_hold(f: RMFrame) -> bool:
                 return False
 
     def conv(Y: int) -> int:
-        return f.op_neg(f.op_himp(Y, 0))
+        return _op(f, fm.NEG, _op(f, fm.HIMP, Y, 0))
 
     sets = f.upsets()
-    return (all(f.op_imp(Y, Z) == f.op_neg(f.op_fus(f.op_neg(Z), Y))
-                and conv(f.op_fus(Y, Z)) == f.op_fus(conv(Z), conv(Y))
+    return (all(_op(f, fm.IMP, Y, Z)
+                == _op(f, fm.NEG, _op(f, fm.FUS, _op(f, fm.NEG, Z), Y))
+                and conv(_op(f, fm.FUS, Y, Z)) == _op(f, fm.FUS, conv(Z), conv(Y))
                 for Y in sets for Z in sets)
             and _fusion_associates(f, sets))
 
@@ -358,10 +366,10 @@ def _assert_extensions_agree(frames, phi):
 # -- object language ----------------------------------------------------------
 
 def test_operations_match_their_definitions(mode_frames):
-    # every entry of every operation table, which the op_* methods and so
-    # the reference interpreter read, against the set-theoretic definitions
-    # read straight off O, R and star: on the frames of all three modes and
-    # on seeded 3-world frames, where the subset recurrence must hold too
+    # every entry of every operation table, which the reference interpreter
+    # reads, against the set-theoretic definitions read straight off O, R
+    # and star: on the frames of all three modes and on seeded 3-world
+    # frames, where the subset recurrence must hold too
     rng = random.Random(11)
     frames = [f for mode in MODES for f in mode_frames[mode]]
     frames += [random_frame(rng, 3) for _ in range(12)]
@@ -377,30 +385,30 @@ def test_operations_match_their_definitions(mode_frames):
 
         sets = [{w for w in W if Y >> w & 1} for Y in masks]
         unary = [
-            (fm.NEG, f.op_neg, lambda y: mask(x for x in W if f.star[x] not in y)),
-            (fm.NEG_FLAT, f.op_negflat, lambda y: mask(
+            (fm.NEG, lambda y: mask(x for x in W if f.star[x] not in y)),
+            (fm.NEG_FLAT, lambda y: mask(
                 w for w in W if any(leq(f.star[v], w) for v in W if v not in y))),
-            (fm.NEG_SHARP, f.op_negsharp, lambda y: mask(
+            (fm.NEG_SHARP, lambda y: mask(
                 w for w in W if not any(leq(w, f.star[v]) for v in y)))]
         binary = [
-            (fm.FUS, f.op_fus, lambda y, z: mask(
+            (fm.FUS, lambda y, z: mask(
                 x for x in W for a in y for b in z if (a, b, x) in f.R)),
-            (fm.IMP, f.op_imp, lambda y, z: mask(
+            (fm.IMP, lambda y, z: mask(
                 x for x in W if all(c in z for a in y for c in W if (x, a, c) in f.R))),
-            (fm.RRES, f.op_rres, lambda y, z: mask(
+            (fm.RRES, lambda y, z: mask(
                 w for w in W if all(u in z for v in y for u in W if (v, w, u) in f.R))),
-            (fm.COIMP, f.op_coimp, lambda y, z: mask(
+            (fm.COIMP, lambda y, z: mask(
                 w for w in W if any(leq(u, w) for u in y - z))),
-            (fm.HIMP, f.op_himp, lambda y, z: mask(
+            (fm.HIMP, lambda y, z: mask(
                 w for w in W if all(u in z for u in y if leq(w, u))))]
-        for op, method, definition in unary:
+        for op, definition in unary:
             want = tuple(definition(y) for y in sets)
             assert f.table(op) == want, (op, f)
-            assert tuple(map(method, masks)) == want
-        for op, method, definition in binary:
+            assert tuple(_op(f, op, Y) for Y in masks) == want
+        for op, definition in binary:
             want = tuple(definition(y, z) for y in sets for z in sets)
             assert f.table(op) == want, (op, f)
-            assert tuple(method(Y, Z) for Y in masks for Z in masks) == want
+            assert tuple(_op(f, op, Y, Z) for Y in masks for Z in masks) == want
 
 
 def test_mask_equality_and_hashing_agree_with_the_sets():

@@ -50,8 +50,7 @@ from rmcorr import calculus as ca
 from rmcorr import formula as fm
 from rmcorr import pipeline
 from rmcorr.calculus import (FreshSupply, Inequality, NotApplicable,
-                             QuasiInequality, TraceStep, _is_atom_kind,
-                             _is_special_atom, _replace)
+                             QuasiInequality, TraceStep, _replace)
 from rmcorr.formula import Atom, Formula
 from rmcorr.pipeline import (FailureInfo, PreprocessEvent, _signed_name,
                              _solver_move, approximate, eliminate, preprocess,
@@ -63,6 +62,14 @@ from helpers import chain_ladder, fusion_ladder, random_formula
 
 
 # -- reference rule bodies ----------------------------------------------------
+
+def _is_atom_kind(phi: Formula, kind: str) -> bool:
+    return fm.is_atom(phi, kind)
+
+
+def _is_special_atom(phi: Formula) -> bool:
+    return fm.is_atom(phi, fm.NOM, fm.CNOM)
+
 
 def ref_approximation(qi: QuasiInequality, k: int, rule: str,
                       supply: FreshSupply,

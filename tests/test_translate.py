@@ -1,8 +1,9 @@
+import copy
 import gc
 import itertools
 import pickle
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -286,14 +287,14 @@ VARS_FIELDS = {
 
 
 def test_the_field_table_lists_what_vars_gave():
-    # every class of fol's terms and nodes, each constructor setting its
-    # fields in that order, by position or by name, and each node comparing,
-    # hashing and printing as the dataclass made it: field by field
+    # every class of fol's terms and nodes, its fields its own slots, each
+    # constructor setting them in that order, by position or by name, and
+    # each node comparing, hashing and printing field by field
     classes = {c for c in vars(fol).values() if isinstance(c, type)
                and issubclass(c, (fol.FONode, WVar, Star))}
     assert fol.FIELDS == VARS_FIELDS and set(fol.FIELDS) == classes
     for cls, names in fol.FIELDS.items():
-        assert tuple(f.name for f in fields(cls)) == names
+        assert cls.__slots__ == names
         values = [object() for _ in names]
         node = cls(*values)
         assert [getattr(node, name) for name in names] == values
@@ -306,6 +307,27 @@ def test_the_field_table_lists_what_vars_gave():
         if cls not in (WVar, Star):  # the terms print as x0 and x0*
             text = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
             assert repr(node) == f"{cls.__name__}({text})"
+
+
+def test_tree_nodes_pickle_copy_and_leave_other_classes_alone():
+    # one node of every tree-node class, none a dataclass: a pickle round
+    # trip and a deep copy each give an equal node with an equal hash, and
+    # equality with an object of another class is left to that object
+    p = fm.var(0, "p")
+    ineq = Inequality(fm.fus(fm.nom(1), p), fm.neg(fm.cnom(0)))
+    x, y = X(0), Y(1)
+    first_order = [x, Star(x), fol.FONode(), RAtom(x, Star(y), x), OAtom(y),
+                   LeqAtom(x, y), EqAtom(Star(x), y), fol.PVarAtom(0, x), fol.TRUE,
+                   fol.FALSE, Not(OAtom(x)), And(fol.TRUE, OAtom(x)),
+                   Or(fol.FALSE, OAtom(y)), Implies(OAtom(x), fol.FALSE),
+                   Forall(x, OAtom(x)), Exists(y, LeqAtom(x, y))]
+    assert [type(node) for node in first_order] == list(fol.FIELDS)
+    for node in [p.atom, p, ineq, QuasiInequality((ineq,), ineq), *first_order]:
+        assert not is_dataclass(node)
+        for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            assert twin is not node and type(twin) is type(node)
+            assert twin == node and hash(twin) == hash(node)
+        assert node.__eq__(object()) is NotImplemented
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
