@@ -3,17 +3,18 @@ star map, built on their order (210 of 4,096 structures on two worlds; three
 stay capped); evaluation of formulas; the brute-force correspondence checker.
 
 Worlds are 0..n-1 and sets of worlds are bitmasks.  A frame is the masks of
-its normal worlds and rows R a b, and its star; what it derives from them
-(the O and R views, its up-sets and its operation tables) it builds on
-first use and keeps.  Each complex-algebra operation is a union or a meet
-over the worlds of its arguments, tabulated by the subset recurrence, one |
-or & per entry.  Each distinct formula of either language compiles once, to
-the source of one Python expression over the frame's values and tables; a
-correspondence check compiles frame validity (t <= phi) and the first-order
-candidate into one program, bound once per class frame of one family.  Only
-negations and Star terms read the star, so a check of a pair without them
-evaluates one frame per (O, R).  CPython compiles no source nested more
-than about 200 deep: a formula nested deeper raises RecursionError.
+its normal worlds and rows R a b, its star and its order; its O and R views,
+up-sets and operation tables it builds on first use and keeps.  Each
+complex-algebra operation is a union or a meet over the worlds of its
+arguments, tabulated by the subset recurrence, one | or & per entry.  Each
+distinct formula of either language compiles once, to the source of one
+Python expression over the frame's values and tables; a correspondence check
+compiles frame validity (t <= phi) and the first-order candidate into one
+program, bound once per class frame of one family.  Only negations and Star
+terms read the star, so enumerated frames of one (O, R) share all but their
+negation tables, and a check of a pair without either evaluates one frame per
+(O, R).  CPython compiles no source nested more than about 200 deep: a
+formula nested deeper raises RecursionError.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class RMFrame:
     check.  The order u <= v is derived: some normal world o has R o u v."""
 
     __slots__ = ("n", "o_mask", "_results", "star", "_key", "full", "up",
-                 "down", "_derived")
+                 "down", "_shared", "_derived")
 
     def __init__(self, n: int, O: Iterable[int], R: Iterable[tuple], star: Iterable[int]):
         _check_size(n)
@@ -97,18 +98,21 @@ class RMFrame:
     def leq(self, u: int, v: int) -> bool:
         return bool(self.up[u] >> v & 1)
 
-    def upsets(self) -> list[int]:
+    def upsets(self) -> tuple[int, ...]:
         """All order-up-closed masks, ascending."""
         return self.table("upsets")
 
     def table(self, op: str) -> tuple[int, ...]:
         """The complex-algebra operation of connective `op` over all masks,
-        built on first use and kept: indexed by Y for a negation and by
-        Y * 2**n + Z for a binary operation.  The views and the up-sets are
-        kept with the tables, under "O", "R" and "upsets"."""
+        indexed by Y for a negation and by Y * 2**n + Z for a binary one, or
+        the view or the up-sets under "O", "R" or "upsets": built on first
+        use and kept, a negation by the frame, the others in its base's store."""
         t = self._derived.get(op)
         if t is None:
-            t = self._derived[op] = _operation(self, op)
+            store = self._derived if op in fm.UNARY_OPS else self._shared
+            if op not in store:
+                store[op] = _operation(self, op)
+            t = self._derived[op] = store[op]
         return t
 
     def is_upset(self, S: int) -> bool:
@@ -128,18 +132,23 @@ class RMFrame:
 
 
 def _frame(n: int, o_mask: int, results: tuple[tuple[int, ...], ...],
-           star: tuple[int, ...], f: Optional[RMFrame] = None) -> RMFrame:
-    """The frame of these masks, unchecked: f, or a new one, filled in.
-    results[a][b] is the mask of {c : R a b c}, and the masks are the key
-    that equality and hashing read."""
+           star: tuple[int, ...], f: Optional[RMFrame] = None,
+           base: Optional[RMFrame] = None) -> RMFrame:
+    """The frame of these masks, unchecked: f, or a new one, filled in; it
+    shares the order and the star-free tables of base, of the same n, O and
+    R.  results[a][b] is {c : R a b c}; the masks key equality and hashing."""
     f = object.__new__(RMFrame) if f is None else f
     f.n, f.o_mask, f._results, f.star = n, o_mask, results, star
     f._key = n, o_mask, results, star
     f.full = (1 << n) - 1
-    W = range(n)  # the derived order: up[w] = {v : w <= v}, down[v] = {u : u <= v}
-    f.up = [_union(results[o][u] for o in W if o_mask >> o & 1) for u in W]
-    f.down = [_mask(u for u in W if f.up[u] >> v & 1) for v in W]
     f._derived = {}
+    if base is not None:
+        f.up, f.down, f._shared = base.up, base.down, base._shared
+        return f
+    W = range(n)  # the derived order: up[w] = {v : w <= v}, down[v] = {u : u <= v}
+    f.up = tuple(_union(results[o][u] for o in W if o_mask >> o & 1) for u in W)
+    f.down = tuple(_mask(u for u in W if f.up[u] >> v & 1) for v in W)
+    f._shared = {}
     return f
 
 
@@ -204,7 +213,7 @@ def _operation(f: RMFrame, op: str):
     if op == "R":
         return frozenset((a, b, c) for a in W for b in W for c in W if res[a][b] >> c & 1)
     if op == "upsets":
-        return [S for S in masks if f.is_upset(S)]
+        return tuple(S for S in masks if f.is_upset(S))
     if op == fm.NEG:  # meet over y in Y of {x : star x is not y}
         return _subsets(full, _AND, [_mask(x for x in W if f.star[x] != y) for y in W])
     if op == fm.NEG_FLAT:  # union over v outside Y of up[star v]
@@ -308,8 +317,9 @@ def enumerate_frames(n: int, mode: str = "relevance") -> Iterator[RMFrame]:
                 found.append((O, _packed(R, n * n), stars))
     for o_mask, r_bits, stars in sorted(found):
         results = tuple(tuple(r_bits >> (a * n + b) * n & masks[-1] for b in W) for a in W)
+        f = None  # the frames of one (O, R) share what reads no star
         for star in stars:
-            f = _frame(n, o_mask, results, star)
+            f = _frame(n, o_mask, results, star, base=f)
             if _MODE_IDENTITIES[mode](f):
                 yield f
 
@@ -331,12 +341,11 @@ def _frame_family(n: int, mode: str) -> tuple[tuple[tuple[int, RMFrame], ...], i
     their number.  Built once per process on first use: size n is
     enumerated, raising on a size or mode out of range, before the family
     of n - 1 is fetched."""
-    # a frame starts a new class when no copy of it, itself included, is
-    # among the representatives' keys: enumeration yields each frame once
-    reps, classes, count = set(), [], 0
+    # the keys of every copy of each class's first frame; renamings form a group
+    copies, classes, count = set(), [], 0
     for count, f in enumerate(enumerate_frames(n, mode), 1):
-        if not any(_relabel(f, p) in reps for p in itertools.permutations(range(n))):
-            reps.add(f._key)
+        if f._key not in copies:
+            copies.update(_relabel(f, p) for p in itertools.permutations(range(n)))
             classes.append((count, f))
     smaller, total = _frame_family(n - 1, mode) if n > 1 else ((), 0)
     return smaller + tuple((total + i, f) for i, f in classes), total + count
@@ -378,10 +387,10 @@ def admissible_values(f: RMFrame, a: Atom) -> list[int]:
     """The masks an atom may denote: up-sets for variables, principal up-sets
     for nominals, complements of principal down-sets for co-nominals."""
     _check_masks(f, {a: 0})
-    return _admissible(f, a.kind)
+    return list(_admissible(f, a.kind))
 
 
-def _admissible(f: RMFrame, kind: str) -> list[int]:
+def _admissible(f: RMFrame, kind: str) -> Sequence[int]:
     if kind == fm.PROP:
         return f.upsets()
     if kind == fm.NOM:
@@ -399,6 +408,7 @@ _VALUES = {"n": "f.n", "full": "f.full", "o": "f.o_mask", "W": "range(f.n)",
            "res": "f._results", "up": "f.up", "star": "f.star",
            **{name: f"admissible(f, {kind!r})" for kind, name in _RANGES.items()},
            **{f"t_{op}": f"f.table({op!r})" for op in _OPERATIONS}}
+_STARRED = {"star", *(f"t_{op}" for op in fm.UNARY_OPS)}  # the values that read the star
 # a program calls nothing but these; every other name is its own
 _GLOBALS = {"__builtins__": {"all": all, "any": any, "range": range},
             "admissible": _admissible}
@@ -671,11 +681,9 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     # the ceiling is that of frame_valid
     (_, valid), _ = _quasi_source(_validity(phi), ())
     _check_fo(g)
-    differ = _bind((), f"({valid}) != ({_print(g, _PYTHON, 0)})")
-    # the negations are the only connectives whose tables read the star
-    star_free = not any(x.op in fm.UNARY_OPS for x in fm.walk(phi)) and not any(
-        isinstance(getattr(x, name), fol.Star)
-        for x in fol.walk(g) for name in fol.FIELDS[type(x)])
+    source = f"({valid}) != ({_print(g, _PYTHON, 0)})"
+    differ = _bind((), source)
+    star_free = _STARRED.isdisjoint(re.findall(r"\w+", source))
     last = None
     for position, f in classes:
         if star_free and (f.o_mask, f._results) == last:

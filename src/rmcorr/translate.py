@@ -12,7 +12,7 @@ pairs of `fol.DUAL`), and a literal gains or loses its negation.  The
 Routley-Meyer clause of each non-lattice connective is one entry of a
 table, read by the standard translation with fresh z variables and by the
 inequality translator with fresh nominals wherever a connective has no
-direct rule on its side; every such expansion is logged at debug level.
+direct rule on its side; each is logged at debug level if logging is loaded.
 
 The cleanup passes are bottom-up maps with `fol.map_up`, which keeps each
 node whose children are unchanged: `fo_simplify` applies one node rule until
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
+import sys
 from typing import Callable, Iterator, Optional
 
 from . import fol
@@ -33,8 +33,6 @@ from .calculus import FreshSupply, Inequality, QuasiInequality
 from .fol import (FALSE, TRUE, And, EqAtom, Exists, FONode, Forall, Implies,
                   LeqAtom, Not, OAtom, Or, PVarAtom, RAtom, Star, WVar)
 from .formula import Atom, Formula
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["PurityError", "tr", "tr_quasi", "st", "st_inequality",
            "fo_simplify", "expand_leq", "order_as_equality"]
@@ -200,8 +198,12 @@ def _reading(phi: Formula, at: Formula, holds: bool,
             return RAtom(w, _xvar(args[0]), _world("y", args[1].atom.index))
         if op == fm.HIMP:
             return _generic(phi, at, supply)
-    logger.debug("no direct rule for %s on the %s side; expanding its "
-                 "clause", op, "nominal" if holds else "co-nominal")
+    # a debug record needs logging set up, hence imported (about 4 ms)
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "no direct rule for %s on the %s side; expanding its clause", op,
+            "nominal" if holds else "co-nominal")
     worlds = [_world("x", supply.fresh(fm.NOM).index)
               for _ in range(_CLAUSES[op][1])]
     return _clause(op, w, worlds, lambda k, x: _reading(

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +334,13 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "rmcorr", "-i", "p"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_importing_rmcorr_leaves_logging_out():
+    # importing logging costs a process about 4 ms; the one debug message
+    # imports it where it is logged.  The child keeps the environment, so
+    # a PYTHONDONTWRITEBYTECODE set for the suite reaches it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import rmcorr, rmcorr.cli, sys; sys.exit('logging' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -559,6 +559,41 @@ def test_from_json_reads_the_frame_or_refuses(f, key, value, drop):
     assert read == f and not drop
 
 
+def test_frames_of_one_o_and_r_share_what_reads_no_star():
+    # every table of an enumerated frame is that of the same frame built
+    # alone; the frames of one (O, R) hold one order and one object per
+    # table that reads no star, and each its own negation tables (in ra
+    # mode no two frames have one (O, R))
+    names = [*frames._OPERATIONS, "upsets", "O", "R"]
+    shared = [op for op in names if op not in fm.UNARY_OPS]
+    siblings = 0
+    for n, mode in itertools.product((1, 2), ("relevance", "bi", "ra")):
+        found = list(enumerate_frames(n, mode))
+        for f in found:
+            alone = RMFrame(n, f.O, f.R, f.star)
+            assert (f.up, f.down) == (alone.up, alone.down)
+            assert all(f.table(op) == alone.table(op) for op in names), f
+        for _, group in itertools.groupby(found, lambda f: (f.o_mask, f._results)):
+            first, *rest = group
+            siblings += len(rest)
+            for f in rest:
+                assert f.up is first.up and f.down is first.down
+                assert all(f.table(op) is first.table(op) for op in shared)
+                assert all(f.table(op) is not first.table(op) for op in fm.UNARY_OPS)
+    assert siblings > 0
+
+
+def test_admissible_values_hands_out_a_copy():
+    # clearing the list it returned once emptied the frame's kept up-sets,
+    # so p became valid on the frame and on every frame sharing its tables
+    found = list(enumerate_frames(2))
+    f, p = found[5], parse("p")
+    sibling = next(g for g in found if g is not f
+                   and (g.o_mask, g._results) == (f.o_mask, f._results))
+    admissible_values(f, fm.Atom(fm.PROP, 0, "p")).clear()
+    assert not frame_valid(f, p) and not frame_valid(sibling, p)
+
+
 def test_views_are_built_once_and_kept():
     # the views of structures drawn as sets, on up to four worlds: a view
     # rebuilt on every read made the reference frame check 15 times slower
