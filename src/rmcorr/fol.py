@@ -158,6 +158,7 @@ FIELDS: dict[type, tuple[str, ...]] = {cls: cls.__slots__ for cls in (
     WVar, Star, FONode, RAtom, OAtom, LeqAtom, EqAtom, PVarAtom, TrueF, FalseF,
     Not, And, Or, Implies, Forall, Exists)}
 _BINDERS = (Forall, Exists)
+_SPREADS = {Forall: And, Exists: Or}  # the junction each quantifier distributes over
 
 
 def children(f: FONode) -> tuple[FONode, ...]:
@@ -274,3 +275,90 @@ def strip_universal_closure(f: FONode) -> FONode:
     while isinstance(f, Forall):
         f = f.body
     return f
+
+
+# miniscoping: each result below is a part (node, free variables, cls,
+# parts), where cls is And or Or for a flattened junction of the parts and
+# None for a single node; a junction's node is None until it is built
+
+def miniscope(f: FONode) -> tuple[FONode, frozenset[WVar]]:
+    """f rewritten for evaluation, and its free variables (those of
+    `free_vars`).  One bottom-up pass moves each negation onto an atom,
+    flattens conjunctions and disjunctions, dropping a part equal to an
+    earlier one, and moves each quantifier onto the parts that mention its
+    variable.  Each step is an equivalence on every non-empty domain: De
+    Morgan's laws for the connectives and the quantifiers, A -> B = not A or
+    B, A and A = A, A or A = A, forall over and, exists over or, exists x
+    (A and B) = A and exists x B and forall x (A or B) = A or forall x B for
+    x not free in A, and Qx A = A for x not free in A.  So forall x (A -> B)
+    = (exists x A) -> B for x not free in B, and exists x (A -> B) = (forall
+    x A) -> exists x B.  A node of no known class stays, as an atom."""
+    node, free, cls, parts = _scoped(f, True)
+    return (node if node is not None else _joined(cls, parts)), free
+
+
+def _scoped(f: FONode, positive: bool) -> tuple:
+    """The part of f, or of not f where not positive."""
+    cls = type(f)
+    if cls is Not:
+        return _scoped(f.body, not positive)
+    if cls in _BINDERS:
+        return _quantified(cls if positive else DUAL[cls], f.var,
+                           _scoped(f.body, positive))
+    if cls in (And, Or, Implies):
+        # A -> B is not A or B
+        join = Or if cls is Implies else cls
+        return _junction(join if positive else DUAL[join],
+                         [_scoped(f.left, positive is not (cls is Implies)),
+                          _scoped(f.right, positive)])
+    free = frozenset(map(term_var, _terms(f)))
+    if not positive:
+        f = DUAL[cls]() if cls in (TrueF, FalseF) else Not(f)
+    return f, free, None, None
+
+
+def _joined(cls: type, parts: list) -> FONode:
+    """The junction of the parts' nodes, left-nested as `conjoin` nests."""
+    out = parts[0][0]
+    for part in parts[1:]:
+        out = cls(out, part[0])
+    return out
+
+
+def _junction(cls: type, items: list) -> tuple:
+    """The part of the junction of items: the parts of each item of class
+    cls, every other item built, without a part equal to an earlier one."""
+    parts, free = [], frozenset()
+    for item in items:
+        free |= item[1]
+        if item[2] is not cls:
+            if item[0] is None:
+                item = (_joined(item[2], item[3]), *item[1:])
+            new = (item,)
+        elif parts:
+            new = item[3]
+        else:  # parts without repeats
+            parts = item[3][:]
+            continue
+        for part in new:
+            if not any(part[1] == old[1] and part[0] == old[0] for old in parts):
+                parts.append(part)
+    return parts[0] if len(parts) == 1 else (None, free, cls, parts)
+
+
+def _quantified(q: type, x: WVar, body: tuple) -> tuple:
+    """The part of q x body: over each part of a junction that q distributes
+    over (forall over and, exists over or), else over the parts that
+    mention x, the others left outside."""
+    node, free, cls, parts = body
+    if x not in free:
+        return body
+    if cls is None:
+        return q(x, node), free - {x}, None, None
+    if cls is _SPREADS[q]:
+        return _junction(cls, [_quantified(q, x, part) for part in parts])
+    inside = [part for part in parts if x in part[1]]
+    moved = (_quantified(q, x, inside[0]) if len(inside) == 1 else
+             (q(x, _joined(cls, inside)),
+              frozenset().union(*[part[1] for part in inside]) - {x}, None, None))
+    return _junction(cls, [*(part for part in parts if x not in part[1]), moved])

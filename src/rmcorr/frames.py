@@ -10,11 +10,14 @@ arguments, tabulated by the subset recurrence, one | or & per entry.  Each
 distinct formula of either language compiles once, to the source of one
 Python expression over the frame's values and tables; a correspondence check
 compiles frame validity (t <= phi) and the first-order candidate into one
-program, bound once per class frame of one family.  Only negations and Star
-terms read the star, so enumerated frames of one (O, R) share all but their
-negation tables, and a check of a pair without either evaluates one frame per
-(O, R).  CPython compiles no source nested more than about 200 deep: a
-formula nested deeper raises RecursionError.
+program, bound once per class frame of one family.  A first-order formula
+compiles as `fol.miniscope` rewrites it, each quantifier over a body without
+quantifiers to a test of the mask of the worlds that satisfy the body.  Only
+negations and Star terms read the star, so enumerated frames of one (O, R)
+share all but their negation tables and `pre`, the preimages under the star,
+and a check of a pair without either evaluates one frame per (O, R).  CPython
+compiles no source nested more than about 200 deep: a formula nested deeper
+raises RecursionError.
 """
 
 from __future__ import annotations
@@ -105,11 +108,13 @@ class RMFrame:
     def table(self, op: str) -> tuple[int, ...]:
         """The complex-algebra operation of connective `op` over all masks,
         indexed by Y for a negation and by Y * 2**n + Z for a binary one, or
-        the view or the up-sets under "O", "R" or "upsets": built on first
-        use and kept, a negation by the frame, the others in its base's store."""
+        the view or the up-sets under "O", "R" or "upsets", or a table that
+        first-order programs read under "colA", "colB" or "pre": built on
+        first use and kept, a negation and pre by the frame, the others in
+        its base's store."""
         t = self._derived.get(op)
         if t is None:
-            store = self._derived if op in fm.UNARY_OPS else self._shared
+            store = self._derived if op in _STAR_TABLES else self._shared
             if op not in store:
                 store[op] = _operation(self, op)
             t = self._derived[op] = store[op]
@@ -206,7 +211,8 @@ def _binary(unit: int, op, pieces: Sequence[Sequence[int]], outside: bool = Fals
 def _operation(f: RMFrame, op: str):
     """The table of `op` on f: a union or a meet over the worlds of each
     argument, or over those outside it, whose table is read backwards; or
-    the O or R view, or the up-sets."""
+    the O or R view, or the up-sets; or colA[b][c] = {a : R a b c}, colB[a][c]
+    = {b : R a b c} or pre[S] = {x : star x in S}."""
     W, masks, full, res, up, down = range(f.n), range(f.full + 1), f.full, f._results, f.up, f.down
     if op == "O":
         return frozenset(w for w in W if f.o_mask >> w & 1)
@@ -214,6 +220,11 @@ def _operation(f: RMFrame, op: str):
         return frozenset((a, b, c) for a in W for b in W for c in W if res[a][b] >> c & 1)
     if op == "upsets":
         return tuple(S for S in masks if f.is_upset(S))
+    if op in ("colA", "colB"):
+        rows = [[res[a][b] for a in W] for b in W] if op == "colA" else res
+        return tuple(tuple(_mask(i for i in W if row[i] >> c & 1) for c in W) for row in rows)
+    if op == "pre":
+        return _subsets(0, _OR, [_mask(x for x in W if f.star[x] == y) for y in W])
     if op == fm.NEG:  # meet over y in Y of {x : star x is not y}
         return _subsets(full, _AND, [_mask(x for x in W if f.star[x] != y) for y in W])
     if op == fm.NEG_FLAT:  # union over v outside Y of up[star v]
@@ -225,9 +236,8 @@ def _operation(f: RMFrame, op: str):
     if op in (fm.IMP, fm.RRES):
         # meet over y in Y and c outside Z of {x : not R x y c} (imp) or of
         # {x : not R y x c} (rres)
-        rows = [[res[x][y] for x in W] for y in W] if op == fm.IMP else res
-        return _binary(full, _AND, [[full & ~_mask(x for x in W if row[x] >> c & 1)
-                                     for c in W] for row in rows], outside=True)
+        cols = f.table("colA" if op == fm.IMP else "colB")
+        return _binary(full, _AND, [[full & ~m for m in col] for col in cols], outside=True)
     if op in (fm.COIMP, fm.HIMP):
         # over u in Y - Z: the union of up[u], the meet of {w : not w <= u}
         per = (_subsets(0, _OR, up) if op == fm.COIMP
@@ -237,6 +247,7 @@ def _operation(f: RMFrame, op: str):
 
 
 _OPERATIONS = (*fm.UNARY_OPS, fm.FUS, fm.IMP, fm.RRES, fm.COIMP, fm.HIMP)
+_STAR_TABLES = (*fm.UNARY_OPS, "pre")  # the tables that read the star, kept per frame
 
 
 def _shrinks(up: Sequence[int], seq: Sequence[int]) -> bool:
@@ -401,26 +412,34 @@ def _admissible(f: RMFrame, kind: str) -> Sequence[int]:
 # A formula compiles to the source of one Python expression over the values
 # of a frame f that it names, each read off f by the source next to it: the
 # number of worlds, the masks of all and of the normal worlds, the worlds,
-# res[a][b] (the mask of {c : R a b c}), up[w], the star map, the admissible
-# values of each kind of atom and the tables
+# res[a][b] (the mask of {c : R a b c}), up[w], down[w], the star map, the
+# admissible values of each kind of atom and the tables
 _RANGES = {fm.PROP: "U", fm.NOM: "N", fm.CNOM: "C"}
 _VALUES = {"n": "f.n", "full": "f.full", "o": "f.o_mask", "W": "range(f.n)",
-           "res": "f._results", "up": "f.up", "star": "f.star",
+           "res": "f._results", "up": "f.up", "down": "f.down", "star": "f.star",
            **{name: f"admissible(f, {kind!r})" for kind, name in _RANGES.items()},
-           **{f"t_{op}": f"f.table({op!r})" for op in _OPERATIONS}}
-_STARRED = {"star", *(f"t_{op}" for op in fm.UNARY_OPS)}  # the values that read the star
+           **{f"t_{op}": f"f.table({op!r})" for op in _OPERATIONS},
+           **{op: f"f.table({op!r})" for op in ("colA", "colB", "pre")}}
+_STARRED = {"star", "pre", *(f"t_{op}" for op in fm.UNARY_OPS)}  # the values that read the star
 # a program calls nothing but these; every other name is its own
 _GLOBALS = {"__builtins__": {"all": all, "any": any, "range": range},
             "admissible": _admissible}
 
 
-def _bind(params: Sequence[str], expr: str) -> Callable[[RMFrame], Callable]:
+def _names(expr: str) -> dict:
+    """The names that source reads, in order of first occurrence."""
+    return dict.fromkeys(re.findall(r"\w+", expr))
+
+
+def _bind(params: Sequence[str], expr: str,
+          names: Optional[dict] = None) -> Callable[[RMFrame], Callable]:
     """Compile a program, the only place where generated source is compiled:
     bind(f) -> the function of `params` on frame f, evaluated once as
     `lambda f: lambda <params>, <value>=<value of f>, ...: <expr>` over the
-    values that expr names, so no bracket encloses expr."""
+    values that expr names (`_names(expr)` unless given), so no bracket
+    encloses expr."""
     values = [f"{name}={_VALUES[name]}" for name in
-              dict.fromkeys(re.findall(r"\w+", expr)) if name in _VALUES]
+              (_names(expr) if names is None else names) if name in _VALUES]
     try:
         return eval(f"lambda f: lambda {', '.join([*params, *values])}: {expr}",
                     _GLOBALS)
@@ -504,11 +523,15 @@ def frame_valid(f: RMFrame, phi: Formula) -> bool:
     return universal_truth(f, _validity(phi))
 
 
-# First-order formulas print as Python expressions through the printer of
-# the text syntaxes.  A world variable is named by its family and index, a
-# predicate by its variable's index (p0, p1, ...), and a quantifier is a
-# generator over W, so an inner quantifier's binding ends with its scope.
-# A free variable or a predicate without a mask is refused before evaluation.
+# A first-order formula compiles as `fol.miniscope` rewrites it.  Each
+# quantifier over a body without quantifiers whose atoms name its variable
+# at most once each compiles to a test of the mask of the worlds that
+# satisfy the body; every other node prints as a Python expression through
+# the printer of the text syntaxes.  A world variable is named by its family
+# and index, a predicate by its variable's index (p0, p1, ...), and any
+# other quantifier is a generator over W, so an inner quantifier's binding
+# ends with its scope.  A free variable or a predicate without a mask is
+# refused before evaluation.
 
 def _is_index(i) -> bool:
     return type(i) is int and i >= 0
@@ -562,7 +585,82 @@ def _check_fo(g: fol.FONode, preds: Optional[tuple[int, ...]] = None) -> None:
                 raise ValueError("predicate atom needs a valuation" if preds is None
                                  else f"no valuation for variable index {value}")
             if key != "index" and not isinstance(value, fol.FONode):
-                _py_term(value)
+                (_py_var if key == "var" else _py_term)(value)
+
+
+# the mask of a connective of `fol.miniscope`'s results over the masks of its
+# operands: (template, its level, the operands' levels), as in `_Syntax`
+_MASK_CONNECTIVES = {fol.Not: ("full & ~{0}", 2, (3,)), fol.And: ("{0} & {1}", 2, (2, 2)),
+                     fol.Or: ("{0} | {1}", 1, (1, 1))}
+# the mask of the worlds x that satisfy an atom that names x once, by the
+# atom's class and the field that names x (a constant's by its class alone);
+# pre reads the star once per star on x
+_MASK_ATOMS = {(fol.RAtom, "a"): "colA[{b}][{c}]", (fol.RAtom, "b"): "colB[{a}][{c}]",
+               (fol.RAtom, "c"): "res[{a}][{b}]", (fol.LeqAtom, "a"): "down[{b}]",
+               (fol.LeqAtom, "b"): "up[{a}]", (fol.EqAtom, "a"): "(1 << {b})",
+               (fol.EqAtom, "b"): "(1 << {a})", (fol.OAtom, "a"): "o",
+               (fol.PVarAtom, "a"): "p{index}", fol.TrueF: "full", fol.FalseF: "0"}
+
+
+def _mask_source(g: fol.FONode, x: fol.WVar, prec: int) -> Optional[str]:
+    """The source of the mask of the worlds x that satisfy g, which has no
+    quantifier, or None if an atom of g names x more than once."""
+    cls = type(g)
+    if cls in _MASK_CONNECTIVES:
+        template, level, parts = _MASK_CONNECTIVES[cls]
+        args = [_mask_source(child, x, p) for child, p in zip(fol.children(g), parts)]
+        if None in args:
+            return None
+        text = template.format(*args)
+        return f"({text})" if level < prec else text
+    fields = {key: getattr(g, key) for key in fol.FIELDS[cls]}
+    named = [key for key, t in fields.items() if key != "index" and fol.term_var(t) == x]
+    if not named:
+        return _MASK_ATOMS.get(cls) or f"(full if {_print(g, _PYTHON, 0)} else 0)"
+    if len(named) > 1:
+        return None
+    text = _MASK_ATOMS[cls, named[0]].format(
+        **{key: v if key == "index" else _py_term(v) for key, v in fields.items()})
+    t = fields[named[0]]
+    while type(t) is fol.Star:
+        text, t = f"pre[{text}]", t.arg
+    return text
+
+
+def _scoped_source(g: fol.FONode, prec: int) -> Optional[str]:
+    """The source of the truth of g, a result of `fol.miniscope`, at
+    precedence prec, or None if g has no quantifier."""
+    cls = type(g)
+    if cls in _PYTHON.quantifiers:
+        names, body = [g.var], g.body
+        while type(body) is cls:  # one generator over them all
+            names.append(body.var)
+            body = body.body
+        inner = _scoped_source(body, 0)
+        mask = None if inner is not None else _mask_source(body, names[-1], 0)
+        if mask is not None:
+            names.pop()
+            inner = f"({mask} == full)" if cls is fol.Forall else f"({mask} != 0)"
+            if not names:
+                return inner
+        return _PYTHON.quantifiers[cls][0].format(
+            _PYTHON.var_sep.join(map(_py_var, names)),
+            _print(body, _PYTHON, 0) if inner is None else inner)
+    if cls not in _PYTHON.connectives:
+        return None  # an atom
+    template, level, parts = _PYTHON.connectives[cls]
+    children = fol.children(g)
+    args = [_scoped_source(child, p) for child, p in zip(children, parts)]
+    if args.count(None) == len(args):
+        return None
+    text = template.format(*[_print(child, _PYTHON, p) if arg is None else arg
+                             for child, p, arg in zip(children, parts, args)])
+    return f"({text})" if level < prec else text
+
+
+def _fo_source(g: fol.FONode) -> str:
+    """The source of the truth of g, a result of `fol.miniscope`."""
+    return _scoped_source(g, 0) or _print(g, _PYTHON, 0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -571,10 +669,11 @@ def _fo_program(g: fol.FONode, free: tuple[str, ...],
     """bind for g, passed by `_check_fo` and closed over the variables named
     `free` (checked once per program), over their values, then the masks of
     predicates `preds` (None: no valuation)."""
-    unbound = {_py_var(v) for v in fol.free_vars(g)}.difference(free)
+    scoped, names = fol.miniscope(g)
+    unbound = {_py_var(v) for v in names}.difference(free)
     if unbound:
         raise ValueError(f"unbound variable {min(unbound)}")
-    return _bind([*free, *(f"p{i}" for i in preds or ())], _print(g, _PYTHON, 0))
+    return _bind([*free, *(f"p{i}" for i in preds or ())], _fo_source(scoped))
 
 
 def eval_fo(f: RMFrame, g: fol.FONode, env: Optional[dict[fol.WVar, int]] = None,
@@ -674,16 +773,18 @@ def correspondence_check(phi: Formula, g: fol.FONode, n: int,
     _check_size(n)  # before the cache, which keys True as 1
     classes, total = _frame_family(n, mode)
     coverage = f"all {total} frames with up to {n} worlds"
-    if fol.free_vars(g):
+    scoped, free = fol.miniscope(g)
+    if free:
         raise ValueError("the first-order formula must be closed")
     # compiled here, as the caches would only hold memory across a batch;
     # the brackets take the nesting level that `_bind` no longer spends, so
     # the ceiling is that of frame_valid
     (_, valid), _ = _quasi_source(_validity(phi), ())
     _check_fo(g)
-    source = f"({valid}) != ({_print(g, _PYTHON, 0)})"
-    differ = _bind((), source)
-    star_free = _STARRED.isdisjoint(re.findall(r"\w+", source))
+    source = f"({valid}) != ({_fo_source(scoped)})"
+    names = _names(source)
+    differ = _bind((), source, names)
+    star_free = _STARRED.isdisjoint(names)
     last = None
     for position, f in classes:
         if star_free and (f.o_mask, f._results) == last:

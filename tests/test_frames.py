@@ -145,13 +145,19 @@ def test_deep_formulas_raise_recursion_error(depth):
     # CPython compiles no source nested more than about 200 deep, and the
     # oracle's emitters recurse: too deep a formula raises RecursionError,
     # which the CLI reports as input nested too deeply, never SyntaxError or
-    # MemoryError
-    p, x = fm.var(0), WVar("x", 0)
-    phi, g = p, OAtom(x)
+    # MemoryError.  g nests `depth` quantifiers, each over the next one and an
+    # atom that names the variable of both, so no rewrite narrows a scope;
+    # a chain of implications compiles at 250, as its negations move onto
+    # the atoms and the conjunctions and disjunctions it becomes alternate
+    p, xs = fm.var(0), [WVar("x", i) for i in range(depth + 1)]
+    phi, g, chain = p, OAtom(xs[0]), OAtom(xs[0])
     for i in range(depth):
         phi = fm.neg(phi) if i % 2 else fm.imp(p, phi)
-        g = fol.Implies(g, fol.TRUE)
-    g = Forall(x, g)
+        g = fol.Exists(xs[i], fol.And(fol.RAtom(xs[i], xs[i + 1], xs[i + 1]), g))
+        chain = fol.Implies(chain, fol.TRUE)
+    g = Forall(xs[-1], g)
+    if depth == 250:
+        assert eval_fo(ONE_POINT, Forall(xs[0], chain))
     checks = [lambda: extension(ONE_POINT, {p.atom: 1}, phi),
               lambda: frame_valid(ONE_POINT, phi),
               lambda: universal_truth(ONE_POINT, Inequality(fm.t(), phi)),
@@ -562,10 +568,10 @@ def test_from_json_reads_the_frame_or_refuses(f, key, value, drop):
 def test_frames_of_one_o_and_r_share_what_reads_no_star():
     # every table of an enumerated frame is that of the same frame built
     # alone; the frames of one (O, R) hold one order and one object per
-    # table that reads no star, and each its own negation tables (in ra
-    # mode no two frames have one (O, R))
-    names = [*frames._OPERATIONS, "upsets", "O", "R"]
-    shared = [op for op in names if op not in fm.UNARY_OPS]
+    # table that reads no star, and each its own negation and pre tables
+    # (in ra mode no two frames have one (O, R))
+    names = [*frames._OPERATIONS, "upsets", "O", "R", "colA", "colB", "pre"]
+    shared = [op for op in names if op not in frames._STAR_TABLES]
     siblings = 0
     for n, mode in itertools.product((1, 2), ("relevance", "bi", "ra")):
         found = list(enumerate_frames(n, mode))
@@ -579,7 +585,8 @@ def test_frames_of_one_o_and_r_share_what_reads_no_star():
             for f in rest:
                 assert f.up is first.up and f.down is first.down
                 assert all(f.table(op) is first.table(op) for op in shared)
-                assert all(f.table(op) is not first.table(op) for op in fm.UNARY_OPS)
+                assert all(f.table(op) is not first.table(op)
+                           for op in frames._STAR_TABLES)
     assert siblings > 0
 
 

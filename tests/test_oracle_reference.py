@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rmcorr import fol, frames
 from rmcorr import formula as fm
@@ -34,6 +35,7 @@ from rmcorr.calculus import Inequality, QuasiInequality
 from rmcorr.fol import (And, EqAtom, Exists, Forall, Implies, LeqAtom, Not,
                         OAtom, Or, PVarAtom, RAtom, Star, WVar)
 from rmcorr.formula import Atom, Formula
+from rmcorr.render import _print
 from rmcorr.frames import (MAX_WORLDS, BudgetError, RMFrame, _frame_family,
                            _relabel, check_frame,
                            correspondence_check,
@@ -606,6 +608,134 @@ def test_eval_fo_shadowing_restores_the_outer_binding(mode_frames):
                             == ref_eval_fo(f, g, {X0: w})), (g, f, w)
 
 
+# -- the miniscoped program ---------------------------------------------------
+
+# the twelve seeded three-world frames of the end-to-end spot check
+_SPOT_RNG = random.Random(5555)
+THREE_WORLDS = list(dict.fromkeys(random_frame(_SPOT_RNG, 3) for _ in range(12)))
+
+
+def _class_frames():
+    return [f for _, f in _frame_family(MAX_WORLDS, "relevance")[0]]
+
+
+def _plain_program(g: fol.FONode):
+    """The program of a sentence before miniscoping, the reference for the
+    one `eval_fo` compiles: g printed whole, each quantifier a generator
+    over the worlds, in the order g writes them."""
+    return frames._bind((), _print(g, frames._PYTHON, 0))
+
+
+def _quantifier_depth(g: fol.FONode) -> int:
+    stack, deepest = [(g, 0)], 0
+    while stack:
+        node, depth = stack.pop()
+        depth += isinstance(node, (Forall, Exists))
+        deepest = max(deepest, depth)
+        stack.extend((child, depth) for child in fol.children(node))
+    return deepest
+
+
+def test_miniscoped_programs_match_the_plain_ones(corpus_runs, criterion_7_runs):
+    # on every class frame with up to two worlds (every frame up to
+    # isomorphism, and the other modes' frames are among them) and on the
+    # three-world frames.  The plain program costs about n ** depth per
+    # frame, so of the criterion-7 sample, every third formula, it runs
+    # the successes nested at most 10 quantifiers deep
+    sample = [res.fo for res in criterion_7_runs[::3] if res.status == "success"]
+    sentences = [res.fo for _, res in corpus_runs.values()]
+    sentences += [g for g in sample if _quantifier_depth(g) <= 10]
+    assert len(sentences) > 200
+    for g in sentences:
+        plain = _plain_program(g)
+        for f in _class_frames() + THREE_WORLDS:
+            assert eval_fo(f, g) == plain(f)(), (g, f)
+
+
+def _starred(t, stars: int):
+    for _ in range(stars):
+        t = Star(t)
+    return t
+
+
+# first-order formulas over x0, x1 and z0, so an atom often names one
+# variable twice and a quantifier often rebinds a bound name; up to two
+# stars on a term, also inside a predicate
+_TERMS = st.builds(_starred, st.sampled_from(VARS), st.integers(0, 2))
+_FO_ATOMS = st.one_of(
+    st.builds(RAtom, _TERMS, _TERMS, _TERMS), st.builds(OAtom, _TERMS),
+    st.builds(LeqAtom, _TERMS, _TERMS), st.builds(EqAtom, _TERMS, _TERMS),
+    st.builds(PVarAtom, st.integers(0, 1), _TERMS),
+    st.sampled_from((fol.TRUE, fol.FALSE)))
+
+
+def _quantified(body):
+    return st.builds(lambda q, v, b: q(v, b), st.sampled_from((Forall, Exists)),
+                     st.sampled_from(VARS), body)
+
+
+# a third of the connectives drawn are quantifiers, and so is the root
+_FO = _quantified(st.recursive(_FO_ATOMS, lambda inner: st.one_of(
+    st.builds(Not, inner), st.builds(And, inner, inner), st.builds(Or, inner, inner),
+    st.builds(Implies, inner, inner), _quantified(inner), _quantified(inner)),
+    max_leaves=10))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(g=_FO, worlds=st.tuples(*[st.integers(0, 2)] * 3),
+       masks=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+@example(g=Forall(X0, RAtom(X0, X0, X1)), worlds=(0, 1, 0), masks=(0, 0))
+@example(g=Exists(X0, And(EqAtom(X0, X0), Not(OAtom(X0)))), worlds=(0, 0, 0),
+         masks=(0, 0))
+@example(g=Forall(X0, Or(PVarAtom(1, Star(Star(X0))), EqAtom(Star(X1), Star(X0)))),
+         worlds=(0, 2, 1), masks=(1, 2))
+@example(g=Forall(X0, Or(Exists(X0, And(OAtom(Star(X0)), LeqAtom(X1, X0))),
+                         Not(RAtom(X1, Star(X0), Z0)))),
+         worlds=(2, 1, 0), masks=(0, 3))
+def test_eval_fo_matches_the_reference_on_drawn_formulas(g, worlds, masks):
+    # on every fourth class frame with up to two worlds and the three-world
+    # ones, each variable at its drawn world and each predicate at its drawn
+    # up-set, where the frame has them
+    assert fol.miniscope(g)[1] == fol.free_vars(g)
+    for f in _class_frames()[::4] + THREE_WORLDS:
+        env = {v: w % f.n for v, w in zip(VARS, worlds)}
+        upsets = f.upsets()
+        valuation = {Atom(fm.PROP, i, "pq"[i]): upsets[m % len(upsets)]
+                     for i, m in enumerate(masks)}
+        assert eval_fo(f, g, env, valuation) == ref_eval_fo(f, g, env, valuation), f
+
+
+def test_miniscope_moves_each_quantifier_onto_the_parts_that_name_it(corpus_runs):
+    p, q, r = OAtom(X0), OAtom(X1), RAtom(X0, X1, Z0)
+    cases = [
+        (And(And(p, q), And(q, p)), And(p, q)),
+        (Not(Or(Implies(p, q), q)), And(p, Not(q))),
+        (Not(Forall(X0, p)), Exists(X0, Not(p))),
+        (Forall(Z0, q), q),
+        (Forall(X0, And(p, q)), And(Forall(X0, p), q)),
+        (Exists(X0, Or(p, q)), Or(Exists(X0, p), q)),
+        (Exists(X0, And(q, And(p, r))), And(q, Exists(X0, And(p, r)))),
+        (Forall(X0, Or(p, Or(q, r))), Or(q, Forall(X0, Or(p, r)))),
+        # forall x (A -> B) = (exists x A) -> B, exists x (A -> B) = (forall
+        # x A) -> exists x B
+        (Forall(X0, Implies(p, q)), Or(q, Forall(X0, Not(p)))),
+        (Exists(X0, Implies(p, r)), Or(Exists(X0, Not(p)), Exists(X0, r))),
+        # the part without x leaves the disjunction inside the conjunction
+        (Forall(X0, Or(q, And(p, r))), Or(q, And(Forall(X0, p), Forall(X0, r)))),
+        (Forall(X1, Forall(X0, Implies(And(p, q), r))),
+         Forall(X1, Or(Not(q), Forall(X0, Or(Not(p), r))))),
+    ]
+    for g, want in cases:
+        assert fol.miniscope(g) == (want, fol.free_vars(g)), g
+    # distribution's correspondent repeats 6 of its 8 conjuncts
+    _, res = corpus_runs["distribution"]
+    assert (_conjuncts(res.fo), _conjuncts(fol.miniscope(res.fo)[0])) == (8, 2)
+
+
+def _conjuncts(g: fol.FONode) -> int:
+    return _conjuncts(g.left) + _conjuncts(g.right) if type(g) is And else 1
+
+
 def test_error_messages_unchanged():
     f = RMFrame(1, frozenset({0}), frozenset({(0, 0, 0)}), (0,))
     p = Atom(fm.PROP, 0, "p")
@@ -762,6 +892,15 @@ def test_a_star_in_g_evaluates_every_class_frame(monkeypatch):
     assert _evaluated(monkeypatch, parse(r"p \to p"), g) == (110, 32, 4)
 
 
+def test_a_star_read_through_pre_evaluates_every_class_frame(monkeypatch):
+    # x0* is normal or not, true on every frame: the program tests the
+    # mask of its x0, which reads the star only through pre
+    g = Forall(X0, Or(OAtom(Star(X0)), Not(OAtom(Star(X0)))))
+    names = frames._names(frames._fo_source(fol.miniscope(g)[0]))
+    assert "pre" in names and "star" not in names
+    assert _evaluated(monkeypatch, parse(r"p \to p"), g) == (110, 32, 4)
+
+
 def test_starred_wrong_candidates_keep_the_reference_report(mode_frames):
     # outside ra mode the last two fail first on a class frame past the
     # first of its (O, R), the star only in phi and only in g: a check that
@@ -771,7 +910,7 @@ def test_starred_wrong_candidates_keep_the_reference_report(mode_frames):
                Exists(X0, Not(EqAtom(Star(X0), X0))))
     cases = [(r"p \to p", Forall(X0, EqAtom(Star(X0), X0))),
              (r"\sim\sim p \to p", Forall(X0, OAtom(X0))),
-             (r"p \to p", moved)]
+             (r"p \to p", moved), (r"p \to p", Forall(X0, OAtom(Star(X0))))]
     for phi, g in cases:
         for mode in MODES:
             rep = correspondence_check(parse(phi), g, 2, mode)
