@@ -418,9 +418,8 @@ _RANGES = {fm.PROP: "U", fm.NOM: "N", fm.CNOM: "C"}
 _VALUES = {"n": "f.n", "full": "f.full", "o": "f.o_mask", "W": "range(f.n)",
            "res": "f._results", "up": "f.up", "down": "f.down", "star": "f.star",
            **{name: f"admissible(f, {kind!r})" for kind, name in _RANGES.items()},
-           **{f"t_{op}": f"f.table({op!r})" for op in _OPERATIONS},
-           **{op: f"f.table({op!r})" for op in ("colA", "colB", "pre")}}
-_STARRED = {"star", "pre", *(f"t_{op}" for op in fm.UNARY_OPS)}  # the values that read the star
+           **{f"t_{op}": f"f.table({op!r})" for op in (*_OPERATIONS, "colA", "colB", "pre")}}
+_STARRED = {"star", *(f"t_{op}" for op in _STAR_TABLES)}  # the values that read the star
 # a program calls nothing but these; every other name is its own
 _GLOBALS = {"__builtins__": {"all": all, "any": any, "range": range},
             "admissible": _admissible}
@@ -594,8 +593,8 @@ _MASK_CONNECTIVES = {fol.Not: ("full & ~{0}", 2, (3,)), fol.And: ("{0} & {1}", 2
                      fol.Or: ("{0} | {1}", 1, (1, 1))}
 # the mask of the worlds x that satisfy an atom that names x once, by the
 # atom's class and the field that names x (a constant's by its class alone);
-# pre reads the star once per star on x
-_MASK_ATOMS = {(fol.RAtom, "a"): "colA[{b}][{c}]", (fol.RAtom, "b"): "colB[{a}][{c}]",
+# t_pre reads the star once per star on x
+_MASK_ATOMS = {(fol.RAtom, "a"): "t_colA[{b}][{c}]", (fol.RAtom, "b"): "t_colB[{a}][{c}]",
                (fol.RAtom, "c"): "res[{a}][{b}]", (fol.LeqAtom, "a"): "down[{b}]",
                (fol.LeqAtom, "b"): "up[{a}]", (fol.EqAtom, "a"): "(1 << {b})",
                (fol.EqAtom, "b"): "(1 << {a})", (fol.OAtom, "a"): "o",
@@ -623,7 +622,7 @@ def _mask_source(g: fol.FONode, x: fol.WVar, prec: int) -> Optional[str]:
         **{key: v if key == "index" else _py_term(v) for key, v in fields.items()})
     t = fields[named[0]]
     while type(t) is fol.Star:
-        text, t = f"pre[{text}]", t.arg
+        text, t = f"t_pre[{text}]", t.arg
     return text
 
 

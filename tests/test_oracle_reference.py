@@ -894,10 +894,10 @@ def test_a_star_in_g_evaluates_every_class_frame(monkeypatch):
 
 def test_a_star_read_through_pre_evaluates_every_class_frame(monkeypatch):
     # x0* is normal or not, true on every frame: the program tests the
-    # mask of its x0, which reads the star only through pre
+    # mask of its x0, which reads the star only through the pre table
     g = Forall(X0, Or(OAtom(Star(X0)), Not(OAtom(Star(X0)))))
     names = frames._names(frames._fo_source(fol.miniscope(g)[0]))
-    assert "pre" in names and "star" not in names
+    assert "t_pre" in names and "star" not in names
     assert _evaluated(monkeypatch, parse(r"p \to p"), g) == (110, 32, 4)
 
 
